@@ -20,7 +20,7 @@ from .clutters import (
     clutter_from_json,
     clutter_to_json,
 )
-from .codes import check_relations, gamma, verify
+from .codes import check_cover_code, check_relations, gamma, verify
 from .cover import min_cover
 from .families import FAMILIES, FamilySpec, generate
 from .graphs import CodeKind, GraphFormatError, graph_to_json, graph_to_text, load_graph
@@ -138,6 +138,8 @@ def cmd_gamma(args) -> int:
         c = build_clutter(g, kind)
         res = min_cover(c, enumerate_all=True, cap=args.cap)
         value, witness = res.value, res.witness
+        for code in (witness, *res.all_optima):
+            check_cover_code(g, code, kind)
         optima = [sorted(w) for w in res.all_optima]
         obj = {
             "command": "gamma",

@@ -184,6 +184,8 @@ def clutter_from_json(obj: dict) -> Clutter:
     edges = []
     for entry in obj["edges"]:
         if isinstance(entry, dict):
+            if "vertices" not in entry:
+                raise ValueError(f"clutter edge entry {entry!r} has no 'vertices' key")
             verts = entry["vertices"]
             sources = tuple(entry.get("sources", ()))
         else:

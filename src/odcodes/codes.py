@@ -84,13 +84,18 @@ def verify(g: Graph, code, kind: CodeKind) -> VerificationReport:
     )
 
 
+def check_cover_code(g: Graph, code, kind: CodeKind) -> None:
+    """Raise AssertionError unless a cover the solver returned is a valid code."""
+    report = verify(g, code, kind)
+    if not report.valid:
+        raise AssertionError(f"cover witness fails {kind.value} verification: {report}")
+
+
 def gamma(g: Graph, kind: CodeKind) -> tuple[int, frozenset[int]]:
     """Minimum code size and one witness, via the clutter covering pipeline."""
     clutter = build_clutter(g, kind)  # raises on inadmissible graphs
     result = min_cover(clutter)
-    report = verify(g, result.witness, kind)
-    if not report.valid:
-        raise AssertionError(f"cover witness fails {kind.value} verification: {report}")
+    check_cover_code(g, result.witness, kind)
     return result.value, result.witness
 
 

@@ -1,11 +1,21 @@
 """Exact minimum set cover over clutters.
 
-Branch and bound on bitmask edges: forced vertices (singleton edges) are
-absorbed eagerly, the lower bound is a greedy packing of pairwise-disjoint
-uncovered edges, and branching picks the most frequent vertex inside a
-smallest uncovered edge.  Everything is deterministic, so repeated solves
-yield identical witnesses, and an enumeration mode re-walks the tree with the
-value pinned to the optimum to collect every optimal cover.
+Branch and bound on packed edges: each uncovered edge is one int,
+``(size << w) | mask`` with ``w`` the bit length of the widest mask, so a
+plain ``list.sort()`` orders edges by size, then mask.  Every node's edge
+list is kept in that order.  Taking the branch vertex filters the list and
+keeps it sorted; dropping it shrinks the edges that hold it and merges the
+two sorted runs.  Forced vertices (singleton edges) therefore sit in the
+sorted prefix and are absorbed in one pass.  The lower bound is a greedy
+packing of pairwise-disjoint edges in that order, stopped as soon as it
+prunes.  Branching picks the most frequent vertex inside a smallest edge,
+lowest index on ties.
+
+One walk serves both passes: it prunes at a limit and hands each surviving
+leaf to a callback.  The value pass prunes at one below the incumbent and
+records improvements; the enumeration pass pins the limit to the optimum and
+collects every optimal cover, up to cap.  Everything is deterministic, so
+repeated solves yield identical witnesses and node counts.
 """
 
 from __future__ import annotations
@@ -46,118 +56,94 @@ def greedy_cover(c: Clutter) -> frozenset[int]:
     return frozenset(bits(chosen))
 
 
-def _packing_bound(edges: list[int]) -> int:
-    """Number of pairwise-disjoint edges picked greedily by ascending size."""
-    used = 0
-    count = 0
-    for m in edges:
-        if not m & used:
-            used |= m
-            count += 1
-    return count
-
-
-def _absorb_singletons(edges: list[int], selected: int) -> tuple[list[int], int, int] | None:
-    """Select every singleton-edge vertex; None when an edge is uncoverable."""
-    count = 0
-    while True:
-        forced = 0
-        for m in edges:
-            if m == 0:
-                return None
-            if m.bit_count() == 1:
-                forced |= m
-        if not forced:
-            break
-        selected |= forced
-        count += forced.bit_count()
-        edges = [m for m in edges if not m & forced]
-    return edges, selected, count
-
-
-def _branch_vertex(edges: list[int]) -> int:
-    """Most frequent vertex within the first (smallest) edge, lowest index on ties."""
-    e0 = edges[0]
-    best_v, best_freq = -1, -1
-    for v in bits(e0):
-        freq = sum(1 for m in edges if m >> v & 1)
-        if freq > best_freq:
-            best_v, best_freq = v, freq
-    return best_v
+class _Truncated(Exception):
+    """Raised by the enumeration leaf once cap optima are held."""
 
 
 def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> CoverResult:
     """Exact minimum cover; with enumerate_all, every optimum up to cap."""
-    base = sorted(set(c.edge_masks()), key=lambda m: (m.bit_count(), m))
-    if not base:
-        optima = (frozenset(),) if enumerate_all else None
-        return CoverResult(0, frozenset(), 0, optima)
-    if any(m == 0 for m in base):
+    masks = set(c.edge_masks())
+    if not masks:
+        return CoverResult(0, frozenset(), 0, (frozenset(),) if enumerate_all else None)
+    if 0 in masks:
         raise ValueError("clutter has an empty edge")
 
+    w = max(masks).bit_length()
+    full, one, two = (1 << w) - 1, 1 << w, 2 << w
     greedy = mask_of(greedy_cover(c))
-    state = {"best": greedy.bit_count(), "witness": greedy, "nodes": 0}
+    witness, limit, nodes = greedy, greedy.bit_count() - 1, 0
+    optima: list[int] = []
 
-    def search(edges: list[int], selected: int, count: int) -> None:
-        state["nodes"] += 1
-        absorbed = _absorb_singletons(edges, selected)
-        if absorbed is None:
-            return
-        edges, selected, extra = absorbed
-        count += extra
+    def improve(selected: int, count: int) -> None:
+        nonlocal witness, limit
+        witness, limit = selected, count - 1
+
+    def collect(selected: int, count: int) -> None:
+        if len(optima) >= cap:
+            raise _Truncated
+        optima.append(selected)
+
+    leaf = improve
+
+    def walk(edges: list[int], selected: int, count: int) -> None:
+        """One node: edges are sorted packed ints, none empty."""
+        nonlocal nodes
+        nodes += 1
+        # Singletons lead the sorted list, and dropping the edges they hit
+        # makes no new singleton, so one pass absorbs them all.
+        if edges and edges[0] < two:
+            forced = 0
+            for k in edges:
+                if k >= two:
+                    break
+                forced |= k
+            forced &= full
+            selected |= forced
+            count += forced.bit_count()
+            edges = [k for k in edges if not k & forced]
         if not edges:
-            if count < state["best"]:
-                state["best"] = count
-                state["witness"] = selected
+            if count <= limit:
+                leaf(selected, count)
             return
-        edges.sort(key=lambda m: (m.bit_count(), m))
-        if count + _packing_bound(edges) >= state["best"]:
-            return
-        v = _branch_vertex(edges)
-        vbit = 1 << v
-        search([m for m in edges if not m & vbit], selected | vbit, count + 1)
-        search([m & ~vbit for m in edges], selected, count)
+        used, bound = 0, count
+        for k in edges:
+            if not k & used:
+                bound += 1
+                if bound > limit:
+                    return
+                used |= k & full
+        # The most frequent vertex of edges[0] leaves the shortest include
+        # list; the strict < keeps the lowest index on ties.
+        rest, inc, vbit = edges[0] & full, None, 0
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            kept = [k for k in edges if not k & b]
+            if inc is None or len(kept) < len(inc):
+                inc, vbit = kept, b
+        walk(inc, selected | vbit, count + 1)
+        dec = one | vbit
+        exc = inc + [k - dec for k in edges if k & vbit]
+        exc.sort()
+        walk(exc, selected, count)
 
-    search(list(base), 0, 0)
-    value = state["best"]
-    witness = state["witness"]
-    for m in base:
-        if not m & witness:
-            raise AssertionError("solver returned a non-cover")
+    base = sorted((m.bit_count() << w) | m for m in masks)
+    walk(base, 0, 0)
+    value = limit + 1
+    if any(not m & witness for m in masks):
+        raise AssertionError("solver returned a non-cover")
 
     optima_out: tuple[frozenset[int], ...] | None = None
     truncated = False
     if enumerate_all:
-        optima: list[int] = []
-
-        def enum(edges: list[int], selected: int, count: int) -> bool:
-            state["nodes"] += 1
-            absorbed = _absorb_singletons(edges, selected)
-            if absorbed is None:
-                return True
-            edges, selected, extra = absorbed
-            count += extra
-            if count > value:
-                return True
-            if not edges:
-                if count == value:
-                    if len(optima) >= cap:
-                        return False
-                    optima.append(selected)
-                return True
-            edges.sort(key=lambda m: (m.bit_count(), m))
-            if count + _packing_bound(edges) > value:
-                return True
-            v = _branch_vertex(edges)
-            vbit = 1 << v
-            if not enum([m for m in edges if not m & vbit], selected | vbit, count + 1):
-                return False
-            return enum([m & ~vbit for m in edges], selected, count)
-
-        truncated = not enum(list(base), 0, 0)
+        leaf, limit = collect, value
+        try:
+            walk(base, 0, 0)
+        except _Truncated:
+            truncated = True
         optima_out = tuple(frozenset(bits(m)) for m in sorted(optima))
 
-    return CoverResult(value, frozenset(bits(witness)), state["nodes"], optima_out, truncated)
+    return CoverResult(value, frozenset(bits(witness)), nodes, optima_out, truncated)
 
 
 def tau_q_rose(n: int, q: int) -> int:

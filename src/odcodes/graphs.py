@@ -36,10 +36,6 @@ def bits(mask: int):
         mask ^= low
 
 
-def bitset(mask: int) -> frozenset[int]:
-    return frozenset(bits(mask))
-
-
 class CodeKind(Enum):
     """The six separation/domination code flavors.
 
@@ -441,6 +437,11 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: bool is an int subclass in Python but not in JSON."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_graph_json(text: str) -> Graph:
     try:
         obj = json.loads(text)
@@ -449,15 +450,20 @@ def parse_graph_json(text: str) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise GraphFormatError("JSON graph needs 'n' and 'edges' keys")
     n = obj["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise GraphFormatError("'n' must be a non-negative integer")
+    if not isinstance(obj["edges"], list):
+        raise GraphFormatError("'edges' must be a list")
     edges = []
     for e in obj["edges"]:
-        if not (isinstance(e, list) and len(e) == 2):
+        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
             raise GraphFormatError(f"malformed edge entry {e!r}")
-        edges.append((int(e[0]), int(e[1])))
+        edges.append((e[0], e[1]))
+    raw_labels = obj.get("labels") or {}
+    if not isinstance(raw_labels, dict):
+        raise GraphFormatError("'labels' must be an object")
     labels = {}
-    for k, s in (obj.get("labels") or {}).items():
+    for k, s in raw_labels.items():
         try:
             labels[int(k)] = str(s)
         except ValueError:

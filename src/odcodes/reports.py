@@ -86,14 +86,14 @@ class _Rows:
         self.rows.append(ReportRow(label, "ok", actual, ok))
 
     def finish(self, title: str, t0: float) -> Report:
-        return Report(title, tuple(self.rows), time.time() - t0)
+        return Report(title, tuple(self.rows), time.perf_counter() - t0)
 
 
 # -- criterion 1: the worked 4-path example ------------------------------------------
 
 
 def report_p4_example() -> Report:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = _Rows()
     g = generate(FamilySpec("path", n=4))
     c = build_clutter(g, CodeKind.OD)
@@ -119,7 +119,7 @@ TABLE1 = (
 
 
 def report_table1() -> Report:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = _Rows()
     for name, other, od_value, other_value in TABLE1:
         g = named_graph(name)
@@ -177,7 +177,7 @@ def family_specs(max_n: int = 18) -> list[FamilySpec]:
 
 
 def report_families(max_n: int = 18) -> Report:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = _Rows()
     for spec in family_specs(max_n):
         preds = predicted_gamma(spec)
@@ -196,7 +196,7 @@ def report_families(max_n: int = 18) -> Report:
 
 
 def report_clutter_shapes() -> Report:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = _Rows()
 
     for n in range(2, 9):
@@ -259,7 +259,7 @@ def report_clutter_shapes() -> Report:
 
 
 def report_bounds_random(samples: int = 200, seed: int = DEFAULT_SEED) -> Report:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = _Rows()
     rng = random.Random(seed)
     log_ok = upper_ok = gap_ok = ld_ok = ltd_ok = remark_ok = 0
@@ -293,7 +293,7 @@ def report_bounds_random(samples: int = 200, seed: int = DEFAULT_SEED) -> Report
 
 
 def report_sat_equivalence(max_vars: int = 4, max_clauses: int = 6) -> Report:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = _Rows()
     total = sat_count = 0
     for inst in enumerate_slsat(max_vars, max_clauses):
@@ -336,7 +336,7 @@ def report_sat_equivalence(max_vars: int = 4, max_clauses: int = 6) -> Report:
 
 
 def report_qrose(max_n: int = 8) -> Report:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = _Rows()
     for n in range(3, max_n + 1):
         for q in range(2, n):
@@ -367,7 +367,7 @@ def polyhedra_cases() -> list[tuple[str, FamilySpec]]:
 
 
 def report_polyhedra() -> Report:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = _Rows()
     for hint, spec in polyhedra_cases():
         g = generate(spec)
@@ -430,7 +430,7 @@ def oracle_corpus() -> list[tuple[str, Graph]]:
 
 
 def report_oracle_equivalence() -> Report:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = _Rows()
     pairs = 0
     for label, g in oracle_corpus():

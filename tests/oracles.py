@@ -96,3 +96,132 @@ def are_isomorphic(g1, g2) -> bool:
         if all(frozenset((perm[u], perm[v])) in e2 for u, v in g1.edges()):
             return True
     return False
+
+
+def _reference_greedy(masks):
+    """Max-coverage greedy cover as a bitmask, ties broken by lowest vertex."""
+    uncovered = list(masks)
+    chosen = 0
+    while uncovered:
+        candidates = 0
+        for m in uncovered:
+            candidates |= m
+        best_v, best_hits = -1, -1
+        for v in range(candidates.bit_length()):
+            if candidates >> v & 1:
+                hits = sum(1 for m in uncovered if m >> v & 1)
+                if hits > best_hits:
+                    best_v, best_hits = v, hits
+        chosen |= 1 << best_v
+        uncovered = [m for m in uncovered if not m >> best_v & 1]
+    return chosen
+
+
+def reference_min_cover(c, enumerate_all=False, cap=10_000):
+    """The list-based branch and bound that predates the packed-edge search.
+
+    Kept verbatim in behaviour (same greedy incumbent, same absorb / sort /
+    packing bound / branch order, same node counting) so the library's search
+    can be required to walk exactly the same tree.  Returns the tuple
+    (value, witness, nodes_explored, all_optima, truncated).
+    """
+
+    def members(mask):
+        return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+    def key(m):
+        return (m.bit_count(), m)
+
+    def absorb(edges, selected):
+        count = 0
+        while True:
+            forced = 0
+            for m in edges:
+                if m == 0:
+                    return None
+                if m.bit_count() == 1:
+                    forced |= m
+            if not forced:
+                break
+            selected |= forced
+            count += forced.bit_count()
+            edges = [m for m in edges if not m & forced]
+        return edges, selected, count
+
+    def packing(edges):
+        used = count = 0
+        for m in edges:
+            if not m & used:
+                used |= m
+                count += 1
+        return count
+
+    def branch_vertex(edges):
+        best_v, best_freq = -1, -1
+        for v in sorted(members(edges[0])):
+            freq = sum(1 for m in edges if m >> v & 1)
+            if freq > best_freq:
+                best_v, best_freq = v, freq
+        return best_v
+
+    base = sorted(set(c.edge_masks()), key=key)
+    if not base:
+        return 0, frozenset(), 0, ((frozenset(),) if enumerate_all else None), False
+    if any(m == 0 for m in base):
+        raise ValueError("clutter has an empty edge")
+
+    greedy = _reference_greedy(c.edge_masks())
+    state = {"best": greedy.bit_count(), "witness": greedy, "nodes": 0}
+
+    def search(edges, selected, count):
+        state["nodes"] += 1
+        absorbed = absorb(edges, selected)
+        if absorbed is None:
+            return
+        edges, selected, extra = absorbed
+        count += extra
+        if not edges:
+            if count < state["best"]:
+                state["best"] = count
+                state["witness"] = selected
+            return
+        edges.sort(key=key)
+        if count + packing(edges) >= state["best"]:
+            return
+        vbit = 1 << branch_vertex(edges)
+        search([m for m in edges if not m & vbit], selected | vbit, count + 1)
+        search([m & ~vbit for m in edges], selected, count)
+
+    search(list(base), 0, 0)
+    value = state["best"]
+    optima_out = None
+    truncated = False
+    if enumerate_all:
+        optima = []
+
+        def enum(edges, selected, count):
+            state["nodes"] += 1
+            absorbed = absorb(edges, selected)
+            if absorbed is None:
+                return True
+            edges, selected, extra = absorbed
+            count += extra
+            if count > value:
+                return True
+            if not edges:
+                if count == value:
+                    if len(optima) >= cap:
+                        return False
+                    optima.append(selected)
+                return True
+            edges.sort(key=key)
+            if count + packing(edges) > value:
+                return True
+            vbit = 1 << branch_vertex(edges)
+            if not enum([m for m in edges if not m & vbit], selected | vbit, count + 1):
+                return False
+            return enum([m & ~vbit for m in edges], selected, count)
+
+        truncated = not enum(list(base), 0, 0)
+        optima_out = tuple(members(m) for m in sorted(optima))
+    return value, members(state["witness"]), state["nodes"], optima_out, truncated

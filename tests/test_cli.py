@@ -82,6 +82,43 @@ class TestGraphCommands:
         code, out, _ = run(capsys, "tau", str(cpath), "--enumerate")
         assert code == 0 and out.splitlines()[0] == "tau = 3"
 
+    def test_tau_rejects_edge_entry_without_vertices(self, capsys, tmp_path):
+        cpath = tmp_path / "c.json"
+        cpath.write_text('{"n": 3, "edges": [{"sources": ["x"]}]}')
+        code, out, err = run(capsys, "tau", str(cpath))
+        assert code == 2 and "vertices" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2, "edges": [[0, 1.9]]}',
+            '{"n": true, "edges": []}',
+            '{"n": 2, "edges": [[0, true]]}',
+            '{"n": 2, "edges": [[0, 1]], "labels": [1]}',
+        ],
+        ids=["float-endpoint", "bool-n", "bool-endpoint", "labels-list"],
+    )
+    def test_malformed_json_graph(self, capsys, tmp_path, text):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        code, out, _ = run(capsys, "gamma", str(path), "--json")
+        assert code == 2 and json.loads(out)["error"]["code"] == "format"
+
+    def test_gamma_enumerate_verifies_every_optimum(self, capsys, p4_file, monkeypatch):
+        from odcodes import cli
+        from odcodes.cover import CoverResult
+
+        real = cli.min_cover
+
+        def with_bad_optimum(c, **kw):
+            res = real(c, **kw)
+            bad = frozenset({0, 1})
+            return CoverResult(res.value, res.witness, 0, res.all_optima + (bad,), False)
+
+        monkeypatch.setattr(cli, "min_cover", with_bad_optimum)
+        with pytest.raises(AssertionError, match="fails OD verification"):
+            run(capsys, "gamma", p4_file, "--kind", "OD", "--enumerate")
+
     def test_verify_exit_codes(self, capsys, p4_file):
         assert run(capsys, "verify", p4_file, "--kind", "OD", "--code", "0,1,3")[0] == 0
         code, out, _ = run(capsys, "verify", p4_file, "--kind", "OD", "--code", "0,1")

@@ -4,10 +4,11 @@ import pytest
 
 from odcodes.clutters import Clutter, Hyperedge, build_clutter
 from odcodes.cover import CoverResult, greedy_cover, min_cover, qrose_clutter, tau_q_rose
+from odcodes.families import random_od_admissible
 from odcodes.graphs import CodeKind, mask_of
-from oracles import naive_min_cover
+from oracles import naive_min_cover, reference_min_cover
 
-from test_graphs import complete, path
+from test_graphs import complete, cycle, path
 
 
 def clutter_of(n, *edge_sets):
@@ -115,6 +116,47 @@ class TestEnumeration:
     def test_cap_truncates(self):
         res = min_cover(build_clutter(complete(6), CodeKind.OD), enumerate_all=True, cap=3)
         assert res.truncated and len(res.all_optima) == 3
+
+
+def as_tuple(res):
+    return (res.value, res.witness, res.nodes_explored, res.all_optima, res.truncated)
+
+
+class TestSameTreeAsReference:
+    """The search walks node for node the tree of the list-based reference."""
+
+    def test_random_clutters(self):
+        rng = random.Random(89)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            sets = [
+                set(rng.sample(range(n), rng.randint(1, min(5, n))))
+                for _ in range(rng.randint(0, 16))
+            ]
+            c = clutter_of(n, *sets)
+            assert as_tuple(min_cover(c)) == reference_min_cover(c)
+            cap = rng.choice([1, 2, 5, 10_000])
+            got = min_cover(c, enumerate_all=True, cap=cap)
+            assert as_tuple(got) == reference_min_cover(c, enumerate_all=True, cap=cap)
+
+    @pytest.mark.parametrize(
+        "graph, kind",
+        [
+            (lambda: cycle(32), CodeKind.OD),
+            (lambda: path(36), CodeKind.OTD),
+            (lambda: random_od_admissible(26, 0.3, random.Random(5)), CodeKind.LD),
+        ],
+        ids=["cycle32-OD", "path36-OTD", "random26-LD"],
+    )
+    def test_code_clutters(self, graph, kind):
+        c = build_clutter(graph(), kind)
+        assert as_tuple(min_cover(c)) == reference_min_cover(c)
+
+    def test_truncated_enumeration(self):
+        c = build_clutter(complete(6), CodeKind.OD)
+        expected = reference_min_cover(c, enumerate_all=True, cap=3)
+        assert expected[4]
+        assert as_tuple(min_cover(c, enumerate_all=True, cap=3)) == expected
 
 
 class TestMonotonicity:
