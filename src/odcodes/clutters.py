@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import CodeKind, Graph, bits, is_admissible, mask_of
+from .graphs import CodeKind, Graph, _is_int, bits, is_admissible, mask_of
 
 
 class InadmissibleGraphError(ValueError):
@@ -179,7 +179,11 @@ def clutter_from_json(obj: dict) -> Clutter:
     """Accepts the clutter_to_json layout or a bare {"n":..., "edges":[[...]]}."""
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("clutter JSON needs 'n' and 'edges' keys")
-    n = int(obj["n"])
+    n = obj["n"]
+    if not _is_int(n) or n < 0:
+        raise ValueError("clutter JSON 'n' must be a non-negative integer")
+    if not isinstance(obj["edges"], list):
+        raise ValueError("clutter JSON 'edges' must be a list")
     kind = CodeKind(obj["kind"]) if obj.get("kind") else None
     edges = []
     for entry in obj["edges"]:
@@ -191,11 +195,12 @@ def clutter_from_json(obj: dict) -> Clutter:
         else:
             verts = entry
             sources = ()
+        if not isinstance(verts, list):
+            raise ValueError(f"clutter edge entry {entry!r} is not a vertex list")
         mask = 0
         for v in verts:
-            v = int(v)
-            if not 0 <= v < n:
-                raise ValueError(f"edge vertex {v} out of range")
+            if not _is_int(v) or not 0 <= v < n:
+                raise ValueError(f"edge vertex {v!r} is not an integer in 0 <= v < {n}")
             mask |= 1 << v
         if mask == 0:
             raise ValueError("empty edge in clutter JSON")

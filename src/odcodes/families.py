@@ -425,26 +425,25 @@ def predicted_gamma(spec: FamilySpec) -> tuple[GammaPrediction, ...]:
     return tuple(preds)
 
 
-# -- thin sun helpers ---------------------------------------------------------------
+# -- role and thin sun helpers -----------------------------------------------------------
 
 
-def sun_parts(g: Graph) -> tuple[list[int], list[int]]:
-    """Cycle and pendant vertex lists of a generated thin sun, by role label."""
-    cs = sorted(
-        (int(lab[1:]), v) for v, lab in g.labels.items() if lab.startswith("c")
-    )
-    ss = sorted(
-        (int(lab[1:]), v) for v, lab in g.labels.items() if lab.startswith("s")
-    )
-    if not cs:
-        raise ValueError("graph carries no thin-sun roles")
-    return [v for _, v in cs], [v for _, v in ss]
+def role_sequence(g: Graph, prefix: str) -> list[int]:
+    """Vertices labeled prefix1, prefix2, ... (e.g. c1..ck), in index order."""
+    found = {}
+    for v, lab in g.labels.items():
+        tail = lab[len(prefix) :]
+        if lab.startswith(prefix) and tail.isdigit():
+            found[int(tail)] = v
+    return [found[i] for i in sorted(found)]
 
 
 def open_c_twins(g: Graph) -> list[tuple[int, int]]:
     """Non-adjacent cycle-vertex pairs with the same cycle-restricted
     neighborhood, for graphs generated with thin-sun roles."""
-    cycle_vs, _ = sun_parts(g)
+    cycle_vs = role_sequence(g, "c")
+    if not cycle_vs:
+        raise ValueError("graph carries no thin-sun roles")
     cmask = sum(1 << v for v in cycle_vs)
     pairs = []
     for i, u in enumerate(cycle_vs):

@@ -11,11 +11,13 @@ deliberately out of reach of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .clutters import Clutter, build_clutter
 from .cover import min_cover
+from .families import role_sequence
 from .graphs import CodeKind, Graph, bits, mask_of
 
 
@@ -24,14 +26,12 @@ class RankConstraint:
     support: frozenset[int]
     rhs: int
     source: str = ""
+    mask: int = field(init=False, repr=False, compare=False)  # the support as a bitmask
 
     def __post_init__(self):
         if not 1 <= self.rhs <= len(self.support):
             raise ValueError(f"rank constraint needs 1 <= rhs <= |support|, got {self.rhs}")
-
-    @property
-    def mask(self) -> int:
-        return mask_of(self.support)
+        object.__setattr__(self, "mask", mask_of(self.support))
 
     def satisfied(self, point_mask: int) -> bool:
         return (point_mask & self.mask).bit_count() >= self.rhs
@@ -56,11 +56,18 @@ class ConstraintSystem:
             if any(not 0 <= v < self.n for v in c.support):
                 raise ValueError("inequality support out of range")
 
-    def satisfied_by(self, point_mask: int) -> bool:
+    def first_violation(self, point_mask: int) -> str | None:
+        """The first equation or inequality the 0/1 point breaks, or None."""
         for v in self.equalities:
             if not point_mask >> v & 1:
-                return False
-        return all(c.satisfied(point_mask) for c in self.inequalities)
+                return f"x_{v} = 1"
+        for c in self.inequalities:
+            if not c.satisfied(point_mask):
+                return f"x({sorted(c.support)}) >= {c.rhs}"
+        return None
+
+    def satisfied_by(self, point_mask: int) -> bool:
+        return self.first_violation(point_mask) is None
 
     def size(self) -> tuple[int, int]:
         return len(self.equalities), len(self.inequalities)
@@ -85,15 +92,6 @@ def qrose_system(n: int, q: int) -> ConstraintSystem:
 
 
 # -- role helpers -----------------------------------------------------------------
-
-
-def _role_sequence(g: Graph, prefix: str) -> list[int]:
-    found = {}
-    for v, lab in g.labels.items():
-        tail = lab[len(prefix) :]
-        if lab.startswith(prefix) and tail.isdigit():
-            found[int(tail)] = v
-    return [found[i] for i in sorted(found)]
 
 
 def _role_mismatch(hint: str, why: str) -> ValueError:
@@ -146,8 +144,8 @@ def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
         return ConstraintSystem(n, (), tuple(_rank_family(rest, 2, 1, "fan rank")))
 
     if hint == "half-graph":
-        us = _role_sequence(g, "u")
-        ws = _role_sequence(g, "w")
+        us = role_sequence(g, "u")
+        ws = role_sequence(g, "w")
         k = len(us)
         if k == 0 or len(ws) != k or n != 2 * k:
             raise _role_mismatch(hint, "need u1..uk and w1..wk labels")
@@ -160,8 +158,8 @@ def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
         return ConstraintSystem(n, tuple(sorted(equalities)), (facet,))
 
     if hint in ("thick-spider", "thin-spider", "extended-thin-spider"):
-        qs = _role_sequence(g, "q")
-        ss = _role_sequence(g, "s")
+        qs = role_sequence(g, "q")
+        ss = role_sequence(g, "s")
         k = len(qs)
         if k < 3:
             raise _role_mismatch(hint, "need q1..qk labels, k >= 3")
@@ -192,8 +190,8 @@ def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
         return ConstraintSystem(n, equalities, tuple(ineqs))
 
     if hint in ("sunlet", "almost-complete-thin-sun"):
-        cs = _role_sequence(g, "c")
-        ss = _role_sequence(g, "s")
+        cs = role_sequence(g, "c")
+        ss = role_sequence(g, "s")
         k = len(cs)
         if k < 3 or len(ss) != k:
             raise _role_mismatch(hint, "need c1..ck and s1..sk labels")
@@ -268,48 +266,44 @@ class HullReport:
     direction: str = ""  # "cover-outside-system" | "system-point-not-cover"
 
 
-def _all_covers(c: Clutter):
-    masks = c.edge_masks()
-    for x in range(1 << c.n):
-        if all(x & m for m in masks):
-            yield x
+def _covers(sys: ConstraintSystem, c: Clutter) -> tuple[bool, Iterator[int]]:
+    """(exhaustive, covers) for the checks: every 0/1 cover in ascending order
+    up to the enumeration limit, otherwise the enumerated minimum covers.
+    The covers are lazy, so a caller that refuses the sampled ones searches
+    nothing."""
+    if sys.n != c.n:
+        raise ValueError("system and clutter sizes differ")
+    exhaustive = c.n <= ENUMERATION_LIMIT
 
+    def covers():
+        if not exhaustive:
+            yield from map(mask_of, min_cover(c, enumerate_all=True, cap=5000).all_optima)
+            return
+        masks = c.edge_masks()
+        for x in range(1 << c.n):
+            if all(x & m for m in masks):
+                yield x
 
-def _sampled_covers(c: Clutter, cap: int = 5000):
-    res = min_cover(c, enumerate_all=True, cap=cap)
-    for w in res.all_optima:
-        yield mask_of(w)
+    return exhaustive, covers()
 
 
 def check_validity(sys: ConstraintSystem, c: Clutter) -> ValidityReport:
     """Does every 0/1 cover satisfy the system?  Exhaustive up to the
     enumeration limit, otherwise checked over enumerated minimum covers."""
-    if sys.n != c.n:
-        raise ValueError("system and clutter sizes differ")
-    exhaustive = c.n <= ENUMERATION_LIMIT
-    points = _all_covers(c) if exhaustive else _sampled_covers(c)
-    for x in points:
-        for v in sys.equalities:
-            if not x >> v & 1:
-                return ValidityReport(False, exhaustive, (frozenset(bits(x)), f"x_{v} = 1"))
-        for con in sys.inequalities:
-            if not con.satisfied(x):
-                desc = f"x({sorted(con.support)}) >= {con.rhs}"
-                return ValidityReport(False, exhaustive, (frozenset(bits(x)), desc))
+    exhaustive, covers = _covers(sys, c)
+    for x in covers:
+        broken = sys.first_violation(x)
+        if broken is not None:
+            return ValidityReport(False, exhaustive, (frozenset(bits(x)), broken))
     return ValidityReport(True, exhaustive)
 
 
 def check_tightness(sys: ConstraintSystem, c: Clutter) -> TightnessReport:
     """Is every inequality achieved with equality by some cover?"""
-    if sys.n != c.n:
-        raise ValueError("system and clutter sizes differ")
+    _, covers = _covers(sys, c)
     pending = dict(enumerate(sys.inequalities))
     witnesses = {}
-    if c.n <= ENUMERATION_LIMIT:
-        points = _all_covers(c)
-    else:
-        points = _sampled_covers(c)
-    for x in points:
+    for x in covers:
         hit = [i for i, con in pending.items() if con.tight(x)]
         for i in hit:
             witnesses[i] = frozenset(bits(x))
@@ -323,20 +317,17 @@ def check_tightness(sys: ConstraintSystem, c: Clutter) -> TightnessReport:
     )
 
 
-def integer_hull_equiv(sys: ConstraintSystem, c: Clutter, n_max: int = ENUMERATION_LIMIT) -> HullReport:
+def integer_hull_equiv(sys: ConstraintSystem, c: Clutter) -> HullReport:
     """Are the system's 0/1 points exactly the covers of the clutter?"""
-    if sys.n != c.n:
-        raise ValueError("system and clutter sizes differ")
-    if c.n > n_max:
-        raise ValueError(f"hull equivalence is enumerated only up to n = {n_max}")
-    masks = c.edge_masks()
+    exhaustive, covers = _covers(sys, c)
+    if not exhaustive:
+        raise ValueError(f"hull equivalence is enumerated only up to n = {ENUMERATION_LIMIT}")
+    covers = set(covers)
     for x in range(1 << c.n):
-        is_cover = all(x & m for m in masks)
-        in_system = sys.satisfied_by(x)
-        if is_cover and not in_system:
-            return HullReport(False, frozenset(bits(x)), "cover-outside-system")
-        if in_system and not is_cover:
-            return HullReport(False, frozenset(bits(x)), "system-point-not-cover")
+        is_cover = x in covers
+        if is_cover != sys.satisfied_by(x):
+            direction = "cover-outside-system" if is_cover else "system-point-not-cover"
+            return HullReport(False, frozenset(bits(x)), direction)
     return HullReport(True)
 
 
@@ -344,12 +335,7 @@ def minimum_over_system(sys: ConstraintSystem) -> int:
     """Smallest 1-count of a 0/1 point satisfying the system (enumerated)."""
     if sys.n > ENUMERATION_LIMIT:
         raise ValueError("enumeration limit exceeded")
-    best = None
-    for x in range(1 << sys.n):
-        if sys.satisfied_by(x):
-            k = x.bit_count()
-            if best is None or k < best:
-                best = k
+    best = min((x.bit_count() for x in range(1 << sys.n) if sys.satisfied_by(x)), default=None)
     if best is None:
         raise ValueError("system has no 0/1 point")
     return best

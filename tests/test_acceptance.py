@@ -11,9 +11,9 @@ from odcodes import reports
 
 
 def _run(number, title, budget_seconds, report_fn, **kwargs):
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = report_fn(**kwargs)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     status = "PASS" if rep.ok else "FAIL"
     print(f"CRITERION {number} [{title}]: {status} ({len(rep.rows)} rows, {elapsed:.2f}s, budget {budget_seconds}s)")
     assert rep.ok, [f"{r.label}: expected {r.expected}, got {r.actual}" for r in rep.failures][:10]

@@ -82,11 +82,34 @@ class TestGraphCommands:
         code, out, _ = run(capsys, "tau", str(cpath), "--enumerate")
         assert code == 0 and out.splitlines()[0] == "tau = 3"
 
-    def test_tau_rejects_edge_entry_without_vertices(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text,needle",
+        [
+            ('{"n": 3, "edges": [{"sources": ["x"]}]}', "vertices"),
+            ('{"n": 2.5, "edges": [[0, 1]]}', "'n'"),
+            ('{"n": "3", "edges": [[0, 1]]}', "'n'"),
+            ('{"n": true, "edges": [[0]]}', "'n'"),
+            ('{"n": 3, "edges": [[0, 1.9]]}', "edge vertex 1.9"),
+            ('{"n": 3, "edges": [[0, true]]}', "edge vertex True"),
+            ('{"n": 3, "edges": [5]}', "not a vertex list"),
+            ('{"n": 3, "edges": 5}', "'edges'"),
+        ],
+        ids=[
+            "edge-without-vertices",
+            "float-n",
+            "string-n",
+            "bool-n",
+            "float-vertex",
+            "bool-vertex",
+            "int-edge",
+            "int-edges",
+        ],
+    )
+    def test_tau_rejects_malformed_clutter_json(self, capsys, tmp_path, text, needle):
         cpath = tmp_path / "c.json"
-        cpath.write_text('{"n": 3, "edges": [{"sources": ["x"]}]}')
+        cpath.write_text(text)
         code, out, err = run(capsys, "tau", str(cpath))
-        assert code == 2 and "vertices" in err and out == ""
+        assert code == 2 and needle in err and out == ""
 
     @pytest.mark.parametrize(
         "text",

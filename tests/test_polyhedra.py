@@ -1,5 +1,6 @@
 import pytest
 
+from odcodes import polyhedra
 from odcodes.clutters import build_clutter
 from odcodes.codes import gamma
 from odcodes.cover import qrose_clutter, tau_q_rose
@@ -16,6 +17,7 @@ from odcodes.families import (
 )
 from odcodes.graphs import CodeKind
 from odcodes.polyhedra import (
+    ENUMERATION_LIMIT,
     ConstraintSystem,
     RankConstraint,
     check_tightness,
@@ -179,3 +181,40 @@ class TestChecks:
                 continue
             sys = od_polyhedron_system(g, hint)
             assert minimum_over_system(sys) == gamma(g, CodeKind.OD)[0], hint
+
+
+@pytest.mark.parametrize(
+    "g,hint",
+    [(thin_spider(9), "thin-spider"), (half_graph(9), "half-graph")],
+    ids=["thin-spider-9", "half-graph-9"],
+)
+class TestAboveEnumerationLimit:
+    """n = 18 > ENUMERATION_LIMIT: validity and tightness see only minimum covers."""
+
+    def test_sampled_checks_pass(self, g, hint):
+        assert g.n == 18 > ENUMERATION_LIMIT
+        sys = od_polyhedron_system(g, hint)
+        clutter = build_clutter(g, CodeKind.OD)
+        rep = check_validity(sys, clutter)
+        assert rep.ok and not rep.exhaustive
+        assert check_tightness(sys, clutter).ok
+
+    def test_raised_rhs_gives_sampled_counterexample(self, g, hint):
+        sys = od_polyhedron_system(g, hint)
+        c = sys.inequalities[0]
+        bumped = RankConstraint(c.support, c.rhs + 1, c.source)
+        bad = ConstraintSystem(sys.n, sys.equalities, (bumped,) + sys.inequalities[1:])
+        rep = check_validity(bad, build_clutter(g, CodeKind.OD))
+        assert not rep.ok and not rep.exhaustive
+        cover, broken = rep.counterexample
+        assert broken == f"x({sorted(c.support)}) >= {c.rhs + 1}"
+        assert len(cover & c.support) == c.rhs
+
+    def test_enumerated_checks_refuse(self, g, hint, monkeypatch):
+        sys = od_polyhedron_system(g, hint)
+        # refusing must not first enumerate the minimum covers
+        monkeypatch.setattr(polyhedra, "min_cover", None)
+        with pytest.raises(ValueError, match="only up to n = 16"):
+            integer_hull_equiv(sys, build_clutter(g, CodeKind.OD))
+        with pytest.raises(ValueError, match="enumeration limit"):
+            minimum_over_system(sys)
