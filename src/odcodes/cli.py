@@ -2,9 +2,10 @@
 
 One subcommand per pipeline, each a thin shell over the library: generate,
 clutter, gamma, verify, relations, reduce-sat, sat-roundtrip, tau,
-polyhedron, and paper-report.  Exit status: 0 on success/valid/pass, 1 on
-invalid/fail, 2 on usage or format errors.  Every subcommand takes --json
-for machine-readable output (schema version 1).
+polyhedron, and paper-report.  Each handler computes one result dict and
+renders its text from that dict; ``main`` prints the dict as JSON (--json,
+schema version 1) or the text.  Exit status: 0 on success/valid/pass, 1 on
+invalid/fail, 2 on usage or format errors.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import reports
 from .clutters import (
@@ -21,7 +23,7 @@ from .clutters import (
     clutter_to_json,
 )
 from .codes import check_cover_code, check_relations, gamma, verify
-from .cover import min_cover
+from .cover import min_cover, qrose_clutter
 from .families import FAMILIES, FamilySpec, generate
 from .graphs import CodeKind, GraphFormatError, graph_to_json, graph_to_text, load_graph
 from .polyhedra import (
@@ -51,20 +53,14 @@ class UsageError(Exception):
     pass
 
 
-def _emit(obj: dict, json_mode: bool, text: str) -> None:
-    if json_mode:
-        obj = {"schema": SCHEMA, **obj}
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+# the error code of each failure main reports, most specific class first
+ERROR_CODES = (
+    (InadmissibleGraphError, "inadmissible"),
+    ((GraphFormatError, LsatFormatError, OSError), "format"),
+    ((UsageError, ValueError), "usage"),
+)
 
-
-def _fail(message: str, code: str, json_mode: bool) -> int:
-    if json_mode:
-        print(json.dumps({"schema": SCHEMA, "error": {"code": code, "message": message}}))
-    else:
-        print(f"error: {message}", file=sys.stderr)
-    return 2 if code in ("usage", "format") else 1
+CHECKS = {"validity": check_validity, "tightness": check_tightness, "hull": integer_hull_equiv}
 
 
 def _read(path: str) -> str:
@@ -77,6 +73,14 @@ def _kind(value: str) -> CodeKind:
         return CodeKind(value.upper())
     except ValueError:
         raise UsageError(f"unknown code kind {value!r}")
+
+
+def _join(values) -> str:
+    return " ".join(map(str, values))
+
+
+def _sizes(value: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in value.split("+"))
 
 
 def _parse_params(raw: str | None) -> dict:
@@ -92,7 +96,7 @@ def _parse_params(raw: str | None) -> dict:
         if key in ("k", "n"):
             params[key] = int(value)
         elif key == "sizes":
-            params["sizes"] = tuple(int(s) for s in value.split("+"))
+            params["sizes"] = _sizes(value)
         elif key == "chords":
             chords = []
             if value:
@@ -108,62 +112,55 @@ def _parse_params(raw: str | None) -> dict:
 
 
 # -- subcommand handlers ---------------------------------------------------------
+#
+# Each returns (exit status, result dict, text).  paper-report alone returns
+# its text as a generator that runs one section per chunk, so that text mode
+# prints each section as it finishes, and its status as a function that main
+# calls once the generator is spent.
 
 
-def cmd_generate(args) -> int:
-    spec = FamilySpec(args.family, **_parse_params(args.params))
-    g = generate(spec)
-    _emit({"command": "generate", "graph": graph_to_json(g)}, args.json, graph_to_text(g))
-    return 0
+def cmd_generate(args):
+    g = generate(FamilySpec(args.family, **_parse_params(args.params)))
+    return 0, {"command": "generate", "graph": graph_to_json(g)}, graph_to_text(g)
 
 
-def cmd_clutter(args) -> int:
-    g = load_graph(_read(args.graph))
-    c = build_clutter(g, _kind(args.kind))
-    lines = [f"n {c.n}  kind {args.kind.upper()}"]
-    lines.append("ground: " + " ".join(map(str, sorted(c.ground))))
-    lines.append("v0: " + (" ".join(map(str, sorted(c.v0))) or "(empty)"))
-    lines.append("f1: " + (" ".join(map(str, sorted(c.f1))) or "(empty)"))
+def cmd_clutter(args):
+    c = build_clutter(load_graph(_read(args.graph)), _kind(args.kind))
+    obj = {"command": "clutter", **clutter_to_json(c)}
+    lines = [f"n {obj['n']}  kind {obj['kind']}", "ground: " + _join(obj["ground"])]
+    lines += [f"{key}: " + (_join(obj[key]) or "(empty)") for key in ("v0", "f1")]
     lines.append("f2:")
-    for e in c.f2:
-        lines.append("  " + " ".join(map(str, e.vertices())) + "   # " + ",".join(e.sources))
-    _emit({"command": "clutter", **clutter_to_json(c)}, args.json, "\n".join(lines))
-    return 0
+    lines += [
+        "  " + _join(e["vertices"]) + "   # " + ",".join(e["sources"])
+        for e in obj["edges"]
+        if len(e["vertices"]) >= 2
+    ]
+    return 0, obj, "\n".join(lines)
 
 
-def cmd_gamma(args) -> int:
+def _cover_fields(res, enumerate_all: bool) -> dict:
+    fields = {"value": res.value, "witness": sorted(res.witness)}
+    if enumerate_all:
+        fields["optima"] = [sorted(w) for w in res.all_optima]
+        fields["truncated"] = res.truncated
+    return fields
+
+
+def cmd_gamma(args):
     g = load_graph(_read(args.graph))
     kind = _kind(args.kind)
+    res = min_cover(build_clutter(g, kind), enumerate_all=args.enumerate, cap=args.cap)
+    for code in (res.witness, *(res.all_optima or ())):
+        check_cover_code(g, code, kind)
+    obj = {"command": "gamma", "kind": kind.value, **_cover_fields(res, args.enumerate)}
+    lines = [f"gamma[{obj['kind']}] = {obj['value']}", "witness: " + _join(obj["witness"])]
     if args.enumerate:
-        c = build_clutter(g, kind)
-        res = min_cover(c, enumerate_all=True, cap=args.cap)
-        value, witness = res.value, res.witness
-        for code in (witness, *res.all_optima):
-            check_cover_code(g, code, kind)
-        optima = [sorted(w) for w in res.all_optima]
-        obj = {
-            "command": "gamma",
-            "kind": kind.value,
-            "value": value,
-            "witness": sorted(witness),
-            "optima": optima,
-            "truncated": res.truncated,
-        }
-        text = f"gamma[{kind.value}] = {value}\nwitness: {' '.join(map(str, sorted(witness)))}\n"
-        text += f"optima ({len(optima)}{', truncated' if res.truncated else ''}):\n"
-        text += "".join("  " + " ".join(map(str, w)) + "\n" for w in optima)
-        _emit(obj, args.json, text)
-        return 0
-    value, witness = gamma(g, kind)
-    _emit(
-        {"command": "gamma", "kind": kind.value, "value": value, "witness": sorted(witness)},
-        args.json,
-        f"gamma[{kind.value}] = {value}\nwitness: {' '.join(map(str, sorted(witness)))}",
-    )
-    return 0
+        lines.append(f"optima ({len(obj['optima'])}{', truncated' if obj['truncated'] else ''}):")
+        lines += ["  " + _join(w) for w in obj["optima"]]
+    return 0, obj, "\n".join(lines)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     g = load_graph(_read(args.graph))
     kind = _kind(args.kind)
     code = sorted({int(tok) for tok in args.code.split(",") if tok != ""})
@@ -176,143 +173,112 @@ def cmd_verify(args) -> int:
         "undominated": list(rep.undominated),
         "unseparated": [[u, v, sorted(t)] for u, v, t in rep.unseparated],
     }
-    lines = [f"valid: {'yes' if rep.valid else 'no'}"]
-    if rep.undominated:
-        lines.append("undominated: " + " ".join(map(str, rep.undominated)))
-    for u, v, t in rep.unseparated:
-        lines.append(f"unseparated: {u},{v} (shared trace {sorted(t)})")
-    _emit(obj, args.json, "\n".join(lines))
-    return 0 if rep.valid else 1
+    lines = [f"valid: {'yes' if obj['valid'] else 'no'}"]
+    if obj["undominated"]:
+        lines.append("undominated: " + _join(obj["undominated"]))
+    lines += [f"unseparated: {u},{v} (shared trace {t})" for u, v, t in obj["unseparated"]]
+    return (0 if obj["valid"] else 1), obj, "\n".join(lines)
 
 
-def cmd_relations(args) -> int:
-    g = load_graph(_read(args.graph))
-    checks = check_relations(g)
-    obj = {
-        "command": "relations",
-        "checks": [{"name": c.name, "status": c.status, "detail": c.detail} for c in checks],
-    }
-    text = "\n".join(f"{c.name:16s} {c.status:15s} {c.detail}" for c in checks)
-    _emit(obj, args.json, text)
-    return 0 if all(c.status != "fail" for c in checks) else 1
+def cmd_relations(args):
+    checks = [asdict(c) for c in check_relations(load_graph(_read(args.graph)))]
+    text = "\n".join(f"{c['name']:16s} {c['status']:15s} {c['detail']}" for c in checks)
+    status = 0 if all(c["status"] != "fail" for c in checks) else 1
+    return status, {"command": "relations", "checks": checks}, text
 
 
-def cmd_reduce_sat(args) -> int:
-    inst = parse_lsat(_read(args.formula))
+def _gadget(path: str):
+    """Parse, saturate and reduce an LSAT file: (input, saturated, gadget,
+    OD target, OTD target)."""
+    inst = parse_lsat(_read(path))
     saturated = saturate(inst)
     gg = build_gadget(saturated)
+    return inst, saturated, gg, expected_od_size(gg), expected_otd_size(gg)
+
+
+def cmd_reduce_sat(args):
+    inst, saturated, gg, od, otd = _gadget(args.formula)
     if args.emit_graph:
         with open(args.emit_graph, "w", encoding="utf-8") as fh:
             fh.write(graph_to_text(gg.graph))
     if args.emit_roles:
         with open(args.emit_roles, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"schema": SCHEMA, "roles": {str(v): lab for v, lab in sorted(gg.roles.items())}},
-                fh,
-                sort_keys=True,
-            )
+            roles = {str(v): lab for v, lab in sorted(gg.roles.items())}
+            json.dump({"schema": SCHEMA, "roles": roles}, fh, sort_keys=True)
     obj = {
         "command": "reduce-sat",
         "input": {"vars": inst.n_vars, "clauses": inst.n_clauses},
         "saturated": {"vars": saturated.n_vars, "clauses": saturated.n_clauses},
-        "gadget": {
-            "n": gg.graph.n,
-            "m": gg.graph.m,
-            "od_target": expected_od_size(gg),
-            "otd_target": expected_otd_size(gg),
-        },
+        "gadget": {"n": gg.graph.n, "m": gg.graph.m, "od_target": od, "otd_target": otd},
     }
-    text = (
-        f"input: {inst.n_vars} vars, {inst.n_clauses} clauses\n"
-        f"saturated: {saturated.n_vars} vars, {saturated.n_clauses} clauses\n"
-        f"gadget graph: {gg.graph.n} vertices, {gg.graph.m} edges\n"
-        f"targets: od {expected_od_size(gg)}, otd {expected_otd_size(gg)}"
-    )
-    _emit(obj, args.json, text)
-    return 0
+    lines = [
+        f"{key}: {obj[key]['vars']} vars, {obj[key]['clauses']} clauses"
+        for key in ("input", "saturated")
+    ]
+    gadget = obj["gadget"]
+    lines.append(f"gadget graph: {gadget['n']} vertices, {gadget['m']} edges")
+    lines.append(f"targets: od {gadget['od_target']}, otd {gadget['otd_target']}")
+    return 0, obj, "\n".join(lines)
 
 
-def cmd_sat_roundtrip(args) -> int:
-    inst = parse_lsat(_read(args.formula))
-    saturated = saturate(inst)
-    gg = build_gadget(saturated)
+def cmd_sat_roundtrip(args):
+    _, saturated, gg, od_target, otd_target = _gadget(args.formula)
     model = brute_force_sat(saturated)
     od, od_witness = gamma(gg.graph, CodeKind.OD)
     otd, _ = gamma(gg.graph, CodeKind.OTD)
-    rows = []
     satisfiable = model is not None
-    rows.append(("satisfiable", str(satisfiable)))
-    rows.append(("gamma_OD", f"{od} (target {expected_od_size(gg)})"))
-    rows.append(("gamma_OTD", f"{otd} (target {expected_otd_size(gg)})"))
-    ok = (od == expected_od_size(gg)) == satisfiable and (otd == expected_otd_size(gg)) == satisfiable
+    rows = [
+        ["satisfiable", str(satisfiable)],
+        ["gamma_OD", f"{od} (target {od_target})"],
+        ["gamma_OTD", f"{otd} (target {otd_target})"],
+    ]
+    ok = (od == od_target) == satisfiable and (otd == otd_target) == satisfiable
     if satisfiable:
-        code = assignment_to_code(gg, model)
-        ok &= verify(gg.graph, code, CodeKind.OD).valid
-        rows.append(("assignment-to-code", "valid" if ok else "INVALID"))
-        decoded = code_to_assignment(gg, od_witness)
-        decoded_ok = saturated.evaluate(decoded)
+        ok &= verify(gg.graph, assignment_to_code(gg, model), CodeKind.OD).valid
+        rows.append(["assignment-to-code", "valid" if ok else "INVALID"])
+        decoded_ok = saturated.evaluate(code_to_assignment(gg, od_witness))
         ok &= decoded_ok
-        rows.append(("code-to-assignment", "satisfies" if decoded_ok else "DOES NOT SATISFY"))
-    rows.append(("verdict", "consistent" if ok else "INCONSISTENT"))
-    obj = {"command": "sat-roundtrip", "rows": [list(r) for r in rows], "ok": ok}
-    _emit(obj, args.json, "\n".join(f"{k:22s} {v}" for k, v in rows))
-    return 0 if ok else 1
+        rows.append(["code-to-assignment", "satisfies" if decoded_ok else "DOES NOT SATISFY"])
+    rows.append(["verdict", "consistent" if ok else "INCONSISTENT"])
+    obj = {"command": "sat-roundtrip", "rows": rows, "ok": ok}
+    return (0 if ok else 1), obj, "\n".join(f"{k:22s} {v}" for k, v in obj["rows"])
 
 
-def cmd_tau(args) -> int:
+def cmd_tau(args):
     c = clutter_from_json(json.loads(_read(args.clutter)))
     res = min_cover(c, enumerate_all=args.enumerate, cap=args.cap)
-    obj = {
-        "command": "tau",
-        "value": res.value,
-        "witness": sorted(res.witness),
-        "nodes_explored": res.nodes_explored,
-    }
-    text = f"tau = {res.value}\nwitness: {' '.join(map(str, sorted(res.witness)))}"
+    obj = {"command": "tau", "nodes_explored": res.nodes_explored}
+    obj.update(_cover_fields(res, args.enumerate))
+    text = f"tau = {obj['value']}\nwitness: {_join(obj['witness'])}"
     if args.enumerate:
-        obj["optima"] = [sorted(w) for w in res.all_optima]
-        obj["truncated"] = res.truncated
-        text += f"\noptima: {len(res.all_optima)}" + (" (truncated)" if res.truncated else "")
-    _emit(obj, args.json, text)
-    return 0
+        text += f"\noptima: {len(obj['optima'])}" + (" (truncated)" if obj["truncated"] else "")
+    return 0, obj, text
 
 
-def cmd_polyhedron(args) -> int:
+def cmd_polyhedron(args):
     if args.family == "qrose":
         if args.n is None or args.q is None:
             raise UsageError("qrose needs --n and --q")
         sys_ = qrose_system(args.n, args.q)
-        from .cover import qrose_clutter
-
         clutter = qrose_clutter(args.n, args.q)
         label = f"qrose n={args.n} q={args.q}"
-    elif args.family == "generic" and args.graph:
-        g = load_graph(_read(args.graph))
-        sys_ = od_polyhedron_system(g, "generic")
-        clutter = build_clutter(g, CodeKind.OD)
-        label = f"generic {args.graph}"
     else:
-        params: dict = {}
-        if args.k is not None:
-            params["k"] = args.k
-        if args.n is not None:
-            params["n"] = args.n
-        if args.sizes:
-            params["sizes"] = tuple(int(s) for s in args.sizes.split("+"))
-        spec_family = args.generic_family if args.family == "generic" else args.family
-        if spec_family is None:
-            raise UsageError("--family generic needs --generic-family or --graph")
-        g = generate(FamilySpec(spec_family, **params))
+        if args.family == "generic" and args.graph:
+            g = load_graph(_read(args.graph))
+            label = f"generic {args.graph}"
+        else:
+            params = {key: v for key, v in (("k", args.k), ("n", args.n)) if v is not None}
+            if args.sizes:
+                params["sizes"] = _sizes(args.sizes)
+            spec_family = args.generic_family if args.family == "generic" else args.family
+            if spec_family is None:
+                raise UsageError("--family generic needs --generic-family or --graph")
+            g = generate(FamilySpec(spec_family, **params))
+            label = f"{args.family} " + ",".join(f"{k}={v}" for k, v in params.items())
         sys_ = od_polyhedron_system(g, args.family)
         clutter = build_clutter(g, CodeKind.OD)
-        label = f"{args.family} " + ",".join(f"{k}={v}" for k, v in params.items())
-    checks = {}
-    if args.check in ("validity", "all"):
-        checks["validity"] = check_validity(sys_, clutter).ok
-    if args.check in ("tightness", "all"):
-        checks["tightness"] = check_tightness(sys_, clutter).ok
-    if args.check in ("hull", "all"):
-        checks["hull"] = integer_hull_equiv(sys_, clutter).ok
+    names = CHECKS if args.check == "all" else (args.check,)
+    checks = {name: CHECKS[name](sys_, clutter).ok for name in names}
     obj = {
         "command": "polyhedron",
         "family": args.family,
@@ -323,76 +289,52 @@ def cmd_polyhedron(args) -> int:
         ],
         "checks": checks,
     }
-    lines = [label]
-    lines += [f"x_{v} = 1" for v in sorted(sys_.equalities)]
-    lines += [
-        "x(" + " ".join(map(str, sorted(c.support))) + f") >= {c.rhs}" for c in sys_.inequalities
-    ]
+    lines = [label, *(f"x_{v} = 1" for v in obj["equalities"])]
+    lines += [f"x({_join(c['support'])}) >= {c['rhs']}" for c in obj["inequalities"]]
     lines += [f"check {name}: {'pass' if ok else 'FAIL'}" for name, ok in checks.items()]
-    _emit(obj, args.json, "\n".join(lines))
-    return 0 if all(checks.values()) else 1
+    return (0 if all(checks.values()) else 1), obj, "\n".join(lines)
 
 
-def cmd_paper_report(args) -> int:
+def _section_kwargs(name: str, args) -> dict:
+    if name == "families" and args.max_k is not None:
+        return {"max_n": args.max_k}
+    if name == "qrose" and args.max_k is not None:
+        return {"max_n": min(args.max_k, 10)}
+    if name == "sat":
+        return {"max_vars": 3 if args.max_k is None else args.max_k}
+    if name == "bounds":
+        return {"seed": args.seed}
+    return {}
+
+
+def cmd_paper_report(args):
     if args.section == "all":
-        sections = list(reports.REPORT_SECTIONS)
+        names = list(reports.REPORT_SECTIONS)
     elif args.section in reports.REPORT_SECTIONS:
-        sections = [args.section]
+        names = [args.section]
     else:
         raise UsageError(
             f"unknown section {args.section!r}; pick from {', '.join(reports.REPORT_SECTIONS)} or all"
         )
-    all_ok = True
-    out = []
-    for name in sections:
-        fn = reports.REPORT_SECTIONS[name]
-        kwargs = {}
-        if name == "families" and args.max_k:
-            kwargs["max_n"] = args.max_k
-        if name == "qrose" and args.max_k:
-            kwargs["max_n"] = min(args.max_k, 10)
-        if name == "sat":
-            kwargs["max_vars"] = args.max_k or 3
-        if name == "bounds":
-            kwargs["seed"] = args.seed
-        rep = fn(**kwargs)
-        all_ok &= rep.ok
-        out.append(rep)
-        if not args.json:
-            status = "PASS" if rep.ok else "FAIL"
-            print(f"== {rep.title}: {status} ({len(rep.rows)} rows, {rep.elapsed:.2f}s)")
-            shown = rep.rows if args.verbose else rep.failures
-            for r in shown:
-                mark = "ok " if r.ok else "FAIL"
-                print(f"  [{mark}] {r.label}: expected {r.expected}, got {r.actual}")
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "command": "paper-report",
-                    "ok": all_ok,
-                    "sections": [
-                        {
-                            "title": rep.title,
-                            "ok": rep.ok,
-                            "rows": [
-                                {
-                                    "label": r.label,
-                                    "expected": r.expected,
-                                    "actual": r.actual,
-                                    "ok": r.ok,
-                                }
-                                for r in rep.rows
-                            ],
-                        }
-                        for rep in out
-                    ],
-                },
-                sort_keys=True,
-            )
-        )
-    return 0 if all_ok else 1
+    obj = {"command": "paper-report", "ok": True, "sections": []}
+
+    def sections():
+        for name in names:
+            rep = reports.REPORT_SECTIONS[name](**_section_kwargs(name, args))
+            section = {"title": rep.title, "ok": rep.ok, "rows": [asdict(r) for r in rep.rows]}
+            obj["sections"].append(section)
+            obj["ok"] = obj["ok"] and section["ok"]
+            head = f"== {section['title']}: {'PASS' if section['ok'] else 'FAIL'}"
+            lines = [f"{head} ({len(section['rows'])} rows, {rep.elapsed:.2f}s)"]
+            lines += [
+                f"  [{'ok ' if r['ok'] else 'FAIL'}] {r['label']}: "
+                f"expected {r['expected']}, got {r['actual']}"
+                for r in section["rows"]
+                if args.verbose or not r["ok"]
+            ]
+            yield "\n".join(lines)
+
+    return (lambda: 0 if obj["ok"] else 1), obj, sections()
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -490,13 +432,20 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     json_mode = getattr(args, "json", False)
     try:
-        return args.fn(args)
-    except (UsageError, GraphFormatError, LsatFormatError, OSError) as exc:
-        return _fail(str(exc), "format" if not isinstance(exc, UsageError) else "usage", json_mode)
-    except InadmissibleGraphError as exc:
-        return _fail(str(exc), "inadmissible", json_mode)
-    except (ValueError, json.JSONDecodeError) as exc:
-        return _fail(str(exc), "usage", json_mode)
+        status, obj, text = args.fn(args)
+        for chunk in [text] if isinstance(text, str) else text:
+            if not json_mode:
+                print(chunk, end="" if chunk.endswith("\n") else "\n")
+    except (UsageError, ValueError, OSError) as exc:
+        code = next(code for types, code in ERROR_CODES if isinstance(exc, types))
+        if json_mode:
+            print(json.dumps({"schema": SCHEMA, "error": {"code": code, "message": str(exc)}}))
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return 1 if code == "inadmissible" else 2
+    if json_mode:
+        print(json.dumps({"schema": SCHEMA, **obj}, sort_keys=True))
+    return status() if callable(status) else status
 
 
 if __name__ == "__main__":

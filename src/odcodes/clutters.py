@@ -191,7 +191,10 @@ def clutter_from_json(obj: dict) -> Clutter:
             if "vertices" not in entry:
                 raise ValueError(f"clutter edge entry {entry!r} has no 'vertices' key")
             verts = entry["vertices"]
-            sources = tuple(entry.get("sources", ()))
+            sources = entry.get("sources", [])
+            if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
+                raise ValueError(f"clutter edge 'sources' {sources!r} is not a list of strings")
+            sources = tuple(sources)
         else:
             verts = entry
             sources = ()

@@ -231,24 +231,27 @@ def named_graph(name: str) -> Graph:
 
 # -- family specs and predictions --------------------------------------------------
 
-FAMILIES = (
-    "clique",
-    "union-of-cliques",
-    "clique-star",
-    "fan",
-    "half-graph",
-    "double-star",
-    "thin-spider",
-    "thick-spider",
-    "extended-thin-spider",
-    "sunlet",
-    "thin-sun",
-    "almost-complete-thin-sun",
-    "path",
-    "cycle",
-    "matching",
-    "named",
-)
+# family name -> (generator, the FamilySpec field it takes); thin-sun also
+# takes chords.  FAMILIES keeps this order.
+_GENERATORS = {
+    "clique": (clique, "n"),
+    "union-of-cliques": (union_of_cliques, "sizes"),
+    "clique-star": (clique_star, "sizes"),
+    "fan": (fan, "k"),
+    "half-graph": (half_graph, "k"),
+    "double-star": (double_star, "k"),
+    "thin-spider": (thin_spider, "k"),
+    "thick-spider": (thick_spider, "k"),
+    "extended-thin-spider": (extended_thin_spider, "k"),
+    "sunlet": (sunlet, "k"),
+    "thin-sun": (thin_sun, "k"),
+    "almost-complete-thin-sun": (almost_complete_thin_sun, "k"),
+    "path": (path_graph, "n"),
+    "cycle": (cycle_graph, "n"),
+    "matching": (matching, "k"),
+    "named": (named_graph, "name"),
+}
+FAMILIES = tuple(_GENERATORS)
 
 
 @dataclass(frozen=True)
@@ -284,46 +287,13 @@ class GammaPrediction:
 
 
 def generate(spec: FamilySpec) -> Graph:
-    f = spec.family
-    if f == "clique":
-        return clique(_req(spec.n, "n"))
-    if f == "union-of-cliques":
-        return union_of_cliques(_req(spec.sizes, "sizes"))
-    if f == "clique-star":
-        return clique_star(_req(spec.sizes, "sizes"))
-    if f == "fan":
-        return fan(_req(spec.k, "k"))
-    if f == "half-graph":
-        return half_graph(_req(spec.k, "k"))
-    if f == "double-star":
-        return double_star(_req(spec.k, "k"))
-    if f == "thin-spider":
-        return thin_spider(_req(spec.k, "k"))
-    if f == "thick-spider":
-        return thick_spider(_req(spec.k, "k"))
-    if f == "extended-thin-spider":
-        return extended_thin_spider(_req(spec.k, "k"))
-    if f == "sunlet":
-        return sunlet(_req(spec.k, "k"))
-    if f == "thin-sun":
-        return thin_sun(_req(spec.k, "k"), spec.chords or ())
-    if f == "almost-complete-thin-sun":
-        return almost_complete_thin_sun(_req(spec.k, "k"))
-    if f == "path":
-        return path_graph(_req(spec.n, "n"))
-    if f == "cycle":
-        return cycle_graph(_req(spec.n, "n"))
-    if f == "matching":
-        return matching(_req(spec.k, "k"))
-    if f == "named":
-        return named_graph(_req(spec.name, "name"))
-    raise AssertionError(f)
-
-
-def _req(value, what):
+    make, field = _GENERATORS[spec.family]
+    value = getattr(spec, field)
     if value is None:
-        raise ValueError(f"family parameter {what!r} is required")
-    return value
+        raise ValueError(f"family parameter {field!r} is required")
+    if spec.family == "thin-sun":
+        return make(value, spec.chords or ())
+    return make(value)
 
 
 _NAMED_PREDICTIONS = {

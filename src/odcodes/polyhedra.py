@@ -33,9 +33,6 @@ class RankConstraint:
             raise ValueError(f"rank constraint needs 1 <= rhs <= |support|, got {self.rhs}")
         object.__setattr__(self, "mask", mask_of(self.support))
 
-    def satisfied(self, point_mask: int) -> bool:
-        return (point_mask & self.mask).bit_count() >= self.rhs
-
     def tight(self, point_mask: int) -> bool:
         return (point_mask & self.mask).bit_count() == self.rhs
 
@@ -56,14 +53,15 @@ class ConstraintSystem:
             if any(not 0 <= v < self.n for v in c.support):
                 raise ValueError("inequality support out of range")
 
-    def first_violation(self, point_mask: int) -> str | None:
-        """The first equation or inequality the 0/1 point breaks, or None."""
+    def first_violation(self, point_mask: int) -> int | RankConstraint | None:
+        """The first equation (as its vertex) or inequality the 0/1 point
+        breaks, or None."""
         for v in self.equalities:
             if not point_mask >> v & 1:
-                return f"x_{v} = 1"
+                return v
         for c in self.inequalities:
-            if not c.satisfied(point_mask):
-                return f"x({sorted(c.support)}) >= {c.rhs}"
+            if (point_mask & c.mask).bit_count() < c.rhs:
+                return c
         return None
 
     def satisfied_by(self, point_mask: int) -> bool:
@@ -293,8 +291,13 @@ def check_validity(sys: ConstraintSystem, c: Clutter) -> ValidityReport:
     exhaustive, covers = _covers(sys, c)
     for x in covers:
         broken = sys.first_violation(x)
-        if broken is not None:
-            return ValidityReport(False, exhaustive, (frozenset(bits(x)), broken))
+        if broken is None:
+            continue
+        if isinstance(broken, RankConstraint):
+            wording = f"x({sorted(broken.support)}) >= {broken.rhs}"
+        else:
+            wording = f"x_{broken} = 1"
+        return ValidityReport(False, exhaustive, (frozenset(bits(x)), wording))
     return ValidityReport(True, exhaustive)
 
 

@@ -64,7 +64,9 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
+        """Every row passed, and there was at least one: a report that
+        checked nothing does not pass."""
+        return bool(self.rows) and all(r.ok for r in self.rows)
 
     @property
     def failures(self) -> tuple[ReportRow, ...]:

@@ -93,6 +93,8 @@ class TestGraphCommands:
             ('{"n": 3, "edges": [[0, true]]}', "edge vertex True"),
             ('{"n": 3, "edges": [5]}', "not a vertex list"),
             ('{"n": 3, "edges": 5}', "'edges'"),
+            ('{"n": 3, "edges": [{"vertices": [0, 1], "sources": 5}]}', "'sources'"),
+            ('{"n": 3, "edges": [{"vertices": [0, 1], "sources": "ab"}]}', "'sources'"),
         ],
         ids=[
             "edge-without-vertices",
@@ -103,6 +105,8 @@ class TestGraphCommands:
             "bool-vertex",
             "int-edge",
             "int-edges",
+            "int-sources",
+            "string-sources",
         ],
     )
     def test_tau_rejects_malformed_clutter_json(self, capsys, tmp_path, text, needle):
@@ -240,6 +244,30 @@ class TestPaperReport:
     def test_families_respects_max_k(self, capsys):
         code, out, _ = run(capsys, "paper-report", "families", "--max-k", "8", "--json")
         assert code == 0 and json.loads(out)["ok"] is True
+
+    def test_text_prints_each_section_as_it_finishes(self, capsys, monkeypatch):
+        from odcodes import reports
+
+        row = reports.ReportRow("row", "1", "1", True)
+        printed_before_second = []
+
+        def second():
+            printed_before_second.append(capsys.readouterr().out)
+            return reports.Report("second", (row,), 0.0)
+
+        sections = {"first": lambda: reports.Report("first", (row,), 0.0), "second": second}
+        monkeypatch.setattr(reports, "REPORT_SECTIONS", sections)
+        code, out, _ = run(capsys, "paper-report", "all")
+        assert code == 0
+        assert printed_before_second == ["== first: PASS (1 rows, 0.00s)\n"]
+        assert out == "== second: PASS (1 rows, 0.00s)\n"
+
+    @pytest.mark.parametrize(
+        "section,max_k", [("families", "1"), ("families", "0"), ("qrose", "2"), ("qrose", "0")]
+    )
+    def test_section_without_rows_fails(self, capsys, section, max_k):
+        code, out, _ = run(capsys, "paper-report", section, "--max-k", max_k)
+        assert code == 1 and "FAIL (0 rows" in out
 
 
 class TestDeterminism:
