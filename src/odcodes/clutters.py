@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import CodeKind, Graph, _is_int, bits, is_admissible, mask_of
+from .graphs import CodeKind, Graph, _is_int, bits, code_masks, is_admissible, mask_of
 
 
 class InadmissibleGraphError(ValueError):
@@ -95,24 +95,17 @@ def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
     adm = is_admissible(g, kind)
     if not adm.ok:
         raise InadmissibleGraphError(f"graph is not {kind.value}-admissible: {adm.reason}")
-    edges: list[Hyperedge] = []
-    closed_dom = kind.domination == "closed"
-    for v in range(g.n):
-        mask = g.closed_mask(v) if closed_dom else g.open_mask(v)
-        tag = f"N[{v}]" if closed_dom else f"N({v})"
-        edges.append(Hyperedge(mask, (tag,)))
+    dom, sep = code_masks(g, kind)
+    tag = "N[{}]" if kind.domination == "closed" else "N({})"
+    edges = [Hyperedge(m, (tag.format(v),)) for v, m in enumerate(dom)]
     locating = kind.separation == "locating"
-    closed_sep = kind.separation == "closed-sep"
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if closed_sep:
-                mask = g.delta_closed_mask(u, v)
-            else:
-                mask = g.delta_open_mask(u, v)
-                if locating:
-                    # a pair is only constrained while both lie outside the
-                    # code, so membership of u or v discharges it
-                    mask |= (1 << u) | (1 << v)
+            mask = sep[u] ^ sep[v]
+            if locating:
+                # a pair is only constrained while both lie outside the
+                # code, so membership of u or v discharges it
+                mask |= (1 << u) | (1 << v)
             edges.append(Hyperedge(mask, (f"delta({u},{v})",)))
     return Hypergraph(g.n, kind, tuple(edges))
 

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .clutters import InadmissibleGraphError, build_clutter
 from .cover import min_cover
-from .graphs import CodeKind, Graph, bits, induced_subgraph, is_admissible, mask_of
+from .graphs import CodeKind, Graph, bits, code_masks, induced_subgraph, is_admissible, mask_of
 
 MAX_VIOLATIONS = 100  # cap per violation list in a report
 BRUTE_FORCE_LIMIT = 20
@@ -42,25 +42,19 @@ def verify(g: Graph, code, kind: CodeKind) -> VerificationReport:
         if not 0 <= v < g.n:
             raise ValueError(f"code vertex {v} out of range for n={g.n}")
     cmask = mask_of(code)
-    closed = [g.closed_mask(v) for v in range(g.n)]
-    dom = closed if kind.domination == "closed" else g.adj
+    dom, sep = code_masks(g, kind)
     undominated = []
-    for v in range(g.n):
-        if not dom[v] & cmask:
+    for v, m in enumerate(dom):
+        if not m & cmask:
             undominated.append(v)
             if len(undominated) >= MAX_VIOLATIONS:
                 break
 
-    sep = kind.separation
-    if sep == "closed-sep":
-        pool = range(g.n)
-        trace = [closed[v] & cmask for v in range(g.n)]
+    trace = [m & cmask for m in sep]
+    if kind.separation == "locating":
+        pool = [v for v in range(g.n) if not cmask >> v & 1]
     else:
-        trace = [g.adj[v] & cmask for v in range(g.n)]
-        if sep == "locating":
-            pool = [v for v in range(g.n) if not cmask >> v & 1]
-        else:
-            pool = range(g.n)
+        pool = range(g.n)
     groups: dict[int, list[int]] = {}
     for v in pool:
         groups.setdefault(trace[v], []).append(v)

@@ -62,6 +62,8 @@ class _Truncated(Exception):
 
 def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> CoverResult:
     """Exact minimum cover; with enumerate_all, every optimum up to cap."""
+    if enumerate_all and cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     masks = set(c.edge_masks())
     if not masks:
         return CoverResult(0, frozenset(), 0, (frozenset(),) if enumerate_all else None)

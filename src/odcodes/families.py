@@ -11,7 +11,7 @@ guessed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .graphs import CodeKind, Graph, open_twins
 
@@ -231,8 +231,8 @@ def named_graph(name: str) -> Graph:
 
 # -- family specs and predictions --------------------------------------------------
 
-# family name -> (generator, the FamilySpec field it takes); thin-sun also
-# takes chords.  FAMILIES keeps this order.
+# family name -> (generator, the FamilySpec fields it takes: the first is
+# required, thin-sun's chords optional).  FAMILIES keeps this order.
 _GENERATORS = {
     "clique": (clique, "n"),
     "union-of-cliques": (union_of_cliques, "sizes"),
@@ -244,7 +244,7 @@ _GENERATORS = {
     "thick-spider": (thick_spider, "k"),
     "extended-thin-spider": (extended_thin_spider, "k"),
     "sunlet": (sunlet, "k"),
-    "thin-sun": (thin_sun, "k"),
+    "thin-sun": (thin_sun, "k", "chords"),
     "almost-complete-thin-sun": (almost_complete_thin_sun, "k"),
     "path": (path_graph, "n"),
     "cycle": (cycle_graph, "n"),
@@ -287,13 +287,14 @@ class GammaPrediction:
 
 
 def generate(spec: FamilySpec) -> Graph:
-    make, field = _GENERATORS[spec.family]
-    value = getattr(spec, field)
-    if value is None:
-        raise ValueError(f"family parameter {field!r} is required")
-    if spec.family == "thin-sun":
-        return make(value, spec.chords or ())
-    return make(value)
+    make, *takes = _GENERATORS[spec.family]
+    params = {f.name: getattr(spec, f.name) for f in fields(spec) if f.name != "family"}
+    unused = [name for name, v in params.items() if v is not None and name not in takes]
+    if unused:
+        raise ValueError(f"family {spec.family!r} does not take {', '.join(unused)}")
+    if params[takes[0]] is None:
+        raise ValueError(f"family parameter {takes[0]!r} is required")
+    return make(*(params[name] for name in takes if params[name] is not None))
 
 
 _NAMED_PREDICTIONS = {

@@ -59,11 +59,6 @@ class CodeKind(Enum):
     def separation(self) -> str:
         return _SEPARATION[self]
 
-    @property
-    def total(self) -> bool:
-        """True when domination is open (total domination)."""
-        return _DOMINATION[self] == "open"
-
 
 _DOMINATION = {
     CodeKind.OD: "closed",
@@ -136,9 +131,6 @@ class Graph:
 
     # -- neighborhood algebra ------------------------------------------------
 
-    def open_mask(self, v: int) -> int:
-        return self.adj[v]
-
     def closed_mask(self, v: int) -> int:
         return self.adj[v] | (1 << v)
 
@@ -157,11 +149,6 @@ class Graph:
             raise ValueError("symmetric difference needs two distinct vertices")
         return self.adj[u] ^ self.adj[v]
 
-    def delta_closed_mask(self, u: int, v: int) -> int:
-        if u == v:
-            raise ValueError("symmetric difference needs two distinct vertices")
-        return self.closed_mask(u) ^ self.closed_mask(v)
-
     def delta_open(self, u: int, v: int) -> set[int]:
         """N(u) symmetric-difference N(v)."""
         self._check_vertex(u)
@@ -169,10 +156,10 @@ class Graph:
         return set(bits(self.delta_open_mask(u, v)))
 
     def delta_closed(self, u: int, v: int) -> set[int]:
-        """N[u] symmetric-difference N[v]."""
+        """N[u] symmetric-difference N[v]: the open one with u and v toggled."""
         self._check_vertex(u)
         self._check_vertex(v)
-        return set(bits(self.delta_closed_mask(u, v)))
+        return set(bits(self.delta_open_mask(u, v) ^ (1 << u) ^ (1 << v)))
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -253,15 +240,24 @@ class Admissibility:
         return self.ok
 
 
+def code_masks(g: Graph, kind: CodeKind) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-vertex bitmasks (dom, sep) of a kind: a code meets every dom[v],
+    and its traces on the sep[v] tell apart every two vertices (for locating
+    kinds, every two outside the code).  The one map from a kind to closed
+    or open neighborhoods."""
+    closed = tuple(m | (1 << v) for v, m in enumerate(g.adj))
+    dom = closed if kind.domination == "closed" else g.adj
+    sep = closed if kind.separation == "closed-sep" else g.adj
+    return dom, sep
+
+
 def is_admissible(g: Graph, kind: CodeKind) -> Admissibility:
-    """Existence test for a kind: twin freeness and, for total kinds, no
-    isolated vertex.  Locating kinds have no twin obstruction."""
-    twins: tuple[tuple[int, int], ...] = ()
-    if kind.separation == "open-sep":
-        twins = tuple(open_twins(g))
-    elif kind.separation == "closed-sep":
-        twins = tuple(closed_twins(g))
-    isolated = tuple(v for v in range(g.n) if g.adj[v] == 0) if kind.total else ()
+    """Existence test for a kind: no empty edge in its code hypergraph, so no
+    empty dom[v] (an isolated vertex under total domination) and, unless the
+    kind is locating, no two equal sep sets (twins)."""
+    dom, sep = code_masks(g, kind)
+    twins = () if kind.separation == "locating" else tuple(_twin_pairs(sep))
+    isolated = tuple(v for v, m in enumerate(dom) if not m)
     reasons = []
     if twins:
         flavor = "open" if kind.separation == "open-sep" else "closed"

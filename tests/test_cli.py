@@ -56,6 +56,19 @@ class TestGenerate:
     def test_unknown_flag_rejected(self, capsys):
         assert run(capsys, "generate", "--family", "fan", "--wat")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("generate", "--family", "fan", "--params", "k=3,n=9"),
+            ("generate", "--family", "clique", "--params", "n=4,name=gem"),
+            ("polyhedron", "--family", "half-graph", "--k", "2", "--n", "3"),
+        ],
+        ids=["generate-fan", "generate-clique", "polyhedron-half-graph"],
+    )
+    def test_parameter_the_family_does_not_take(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "does not take" in err
+
 
 class TestGraphCommands:
     def test_gamma(self, capsys, p4_file):
@@ -131,6 +144,14 @@ class TestGraphCommands:
         code, out, _ = run(capsys, "gamma", str(path), "--json")
         assert code == 2 and json.loads(out)["error"]["code"] == "format"
 
+    @pytest.mark.parametrize("command,cap", [("gamma", "0"), ("gamma", "-2"), ("tau", "0")])
+    def test_enumerate_cap_below_one_is_usage_error(self, capsys, p4_file, tmp_path, command, cap):
+        target = tmp_path / "c.json"
+        target.write_text('{"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}')
+        target = p4_file if command == "gamma" else str(target)
+        code, out, err = run(capsys, command, target, "--enumerate", "--cap", cap)
+        assert code == 2 and out == "" and "cap must be at least 1" in err
+
     def test_gamma_enumerate_verifies_every_optimum(self, capsys, p4_file, monkeypatch):
         from odcodes import cli
         from odcodes.cover import CoverResult
@@ -201,6 +222,20 @@ class TestSatCommands:
     def test_sat_roundtrip_json(self, capsys, lsat_file):
         code, out, _ = run(capsys, "sat-roundtrip", lsat_file, "--json")
         assert code == 0 and json.loads(out)["ok"] is True
+
+    def test_sat_roundtrip_unsatisfiable_below_target_is_inconsistent(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # an unsatisfiable formula must give gamma above both targets;
+        # a value below them is as wrong as one equal to them
+        from odcodes import cli
+
+        path = tmp_path / "unsat.lsat"
+        path.write_text("p lsat 1 2\n1 0\n-1 0\n")
+        assert run(capsys, "sat-roundtrip", str(path))[0] == 0
+        monkeypatch.setattr(cli, "gamma", lambda g, kind: (1, frozenset({0})))
+        code, out, _ = run(capsys, "sat-roundtrip", str(path))
+        assert code == 1 and "INCONSISTENT" in out
 
 
 class TestPolyhedron:

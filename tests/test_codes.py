@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from odcodes.clutters import InadmissibleGraphError
+from odcodes.clutters import InadmissibleGraphError, build_hypergraph
 from odcodes.codes import (
     brute_force_gamma,
     check_relations,
@@ -60,6 +60,31 @@ class TestVerify:
             code = {v for v in range(n) if rng.random() < 0.5}
             for kind in CodeKind:
                 assert verify(g, code, kind).valid == naive_is_code(g, code, kind)
+
+    def test_every_subset_matches_definitions_and_hypergraph(self):
+        # every vertex set of small random graphs, isolated vertices and twins
+        # included: verify agrees with the definition-level checker and, on
+        # admissible graphs, with hitting every edge of the code hypergraph;
+        # admissibility agrees with the existence of a code
+        rng = random.Random(139)
+        graphs = [Graph.from_edges(3, [(0, 1)]), Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])]
+        for _ in range(40):
+            graphs.append(random_graph(rng.randint(1, 7), rng.choice([0.2, 0.5, 0.8]), rng))
+        isolated = twins = 0
+        for g in graphs:
+            for kind in CodeKind:
+                adm = is_admissible(g, kind)
+                isolated += bool(adm.isolated)
+                twins += bool(adm.twin_pairs)
+                assert adm.ok == (naive_gamma(g, kind) is not None)
+                edges = [e.members for e in build_hypergraph(g, kind).edges] if adm.ok else []
+                for cmask in range(1 << g.n):
+                    code = [v for v in range(g.n) if cmask >> v & 1]
+                    valid = verify(g, code, kind).valid
+                    assert valid == naive_is_code(g, code, kind)
+                    if adm.ok:
+                        assert valid == all(m & cmask for m in edges)
+        assert isolated >= 10 and twins >= 10
 
     def test_out_of_range_code_rejected(self):
         import pytest as _pytest

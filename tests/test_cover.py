@@ -117,6 +117,15 @@ class TestEnumeration:
         res = min_cover(build_clutter(complete(6), CodeKind.OD), enumerate_all=True, cap=3)
         assert res.truncated and len(res.all_optima) == 3
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, cap):
+        c = clutter_of(3, {0, 1}, {1, 2})
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            min_cover(c, enumerate_all=True, cap=cap)
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            min_cover(Clutter(3, ()), enumerate_all=True, cap=cap)
+        assert min_cover(c, cap=cap).value == 1  # the cap only bounds enumeration
+
 
 def as_tuple(res):
     return (res.value, res.witness, res.nodes_explored, res.all_optima, res.truncated)

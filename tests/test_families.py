@@ -150,6 +150,20 @@ class TestSpecsAndPredictions:
         with pytest.raises(ValueError):
             generate(FamilySpec("fan"))
 
+    @pytest.mark.parametrize(
+        "spec,unused",
+        [
+            (FamilySpec("fan", k=3, n=9), "n"),
+            (FamilySpec("half-graph", k=2, n=3), "n"),
+            (FamilySpec("clique", n=4, k=2, sizes=(1, 2)), "k, sizes"),
+            (FamilySpec("named", name="gem", chords=((1, 3),)), "chords"),
+            (FamilySpec("thin-sun", k=4, chords=(), n=8), "n"),
+        ],
+    )
+    def test_parameter_the_family_does_not_take(self, spec, unused):
+        with pytest.raises(ValueError, match=f"{spec.family!r} does not take {unused}$"):
+            generate(spec)
+
     def test_prediction_examples(self):
         preds = {p.kind: p.value for p in predicted_gamma(FamilySpec("half-graph", k=3))}
         assert preds == {CodeKind.OD: 5, CodeKind.OTD: 6}
