@@ -79,8 +79,28 @@ def _join(values) -> str:
     return " ".join(map(str, values))
 
 
-def _sizes(value: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in value.split("+"))
+def _parsed(name: str, form: str, value: str, parse):
+    """parse(value), or a UsageError naming the parameter and its expected form."""
+    try:
+        return parse(value)
+    except ValueError:
+        raise UsageError(f"{name} expects {form}, got {value!r}") from None
+
+
+def _sizes(value: str, name: str = "parameter sizes") -> tuple[int, ...]:
+    form = "integers joined by '+', e.g. 2+2+3"
+    return _parsed(name, form, value, lambda v: tuple(int(s) for s in v.split("+")))
+
+
+def _chords(value: str) -> tuple[tuple[int, int], ...]:
+    def pair(text: str) -> tuple[int, int]:
+        a, b = text.split("-")
+        return int(a), int(b)
+
+    form = "a-b pairs joined by '+', e.g. 1-3+2-4"
+    return _parsed(
+        "parameter chords", form, value, lambda v: tuple(map(pair, v.split("+"))) if v else ()
+    )
 
 
 def _parse_params(raw: str | None) -> dict:
@@ -94,16 +114,11 @@ def _parse_params(raw: str | None) -> dict:
         key, value = item.split("=", 1)
         key = key.strip()
         if key in ("k", "n"):
-            params[key] = int(value)
+            params[key] = _parsed(f"parameter {key}", "an integer", value, int)
         elif key == "sizes":
             params["sizes"] = _sizes(value)
         elif key == "chords":
-            chords = []
-            if value:
-                for pair in value.split("+"):
-                    a, b = pair.split("-")
-                    chords.append((int(a), int(b)))
-            params["chords"] = tuple(chords)
+            params["chords"] = _chords(value)
         elif key == "name":
             params["name"] = value
         else:
@@ -163,7 +178,8 @@ def cmd_gamma(args):
 def cmd_verify(args):
     g = load_graph(_read(args.graph))
     kind = _kind(args.kind)
-    code = sorted({int(tok) for tok in args.code.split(",") if tok != ""})
+    form = "comma-separated vertex numbers, e.g. 0,2,3"
+    code = _parsed("--code", form, args.code, lambda v: sorted({int(t) for t in v.split(",") if t}))
     rep = verify(g, code, kind)
     obj = {
         "command": "verify",
@@ -271,7 +287,7 @@ def cmd_polyhedron(args):
         else:
             params = {key: v for key, v in (("k", args.k), ("n", args.n)) if v is not None}
             if args.sizes:
-                params["sizes"] = _sizes(args.sizes)
+                params["sizes"] = _sizes(args.sizes, "--sizes")
             spec_family = args.generic_family if args.family == "generic" else args.family
             if spec_family is None:
                 raise UsageError("--family generic needs --generic-family or --graph")

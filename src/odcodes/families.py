@@ -384,14 +384,9 @@ def predicted_gamma(spec: FamilySpec) -> tuple[GammaPrediction, ...]:
     elif f == "almost-complete-thin-sun":
         add(CodeKind.OD, 3 * spec.k - 1, "almost complete thin sun")
         add(CodeKind.OTD, 3 * spec.k, "almost complete thin sun")
-    elif f == "path" and spec.n == 4:
-        for kind, value in _NAMED_PREDICTIONS["p4"]:
-            add(kind, value, "comparison table")
-    elif f == "path" and spec.n == 5:
-        for kind, value in _NAMED_PREDICTIONS["p5"]:
-            add(kind, value, "comparison table")
-    elif f == "named":
-        for kind, value in _NAMED_PREDICTIONS.get(spec.name.lower(), ()):
+    elif f in ("path", "named"):
+        name = f"p{spec.n}" if f == "path" else spec.name.lower()
+        for kind, value in _NAMED_PREDICTIONS.get(name, ()):
             add(kind, value, "comparison table")
     return tuple(preds)
 

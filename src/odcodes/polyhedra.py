@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .clutters import Clutter, build_clutter
 from .cover import min_cover
-from .families import role_sequence
+from .families import FamilySpec, generate, role_sequence
 from .graphs import CodeKind, Graph, bits, mask_of
 
 
@@ -110,13 +110,34 @@ FAMILY_HINTS = (
 )
 
 
+def _require_member(g: Graph, hint: str) -> None:
+    """Raise unless g equals the hinted family member of its order under the
+    vertex map its role labels define."""
+    n = g.n
+    if hint in ("fan", "extended-thin-spider"):
+        k = (n - 1) // 2
+    else:
+        k = n // 4 if hint == "almost-complete-thin-sun" else n // 2
+    try:
+        member = generate(FamilySpec(hint, k=k))
+    except ValueError as exc:
+        raise _role_mismatch(hint, str(exc)) from None
+    at = {lab: v for v, lab in g.labels.items()}
+    if member.n != n or set(member.labels.values()) - at.keys():
+        raise _role_mismatch(hint, f"labels differ from those of its k = {k} member")
+    image = [at[member.labels[v]] for v in range(n)]
+    edges = [(image[u], image[v]) for u, v in member.edges()]
+    if Graph.from_edges(n, edges).adj != g.adj:
+        raise _role_mismatch(hint, f"adjacency differs from its k = {k} member")
+
+
 def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
     """The published defining system of the open-separation domination
     polyhedron for the hinted family, over all of the graph's vertices.
 
-    The hint is cross-checked against the graph's role labels and adjacency;
-    "generic" falls back to forced-vertex equations plus one inequality per
-    multi-vertex clutter edge.
+    A hinted graph must be the family member up to a relabelling that keeps
+    its role labels; "generic" falls back to forced-vertex equations plus one
+    inequality per multi-vertex clutter edge.
     """
     if hint not in FAMILY_HINTS:
         raise ValueError(f"unknown family hint {hint!r}")
@@ -132,25 +153,22 @@ def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
             raise _role_mismatch(hint, "not a perfect matching")
         return ConstraintSystem(n, (), tuple(_rank_family(range(n), 2, 1, "matching rank")))
 
+    if hint == "generic":  # read the clutter itself
+        clutter = build_clutter(g, CodeKind.OD)
+        equalities = tuple(sorted(clutter.f1))
+        ineqs = tuple(
+            RankConstraint(frozenset(e.vertices()), 1, "clutter edge") for e in clutter.f2
+        )
+        return ConstraintSystem(n, equalities, ineqs)
+
+    _require_member(g, hint)
     if hint == "fan":
-        hub = [v for v, lab in g.labels.items() if lab == "u"]
-        if len(hub) != 1 or g.degree(hub[0]) != n - 1:
-            raise _role_mismatch(hint, "no universal vertex labeled 'u'")
-        rest = [v for v in range(n) if v != hub[0]]
-        if any(g.degree(v) != 2 for v in rest):
-            raise _role_mismatch(hint, "blades are not disjoint edges")
+        rest = [v for v in range(n) if g.labels[v] != "u"]
         return ConstraintSystem(n, (), tuple(_rank_family(rest, 2, 1, "fan rank")))
 
     if hint == "half-graph":
         us = role_sequence(g, "u")
         ws = role_sequence(g, "w")
-        k = len(us)
-        if k == 0 or len(ws) != k or n != 2 * k:
-            raise _role_mismatch(hint, "need u1..uk and w1..wk labels")
-        for i in range(k):
-            for j in range(k):
-                if g.has_edge(us[i], ws[j]) != (i <= j):
-                    raise _role_mismatch(hint, "staircase adjacency violated")
         equalities = tuple(us[1:]) + tuple(ws[:-1])
         facet = RankConstraint(frozenset({us[0], ws[-1]}), 1, "half-graph facet")
         return ConstraintSystem(n, tuple(sorted(equalities)), (facet,))
@@ -159,23 +177,8 @@ def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
         qs = role_sequence(g, "q")
         ss = role_sequence(g, "s")
         k = len(qs)
-        if k < 3:
-            raise _role_mismatch(hint, "need q1..qk labels, k >= 3")
         if hint == "extended-thin-spider":
-            s0 = [v for v, lab in g.labels.items() if lab == "s0"]
-            if not s0 or len(ss) != k + 1:
-                raise _role_mismatch(hint, "need s0 plus s1..sk labels")
-            if g.open_nbhd(s0[0]) != set(qs[:-1]):
-                raise _role_mismatch(hint, "s0 must see exactly q1..q(k-1)")
-            ss = ss[1:]  # s1..sk
-        elif len(ss) != k:
-            raise _role_mismatch(hint, "need s1..sk labels")
-        thin = hint != "thick-spider"
-        for i in range(k):
-            for j in range(k):
-                want = (i == j) if thin else (i != j)
-                if g.has_edge(ss[i], qs[j]) != want:
-                    raise _role_mismatch(hint, "spider leg adjacency violated")
+            ss = ss[1:]  # s1..sk after s0
         ineqs = list(_rank_family(qs, 2, 1, "clique-part rank"))
         if hint == "thick-spider":
             ineqs += _rank_family(ss, k - 1, k - 2, "stable-part rank")
@@ -187,55 +190,31 @@ def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
         ineqs.sort(key=lambda c: (len(c.support), sorted(c.support)))
         return ConstraintSystem(n, equalities, tuple(ineqs))
 
-    if hint in ("sunlet", "almost-complete-thin-sun"):
-        cs = role_sequence(g, "c")
-        ss = role_sequence(g, "s")
-        k = len(cs)
-        if k < 3 or len(ss) != k:
-            raise _role_mismatch(hint, "need c1..ck and s1..sk labels")
+    cs = role_sequence(g, "c")
+    ss = role_sequence(g, "s")
+    k = len(cs)
+    constraints: dict[tuple[frozenset[int], int], RankConstraint] = {}
+
+    def put(c: RankConstraint) -> None:
+        constraints.setdefault((c.support, c.rhs), c)
+
+    if hint == "sunlet":
+        if k < 5:
+            raise _role_mismatch(hint, "sunlet system stated for k >= 5")
         for i in range(k):
-            if not g.has_edge(ss[i], cs[i]) or g.degree(ss[i]) != 1:
-                raise _role_mismatch(hint, "pendants must hang on their cycle vertex")
-        constraints: dict[tuple[frozenset[int], int], RankConstraint] = {}
-
-        def put(c: RankConstraint) -> None:
-            constraints.setdefault((c.support, c.rhs), c)
-
-        if hint == "sunlet":
-            if any(g.degree(v) != 3 for v in cs):
-                raise _role_mismatch(hint, "cycle must be chordless")
-            if k < 5:
-                raise _role_mismatch(hint, "sunlet system stated for k >= 5")
-            for i in range(k):
-                block = [ss[i], cs[(i - 1) % k], cs[i], cs[(i + 1) % k]]
-                for c in _rank_family(block, 2, 1, "pendant block rank"):
-                    put(c)
-        else:
-            if k % 2:
-                raise _role_mismatch(hint, "cycle length must be even")
-            l = k // 2
-            if l < 3:
-                raise _role_mismatch(hint, "need l >= 3")
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if g.has_edge(cs[i], cs[j]) != (j - i != l):
-                        raise _role_mismatch(hint, "antipodal non-adjacency violated")
-            for i in range(l):
-                put(RankConstraint(frozenset({ss[i], ss[i + l]}), 1, "antipodal pendants"))
-            for i in range(k):
-                put(RankConstraint(frozenset({ss[i], cs[i]}), 1, "pendant edge"))
-        for c in _rank_family(cs, 2, 1, "cycle rank"):
-            put(c)
-        ineqs = sorted(constraints.values(), key=lambda c: (len(c.support), sorted(c.support)))
-        return ConstraintSystem(n, (), tuple(ineqs))
-
-    # generic: read the clutter itself
-    clutter = build_clutter(g, CodeKind.OD)
-    equalities = tuple(sorted(clutter.f1))
-    ineqs = tuple(
-        RankConstraint(frozenset(e.vertices()), 1, "clutter edge") for e in clutter.f2
-    )
-    return ConstraintSystem(n, equalities, ineqs)
+            block = [ss[i], cs[(i - 1) % k], cs[i], cs[(i + 1) % k]]
+            for c in _rank_family(block, 2, 1, "pendant block rank"):
+                put(c)
+    else:  # almost complete thin sun
+        l = k // 2
+        for i in range(l):
+            put(RankConstraint(frozenset({ss[i], ss[i + l]}), 1, "antipodal pendants"))
+        for i in range(k):
+            put(RankConstraint(frozenset({ss[i], cs[i]}), 1, "pendant edge"))
+    for c in _rank_family(cs, 2, 1, "cycle rank"):
+        put(c)
+    ineqs = sorted(constraints.values(), key=lambda c: (len(c.support), sorted(c.support)))
+    return ConstraintSystem(n, (), tuple(ineqs))
 
 
 # -- 0/1 point checks ---------------------------------------------------------------

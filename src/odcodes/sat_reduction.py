@@ -174,19 +174,12 @@ def saturate(inst: LsatInstance) -> LsatInstance:
     n0, m0 = inst.n_vars, inst.n_clauses
     n_vars = inst.n_vars
     clauses = list(inst.clauses)
-    while True:
-        counts: dict[int, int] = {}
-        for c in clauses:
-            for lit in c:
-                counts[lit] = counts.get(lit, 0) + 1
-        once = sorted((l for l, k in counts.items() if k == 1), key=_lit_key)
-        if not once:
-            break
-        lit = once[0]
+    # padding L makes L and its helper occur twice and moves no other count,
+    # so the once-literals of the input are all there is to pad
+    once = sorted((l for l, k in inst.literal_counts().items() if k == 1), key=_lit_key)
+    for lit in once:
         n_vars += 1
-        y = n_vars
-        clauses.append(frozenset({lit, y}))
-        clauses.append(frozenset({y}))
+        clauses += [frozenset({lit, n_vars}), frozenset({n_vars})]
     out = LsatInstance(n_vars, tuple(clauses))
     assert out.n_vars <= 3 * n0 and out.n_clauses <= m0 + 4 * n0
     assert out.saturated

@@ -225,3 +225,21 @@ def reference_min_cover(c, enumerate_all=False, cap=10_000):
         truncated = not enum(list(base), 0, 0)
         optima_out = tuple(members(m) for m in sorted(optima))
     return value, members(state["witness"]), state["nodes"], optima_out, truncated
+
+
+def reference_saturate(n_vars, clauses):
+    """The saturation loop that predates the one-pass padding: recount every
+    literal, pad the smallest once-occurring one (by variable, positive
+    first) with a fresh y and the clauses (L or y) and (y), and repeat until
+    no literal occurs once.  Returns (n_vars, clauses)."""
+    clauses = list(clauses)
+    while True:
+        counts = {}
+        for c in clauses:
+            for lit in c:
+                counts[lit] = counts.get(lit, 0) + 1
+        once = sorted((l for l, k in counts.items() if k == 1), key=lambda l: (abs(l), l < 0))
+        if not once:
+            return n_vars, clauses
+        n_vars += 1
+        clauses += [frozenset({once[0], n_vars}), frozenset({n_vars})]

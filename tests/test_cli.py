@@ -25,6 +25,37 @@ def lsat_file(tmp_path):
     return str(path)
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ("generate", "--family", "thin-sun", "--params", "k=5,chords=1-3-4"),
+            "parameter chords expects a-b pairs joined by '+', e.g. 1-3+2-4, got '1-3-4'",
+        ),
+        (
+            ("generate", "--family", "fan", "--params", "k=abc"),
+            "parameter k expects an integer, got 'abc'",
+        ),
+        (
+            ("generate", "--family", "clique-star", "--params", "sizes=2+x"),
+            "parameter sizes expects integers joined by '+', e.g. 2+2+3, got '2+x'",
+        ),
+        (
+            ("polyhedron", "--family", "thin-spider", "--k", "4", "--sizes", "2+y"),
+            "--sizes expects integers joined by '+', e.g. 2+2+3, got '2+y'",
+        ),
+        (
+            ("verify", "{graph}", "--code", "0,x"),
+            "--code expects comma-separated vertex numbers, e.g. 0,2,3, got '0,x'",
+        ),
+    ],
+    ids=["chords", "k", "sizes", "polyhedron-sizes", "verify-code"],
+)
+def test_malformed_value_names_parameter_and_form(capsys, p4_file, argv, message):
+    code, out, err = run(capsys, *(a.format(graph=p4_file) for a in argv))
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
 class TestGenerate:
     def test_text_output_with_roles(self, capsys):
         code, out, _ = run(capsys, "generate", "--family", "half-graph", "--params", "k=2")

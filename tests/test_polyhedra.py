@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from odcodes import polyhedra
@@ -15,7 +17,7 @@ from odcodes.families import (
     thick_spider,
     thin_spider,
 )
-from odcodes.graphs import CodeKind
+from odcodes.graphs import CodeKind, Graph
 from odcodes.polyhedra import (
     ENUMERATION_LIMIT,
     ConstraintSystem,
@@ -57,6 +59,28 @@ class TestQRoseSystem:
                 assert rep.ok
 
 
+def edited(g, add=(), drop=()):
+    """g with edges between role-labelled vertices added and dropped."""
+    at = {lab: v for v, lab in g.labels.items()}
+    edges = set(g.edges()) - {tuple(sorted((at[a], at[b]))) for a, b in drop}
+    edges |= {tuple(sorted((at[a], at[b]))) for a, b in add}
+    return Graph.from_edges(g.n, sorted(edges), g.labels)
+
+
+def relabelled(g, perm):
+    """g with vertex v (and its role label) moved to perm[v]."""
+    edges = [(perm[u], perm[v]) for u, v in g.edges()]
+    return Graph.from_edges(g.n, edges, {perm[v]: lab for v, lab in g.labels.items()})
+
+
+def mapped(sys, perm):
+    """A system's equations and inequalities with every vertex v read as perm[v]."""
+    return (
+        sorted(perm[v] for v in sys.equalities),
+        sorted((sorted(perm[v] for v in c.support), c.rhs, c.source) for c in sys.inequalities),
+    )
+
+
 class TestSystems:
     def test_half_graph_shape(self):
         g = half_graph(4)
@@ -86,14 +110,40 @@ class TestSystems:
         assert len(legs) == k - 1
         assert len([c for c in thin.inequalities if c.source == "leg cover"]) == k
 
-    def test_hint_mismatch_rejected(self):
+    @pytest.mark.parametrize(
+        "g,hint",
+        [
+            (thin_spider(4), "thick-spider"),
+            (clique(4), "matching"),
+            (sunlet(4), "sunlet"),  # stated for k >= 5
+            (edited(thin_spider(4), add=[("s1", "s2")]), "thin-spider"),
+            (edited(thin_spider(4), drop=[("q1", "q2")]), "thin-spider"),
+            (edited(half_graph(4), add=[("u1", "u2")]), "half-graph"),
+            (
+                edited(
+                    sunlet(6),
+                    add=[("c1", "c3"), ("c4", "c6")],
+                    drop=[("c3", "c4"), ("c6", "c1")],
+                ),
+                "sunlet",
+            ),  # the cycle is two triangles
+        ],
+        ids=[
+            "thin-spider-as-thick",
+            "clique-as-matching",
+            "sunlet-4",
+            "thin-spider-with-s1s2",
+            "thin-spider-without-q1q2",
+            "half-graph-with-u1u2",
+            "sunlet-6-two-triangles",
+        ],
+    )
+    def test_hint_mismatch_rejected(self, g, hint):
         with pytest.raises(ValueError, match="roles"):
-            od_polyhedron_system(thin_spider(4), "thick-spider")
-        with pytest.raises(ValueError, match="roles"):
-            od_polyhedron_system(clique(4), "matching")
-        with pytest.raises(ValueError, match="roles"):
-            od_polyhedron_system(sunlet(4), "sunlet")  # stated for k >= 5
-        with pytest.raises(ValueError):
+            od_polyhedron_system(g, hint)
+
+    def test_unknown_hint_rejected(self):
+        with pytest.raises(ValueError, match="unknown family hint"):
             od_polyhedron_system(clique(4), "mystery")
 
     def test_generic_mirrors_clutter(self):
@@ -140,6 +190,15 @@ class TestChecks:
         tight = check_tightness(sys, clutter)
         assert tight.ok, tight.never_tight
         assert integer_hull_equiv(sys, clutter).ok
+
+    @pytest.mark.parametrize(
+        "g,hint", [(g, hint) for g, hint in FAMILY_CASES if g.labels], ids=lambda x: str(x)
+    )
+    def test_relabelled_member_gets_the_mapped_system(self, g, hint):
+        perm = list(range(g.n))
+        random.Random(g.n).shuffle(perm)
+        got = od_polyhedron_system(relabelled(g, perm), hint)
+        assert mapped(got, range(g.n)) == mapped(od_polyhedron_system(g, hint), perm)
 
     def test_forced_equalities_match_clutter(self):
         for g, hint in FAMILY_CASES:

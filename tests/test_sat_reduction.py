@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -20,6 +21,7 @@ from odcodes.sat_reduction import (
     parse_lsat,
     saturate,
 )
+from oracles import reference_saturate
 
 UNSAT_2VAR = LsatInstance(2, (frozenset({1}), frozenset({-1, 2}), frozenset({-1, -2})))
 
@@ -75,6 +77,20 @@ class TestSaturate:
         inst = LsatInstance(3, (frozenset({1, -2, 3}),))
         out = saturate(inst)
         assert out.n_vars <= 9 and out.n_clauses <= 1 + 12
+
+    def test_one_pass_matches_recounting_loop(self):
+        rng = random.Random(11)
+        checked = 0
+        while checked < 2000:
+            n = rng.randint(1, 5)
+            universe = clause_universe(n)
+            combo = rng.sample(universe, rng.randint(1, min(7, len(universe))))
+            try:
+                inst = LsatInstance(n, tuple(combo))
+            except LsatFormatError:
+                continue
+            checked += 1
+            assert saturate(inst) == LsatInstance(*reference_saturate(n, inst.clauses)), combo
 
     def test_preserves_satisfiability_exhaustive(self):
         # every linear instance over 3 variables with up to 4 clauses
