@@ -22,7 +22,7 @@ from .clutters import (
     clutter_from_json,
     clutter_to_json,
 )
-from .codes import check_cover_code, check_relations, gamma, verify
+from .codes import check_cover_code, check_relations, verify
 from .cover import min_cover, qrose_clutter
 from .families import FAMILIES, FamilySpec, generate
 from .graphs import CodeKind, GraphFormatError, graph_to_json, graph_to_text, load_graph
@@ -36,10 +36,7 @@ from .polyhedra import (
 )
 from .sat_reduction import (
     LsatFormatError,
-    brute_force_sat,
     build_gadget,
-    code_to_assignment,
-    assignment_to_code,
     expected_od_size,
     expected_otd_size,
     parse_lsat,
@@ -238,25 +235,18 @@ def cmd_reduce_sat(args):
 
 
 def cmd_sat_roundtrip(args):
-    _, saturated, gg, od_target, otd_target = _gadget(args.formula)
-    model = brute_force_sat(saturated)
-    od, od_witness = gamma(gg.graph, CodeKind.OD)
-    otd, _ = gamma(gg.graph, CodeKind.OTD)
-    satisfiable = model is not None
+    _, _, gg, od_target, otd_target = _gadget(args.formula)
+    res = reports.check_sat_instance(gg)
+    satisfiable = res.model is not None
     rows = [
         ["satisfiable", str(satisfiable)],
-        ["gamma_OD", f"{od} (target {od_target})"],
-        ["gamma_OTD", f"{otd} (target {otd_target})"],
+        ["gamma_OD", f"{res.od} (target {od_target})"],
+        ["gamma_OTD", f"{res.otd} (target {otd_target})"],
     ]
     if satisfiable:
-        ok = od == od_target and otd == otd_target
-        ok &= verify(gg.graph, assignment_to_code(gg, model), CodeKind.OD).valid
-        rows.append(["assignment-to-code", "valid" if ok else "INVALID"])
-        decoded_ok = saturated.evaluate(code_to_assignment(gg, od_witness))
-        ok &= decoded_ok
-        rows.append(["code-to-assignment", "satisfies" if decoded_ok else "DOES NOT SATISFY"])
-    else:  # an unsatisfiable formula exceeds both targets, as report_sat_equivalence checks
-        ok = od > od_target and otd > otd_target
+        rows.append(["assignment-to-code", "valid" if res.sizes_ok and res.codes_ok else "INVALID"])
+        rows.append(["code-to-assignment", "satisfies" if res.decoded_ok else "DOES NOT SATISFY"])
+    ok = res.sizes_ok and res.codes_ok and res.decoded_ok
     rows.append(["verdict", "consistent" if ok else "INCONSISTENT"])
     obj = {"command": "sat-roundtrip", "rows": rows, "ok": ok}
     return (0 if ok else 1), obj, "\n".join(f"{k:22s} {v}" for k, v in obj["rows"])
@@ -273,7 +263,23 @@ def cmd_tau(args):
     return 0, obj, text
 
 
+def _polyhedron_flags(args) -> None:
+    """Refuse a flag that the chosen family, or --graph, does not read."""
+    if args.family == "qrose":
+        context, allowed = "--family qrose", ("n", "q")
+    elif args.family != "generic":
+        context, allowed = f"--family {args.family}", ("k", "n", "sizes")
+    elif args.graph is not None:
+        context, allowed = "--graph", ("graph",)
+    else:
+        context, allowed = "--family generic", ("k", "n", "sizes", "generic_family")
+    for dest in ("k", "n", "q", "sizes", "generic_family", "graph"):
+        if getattr(args, dest) is not None and dest not in allowed:
+            raise UsageError(f"--{dest.replace('_', '-')} is not valid with {context}")
+
+
 def cmd_polyhedron(args):
+    _polyhedron_flags(args)
     if args.family == "qrose":
         if args.n is None or args.q is None:
             raise UsageError("qrose needs --n and --q")
@@ -281,7 +287,7 @@ def cmd_polyhedron(args):
         clutter = qrose_clutter(args.n, args.q)
         label = f"qrose n={args.n} q={args.q}"
     else:
-        if args.family == "generic" and args.graph:
+        if args.graph is not None:
             g = load_graph(_read(args.graph))
             label = f"generic {args.graph}"
         else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -374,6 +375,9 @@ def induced_subgraph(g: Graph, keep) -> Graph:
 # Text: first line "n m", then m lines "u v" with 0 <= u < v < n.  Lines
 # starting with "#" are comments; "#role V NAME" comments round-trip labels.
 # JSON: {"n": ..., "edges": [[u, v], ...], "labels": {"0": "q1", ...}}.
+# A label's vertex is written in plain decimal: no sign, padding or underscore.
+
+_VERTEX_NUMBER = re.compile(r"0|[1-9][0-9]*")
 
 
 def parse_graph(text: str) -> Graph:
@@ -387,10 +391,9 @@ def parse_graph(text: str) -> Graph:
         if line.startswith("#"):
             parts = line[1:].split()
             if len(parts) == 3 and parts[0] == "role":
-                try:
-                    labels[int(parts[1])] = parts[2]
-                except ValueError:
-                    raise GraphFormatError(f"line {lineno}: malformed #role comment")
+                if not _VERTEX_NUMBER.fullmatch(parts[1]):
+                    raise GraphFormatError(f"line {lineno}: malformed #role vertex {parts[1]!r}")
+                labels[int(parts[1])] = parts[2]
             continue
         fields = line.split()
         if len(fields) != 2:
@@ -460,10 +463,11 @@ def parse_graph_json(text: str) -> Graph:
         raise GraphFormatError("'labels' must be an object")
     labels = {}
     for k, s in raw_labels.items():
-        try:
-            labels[int(k)] = str(s)
-        except ValueError:
+        if not _VERTEX_NUMBER.fullmatch(k):
             raise GraphFormatError(f"malformed label key {k!r}")
+        if not isinstance(s, str):
+            raise GraphFormatError(f"label of vertex {k} must be a string, got {json.dumps(s)}")
+        labels[int(k)] = s
     try:
         return Graph.from_edges(n, edges, labels)
     except ValueError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .clutters import build_clutter
-from .codes import brute_force_gamma, gamma, gamma_all_optima
+from .codes import brute_force_gamma, gamma, gamma_all_optima, verify
 from .cover import min_cover, qrose_clutter, tau_q_rose
 from .families import (
     FamilySpec,
@@ -34,6 +34,7 @@ from .graphs import (
 )
 from .polyhedra import check_tightness, check_validity, integer_hull_equiv, od_polyhedron_system
 from .sat_reduction import (
+    GadgetGraph,
     assignment_to_code,
     auxiliary_graph,
     brute_force_sat,
@@ -43,7 +44,6 @@ from .sat_reduction import (
     expected_od_size,
     expected_otd_size,
 )
-from .codes import verify
 
 DEFAULT_SEED = 20240601
 
@@ -81,11 +81,7 @@ class _Rows:
         self.rows.append(ReportRow(label, str(expected), str(actual), expected == actual))
 
     def check(self, label: str, ok: bool, detail: str = "") -> None:
-        if ok:
-            actual = "ok"
-        else:
-            actual = detail or "FAIL"
-        self.rows.append(ReportRow(label, "ok", actual, ok))
+        self.rows.append(ReportRow(label, "ok", "ok" if ok else detail or "FAIL", ok))
 
     def finish(self, title: str, t0: float) -> Report:
         return Report(title, tuple(self.rows), time.perf_counter() - t0)
@@ -288,39 +284,62 @@ def report_bounds_random(samples: int = 200, seed: int = DEFAULT_SEED) -> Report
 # -- criterion 6: SAT equivalence -------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class SatCheck:
+    """Criterion 6 on one saturated instance: its model (None when
+    unsatisfiable), its gadget's two code numbers, and the outcome of each
+    check, True where a check does not apply."""
+
+    model: dict[int, bool] | None
+    od: int
+    otd: int
+    sizes_ok: bool  # satisfiable: both numbers on target; unsatisfiable: both above
+    codes_ok: bool  # the OD and OTD codes built from the model verify
+    decoded: dict[int, bool] | None  # the OD witness read back as an assignment
+    decoded_ok: bool
+
+
+def check_sat_instance(gg: GadgetGraph) -> SatCheck:
+    """Decide the gadget's instance by brute force and hold both code
+    numbers and both constructed codes of the gadget to the equivalence."""
+    inst, g = gg.instance, gg.graph
+    model = brute_force_sat(inst)
+    od, od_witness = gamma(g, CodeKind.OD)
+    otd, _ = gamma(g, CodeKind.OTD)
+    od_target, otd_target = expected_od_size(gg), expected_otd_size(gg)
+    if model is None:
+        return SatCheck(None, od, otd, od > od_target and otd > otd_target, True, None, True)
+    codes_ok = all(
+        verify(g, assignment_to_code(gg, model, total), kind).valid
+        for total, kind in ((False, CodeKind.OD), (True, CodeKind.OTD))
+    )
+    decoded = code_to_assignment(gg, od_witness)
+    on_target = od == od_target and otd == otd_target
+    return SatCheck(model, od, otd, on_target, codes_ok, decoded, inst.evaluate(decoded))
+
+
 def report_sat_equivalence(max_vars: int = 4, max_clauses: int = 6) -> Report:
     t0 = time.perf_counter()
     rows = _Rows()
     total = sat_count = 0
     for inst in enumerate_slsat(max_vars, max_clauses):
         total += 1
-        n, m = inst.n_vars, inst.n_clauses
-        tag = f"n={n} m={m} #{total}"
+        tag = f"n={inst.n_vars} m={inst.n_clauses} #{total}"
         gg = build_gadget(inst)
-        g = gg.graph
-        ok_struct = is_bipartite(g)[0] and max_degree(g) <= 4 and girth(g) >= 6
-        if not ok_struct:
-            rows.check(f"{tag}: gadget structure", False, "bipartite/degree/girth violated")
-        aux = auxiliary_graph(inst)
-        if not (is_bipartite(aux)[0] and max_degree(aux) <= 3 and girth(aux) >= 6):
-            rows.check(f"{tag}: auxiliary structure", False, "bipartite/degree/girth violated")
-        model = brute_force_sat(inst)
-        od, od_witness = gamma(g, CodeKind.OD)
-        otd, _ = gamma(g, CodeKind.OTD)
-        if model is not None:
-            sat_count += 1
-            if od != expected_od_size(gg) or otd != expected_otd_size(gg):
-                rows.check(f"{tag}: satisfiable sizes", False, f"od={od} otd={otd}")
-            code = assignment_to_code(gg, model)
-            code_t = assignment_to_code(gg, model, total=True)
-            if not verify(g, code, CodeKind.OD).valid or not verify(g, code_t, CodeKind.OTD).valid:
-                rows.check(f"{tag}: constructed codes verify", False, "invalid code")
-            back = code_to_assignment(gg, od_witness)
-            if not inst.evaluate(back):
-                rows.check(f"{tag}: decoded assignment satisfies", False, str(back))
-        else:
-            if od < expected_od_size(gg) + 1 or otd < expected_otd_size(gg) + 1:
-                rows.check(f"{tag}: unsatisfiable sizes exceed bounds", False, f"od={od} otd={otd}")
+        for name, g, degree in (("gadget", gg.graph, 4), ("auxiliary", auxiliary_graph(inst), 3)):
+            if not (is_bipartite(g)[0] and max_degree(g) <= degree and girth(g) >= 6):
+                rows.check(f"{tag}: {name} structure", False, "bipartite/degree/girth violated")
+        res = check_sat_instance(gg)
+        satisfiable = res.model is not None
+        sat_count += satisfiable
+        sizes = "satisfiable sizes" if satisfiable else "unsatisfiable sizes exceed bounds"
+        for label, ok, detail in (
+            (sizes, res.sizes_ok, f"od={res.od} otd={res.otd}"),
+            ("constructed codes verify", res.codes_ok, "invalid code"),
+            ("decoded assignment satisfies", res.decoded_ok, str(res.decoded)),
+        ):
+            if not ok:
+                rows.check(f"{tag}: {label}", False, detail)
     rows.check(
         f"equivalence holds on all {total} instances ({sat_count} satisfiable)",
         total > 0,

@@ -14,10 +14,11 @@ Literals are signed 1-based ints (DIMACS style); clauses are frozensets.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from .graphs import Graph
+from .graphs import Graph, bits
 
 
 class LsatFormatError(ValueError):
@@ -61,8 +62,7 @@ class LsatInstance:
             if c in seen:
                 raise LsatFormatError(f"duplicate clause {_fmt_clause(c)}")
             seen.add(c)
-        counts = self.literal_counts()
-        for lit, k in counts.items():
+        for lit, k in self.literal_counts().items():
             if k > 2:
                 raise LsatFormatError(f"literal {lit} appears in {k} clauses (limit 2)")
         for a, b in combinations(self.clauses, 2):
@@ -76,28 +76,18 @@ class LsatInstance:
         return len(self.clauses)
 
     def literal_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for c in self.clauses:
-            for lit in c:
-                counts[lit] = counts.get(lit, 0) + 1
-        return counts
+        return dict(Counter(lit for c in self.clauses for lit in c))
 
     @property
     def saturated(self) -> bool:
         return all(k == 2 for k in self.literal_counts().values())
-
-    def occurring(self, lit: int) -> bool:
-        return any(lit in c for c in self.clauses)
 
     def evaluate(self, assignment: dict[int, bool]) -> bool:
         """True when the (total) assignment satisfies every clause."""
         missing = [v for v in range(1, self.n_vars + 1) if v not in assignment]
         if missing:
             raise ValueError(f"assignment misses variables {missing}")
-        for c in self.clauses:
-            if not any(assignment[abs(l)] == (l > 0) for l in c):
-                return False
-        return True
+        return all(any(assignment[abs(l)] == (l > 0) for l in c) for c in self.clauses)
 
 
 def _fmt_clause(c) -> str:
@@ -246,13 +236,10 @@ def build_gadget(inst: LsatInstance) -> GadgetGraph:
     w_pos: list[int | None] = []
     w_neg: list[int | None] = []
     v_triples: list[tuple[int, int, int]] = []
-    idx = 0
 
     def fresh(label: str) -> int:
-        nonlocal idx
-        labels[idx] = label
-        idx += 1
-        return idx - 1
+        labels[len(labels)] = label
+        return len(labels) - 1
 
     for x in range(1, inst.n_vars + 1):
         wp = fresh(f"w1:x{x}") if x in counts else None
@@ -280,9 +267,8 @@ def build_gadget(inst: LsatInstance) -> GadgetGraph:
             edges.append((w, u1))
         u_triples.append((u1, u2, u3))
 
-    graph = Graph.from_edges(idx, edges, labels)
-    occurring = sum(1 for k in counts)
-    assert graph.n == 3 * inst.n_clauses + 3 * inst.n_vars + occurring
+    graph = Graph.from_edges(len(labels), edges, labels)
+    assert graph.n == 3 * inst.n_clauses + 3 * inst.n_vars + len(counts)
     return GadgetGraph(
         graph,
         inst,
@@ -311,14 +297,8 @@ def assignment_to_code(gg: GadgetGraph, assignment: dict[int, bool], total: bool
     """
     if not gg.instance.evaluate(assignment):
         raise ValueError("assignment does not satisfy the instance")
-    code: set[int] = set()
-    for x0_based, (v1, v2, _v3) in enumerate(gg.v_triples):
-        if x0_based != 0:
-            code.add(v1)
-        code.add(v2)
-    for u1, u2, _u3 in gg.u_triples:
-        code.add(u1)
-        code.add(u2)
+    code = {v1 for v1, _, _ in gg.v_triples[1:]} | {v2 for _, v2, _ in gg.v_triples}
+    code |= {u for u1, u2, _ in gg.u_triples for u in (u1, u2)}
     for x in range(1, gg.n_vars + 1):
         wp, wn = gg.w_pos[x - 1], gg.w_neg[x - 1]
         if wp is not None and wn is not None:
@@ -329,8 +309,7 @@ def assignment_to_code(gg: GadgetGraph, assignment: dict[int, bool], total: bool
             code.add(wn)
     if total:
         code.add(gg.v_triples[0][0])
-    expected = expected_otd_size(gg) if total else expected_od_size(gg)
-    assert len(code) == expected
+    assert len(code) == (expected_otd_size(gg) if total else expected_od_size(gg))
     return frozenset(code)
 
 
@@ -357,15 +336,9 @@ def auxiliary_graph(inst: LsatInstance) -> Graph:
         raise ValueError("auxiliary graph is defined for saturated instances")
     occurring = sorted(inst.literal_counts(), key=_lit_key)
     labels = {j: f"c{j + 1}" for j in range(inst.n_clauses)}
-    index = {}
-    for i, lit in enumerate(occurring):
-        v = inst.n_clauses + i
-        index[lit] = v
-        labels[v] = f"x{lit}" if lit > 0 else f"-x{-lit}"
-    edges = []
-    for j, clause in enumerate(inst.clauses):
-        for lit in clause:
-            edges.append((j, index[lit]))
+    index = {lit: inst.n_clauses + i for i, lit in enumerate(occurring)}
+    labels.update({v: f"x{lit}" if lit > 0 else f"-x{-lit}" for lit, v in index.items()})
+    edges = [(j, index[lit]) for j, clause in enumerate(inst.clauses) for lit in clause]
     return Graph.from_edges(inst.n_clauses + len(occurring), edges, labels)
 
 
@@ -413,25 +386,22 @@ def enumerate_slsat(max_vars: int, max_clauses: int):
     isomorphic when a variable relabeling plus polarity flips maps one onto
     the other.  Representatives are the index-wise minimal members of their
     class, so the output is deterministic.
+
+    The search state is three ints: the clauses that may still join, and the
+    literals used once and twice, literal l being bit 2(|l| - 1) + (l < 0).
     """
     for n in range(1, max_vars + 1):
         universe = clause_universe(n)
         tables = _transform_tables(n, universe)
-        share_ok = [[len(a & b) <= 1 for b in universe] for a in universe]
-        counts: dict[int, int] = {}
+        lits = [sum(1 << 2 * (abs(l) - 1) + (l < 0) for l in c) for c in universe]
+        later = [
+            sum(1 << j for j in range(i + 1, len(lits)) if (a & lits[j]).bit_count() <= 1)
+            for i, a in enumerate(lits)
+        ]
+        holding = [sum(1 << i for i, a in enumerate(lits) if a >> b & 1) for b in range(2 * n)]
+        positives = sum(1 << 2 * v for v in range(n))
         chosen: list[int] = []
         results: list[tuple[int, ...]] = []
-
-        def saturated_with_all_vars() -> bool:
-            if not chosen:
-                return False
-            used = set()
-            for lit, k in counts.items():
-                if k == 1:
-                    return False
-                if k:
-                    used.add(abs(lit))
-            return len(used) == n
 
         def canonical() -> bool:
             idx = chosen  # already sorted ascending
@@ -444,29 +414,23 @@ def enumerate_slsat(max_vars: int, max_clauses: int):
                     return False
             return True
 
-        def rec(start: int) -> None:
-            if saturated_with_all_vars() and canonical():
+        def rec(allowed: int, once: int, twice: int) -> None:
+            used = once | twice  # folded onto the positive bits: the variables in use
+            unused = n - ((used | used >> 1) & positives).bit_count()
+            if chosen and not once and not unused and canonical():
                 results.append(tuple(chosen))
-            if len(chosen) >= max_clauses:
+            left = max_clauses - len(chosen)
+            if left <= 0 or once.bit_count() + 2 * unused > 3 * left:
                 return
-            deficit = sum(1 for k in counts.values() if k == 1)
-            unused = n - len({abs(l) for l, k in counts.items() if k})
-            if deficit + 2 * unused > 3 * (max_clauses - len(chosen)):
-                return
-            for i in range(start, len(universe)):
-                c = universe[i]
-                if any(counts.get(l, 0) >= 2 for l in c):
-                    continue
-                if any(not share_ok[i][j] for j in chosen):
-                    continue
-                for l in c:
-                    counts[l] = counts.get(l, 0) + 1
+            for i in bits(allowed):
+                reached = once & lits[i]  # literals taking their second use
+                child = allowed & later[i]
+                for b in bits(reached):
+                    child &= ~holding[b]
                 chosen.append(i)
-                rec(i + 1)
+                rec(child, once ^ lits[i], twice | reached)
                 chosen.pop()
-                for l in c:
-                    counts[l] -= 1
 
-        rec(0)
+        rec((1 << len(universe)) - 1, 0, 0)
         for idxs in results:
             yield LsatInstance(n, tuple(universe[i] for i in idxs))

@@ -243,3 +243,68 @@ def reference_saturate(n_vars, clauses):
             return n_vars, clauses
         n_vars += 1
         clauses += [frozenset({once[0], n_vars}), frozenset({n_vars})]
+
+
+def reference_enumerate_slsat(max_vars, max_clauses):
+    """The SLSAT enumerator that predates the int search state, kept verbatim:
+    a literal-count dict, a pairwise share matrix and per-node rescans of
+    both.  It shares clause_universe and _transform_tables with the library,
+    which the int-state rewrite left as they were."""
+    from odcodes.sat_reduction import LsatInstance, _transform_tables, clause_universe
+
+    for n in range(1, max_vars + 1):
+        universe = clause_universe(n)
+        tables = _transform_tables(n, universe)
+        share_ok = [[len(a & b) <= 1 for b in universe] for a in universe]
+        counts: dict[int, int] = {}
+        chosen: list[int] = []
+        results: list[tuple[int, ...]] = []
+
+        def saturated_with_all_vars() -> bool:
+            if not chosen:
+                return False
+            used = set()
+            for lit, k in counts.items():
+                if k == 1:
+                    return False
+                if k:
+                    used.add(abs(lit))
+            return len(used) == n
+
+        def canonical() -> bool:
+            idx = chosen  # already sorted ascending
+            first = idx[0]
+            for table in tables:
+                low = min(table[i] for i in idx)
+                if low < first:
+                    return False
+                if low == first and sorted(table[i] for i in idx) < idx:
+                    return False
+            return True
+
+        def rec(start: int) -> None:
+            if saturated_with_all_vars() and canonical():
+                results.append(tuple(chosen))
+            if len(chosen) >= max_clauses:
+                return
+            deficit = sum(1 for k in counts.values() if k == 1)
+            unused = n - len({abs(l) for l, k in counts.items() if k})
+            if deficit + 2 * unused > 3 * (max_clauses - len(chosen)):
+                return
+            for i in range(start, len(universe)):
+                c = universe[i]
+                if any(counts.get(l, 0) >= 2 for l in c):
+                    continue
+                if any(not share_ok[i][j] for j in chosen):
+                    continue
+                for l in c:
+                    counts[l] = counts.get(l, 0) + 1
+                chosen.append(i)
+                rec(i + 1)
+                chosen.pop()
+                for l in c:
+                    counts[l] -= 1
+
+        rec(0)
+        for idxs in results:
+            yield LsatInstance(n, tuple(universe[i] for i in idxs))

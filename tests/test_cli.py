@@ -259,17 +259,110 @@ class TestSatCommands:
     ):
         # an unsatisfiable formula must give gamma above both targets;
         # a value below them is as wrong as one equal to them
-        from odcodes import cli
+        from odcodes import reports
 
         path = tmp_path / "unsat.lsat"
         path.write_text("p lsat 1 2\n1 0\n-1 0\n")
         assert run(capsys, "sat-roundtrip", str(path))[0] == 0
-        monkeypatch.setattr(cli, "gamma", lambda g, kind: (1, frozenset({0})))
+        monkeypatch.setattr(reports, "gamma", lambda g, kind: (1, frozenset({0})))
         code, out, _ = run(capsys, "sat-roundtrip", str(path))
         assert code == 1 and "INCONSISTENT" in out
 
 
+P11 = "11 10\n" + "".join(f"{v} {v + 1}\n" for v in range(10))
+
+
+def p11_json(labels):
+    return json.dumps({"n": 11, "edges": [[v, v + 1] for v in range(10)], "labels": labels})
+
+
+@pytest.mark.parametrize(
+    "name,text,message",
+    [
+        ("g.json", p11_json({"1_0": "q1"}), "malformed label key '1_0'"),
+        ("g.json", p11_json({"01": "q1"}), "malformed label key '01'"),
+        ("g.json", p11_json({"+1": "q1"}), "malformed label key '+1'"),
+        ("g.json", p11_json({" 1": "q1"}), "malformed label key ' 1'"),
+        ("g.json", p11_json({"1": None}), "label of vertex 1 must be a string, got null"),
+        ("g.json", p11_json({"1": 7}), "label of vertex 1 must be a string, got 7"),
+        ("g.json", p11_json({"1": True}), "label of vertex 1 must be a string, got true"),
+        ("g.txt", P11 + "#role 1_0 q1\n", "line 12: malformed #role vertex '1_0'"),
+        ("g.txt", P11 + "#role 01 q1\n", "line 12: malformed #role vertex '01'"),
+        ("g.txt", P11 + "#role +1 q1\n", "line 12: malformed #role vertex '+1'"),
+    ],
+    ids=[
+        "key-underscore",
+        "key-leading-zero",
+        "key-sign",
+        "key-space",
+        "value-null",
+        "value-int",
+        "value-bool",
+        "role-underscore",
+        "role-leading-zero",
+        "role-sign",
+    ],
+)
+def test_label_vertex_must_be_plain_decimal_and_label_a_string(
+    capsys, tmp_path, name, text, message
+):
+    # the path has 11 vertices, so "1_0" read as vertex 10 would be in range
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path), "--code", "0")
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
 class TestPolyhedron:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--family", "fan", "--k", "3", "--q", "2"), "--q is not valid with --family fan"),
+            (
+                ("--family", "qrose", "--n", "5", "--q", "3", "--k", "9", "--sizes", "2+2"),
+                "--k is not valid with --family qrose",
+            ),
+            (
+                ("--family", "qrose", "--n", "4", "--q", "2", "--graph", "{graph}"),
+                "--graph is not valid with --family qrose",
+            ),
+            (
+                ("--family", "fan", "--k", "3", "--graph", "{graph}", "--generic-family", "clique"),
+                "--generic-family is not valid with --family fan",
+            ),
+            (
+                ("--family", "fan", "--k", "3", "--graph", "{graph}"),
+                "--graph is not valid with --family fan",
+            ),
+            (
+                ("--family", "generic", "--graph", "{graph}", "--k", "3"),
+                "--k is not valid with --graph",
+            ),
+            (
+                ("--family", "generic", "--graph", "{graph}", "--generic-family", "clique"),
+                "--generic-family is not valid with --graph",
+            ),
+            (
+                ("--family", "generic", "--generic-family", "clique", "--n", "4", "--q", "2"),
+                "--q is not valid with --family generic",
+            ),
+        ],
+        ids=[
+            "q-on-fan",
+            "k-on-qrose",
+            "graph-on-qrose",
+            "generic-family-on-fan",
+            "graph-on-fan",
+            "k-with-graph",
+            "generic-family-with-graph",
+            "q-on-generic",
+        ],
+    )
+    def test_flag_the_family_does_not_read(self, capsys, p4_file, argv, message):
+        argv = [a.format(graph=p4_file) for a in argv]
+        code, out, err = run(capsys, "polyhedron", *argv)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
     def test_family_check_all(self, capsys):
         code, out, _ = run(capsys, "polyhedron", "--family", "thick-spider", "--k", "4")
         assert code == 0

@@ -21,7 +21,7 @@ from odcodes.sat_reduction import (
     parse_lsat,
     saturate,
 )
-from oracles import reference_saturate
+from oracles import reference_enumerate_slsat, reference_saturate
 
 UNSAT_2VAR = LsatInstance(2, (frozenset({1}), frozenset({-1, 2}), frozenset({-1, -2})))
 
@@ -251,6 +251,15 @@ class TestEnumerator:
             assert inst not in seen
             seen.add(inst)
         assert len(seen) == 5 + 43
+
+    @pytest.mark.parametrize(
+        "max_vars,max_clauses", [(n, m) for n in range(1, 4) for m in range(9)] + [(4, 4)]
+    )
+    def test_same_instances_in_the_same_order_as_reference(self, max_vars, max_clauses):
+        # criterion 6 (221 instances) and bench/references.json pin (4, 5)
+        # and (4, 6); these pin the order of every smaller sweep
+        expected = list(reference_enumerate_slsat(max_vars, max_clauses))
+        assert list(enumerate_slsat(max_vars, max_clauses)) == expected
 
     def test_counting_lower_bound_on_optimal_codes(self):
         # every optimal code keeps at least 2 vertices per gadget path, one
