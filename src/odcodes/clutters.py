@@ -20,6 +20,19 @@ class InadmissibleGraphError(ValueError):
     """The graph admits no code of the requested kind."""
 
 
+def require_admissible(g: Graph, kind: CodeKind) -> None:
+    """Raise InadmissibleGraphError, naming the obstruction, unless the graph
+    has a code of the kind."""
+    adm = is_admissible(g, kind)
+    if not adm.ok:
+        raise InadmissibleGraphError(f"graph is not {kind.value}-admissible: {adm.reason}")
+
+
+def _clutter_order(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Sort key of clutter edges: by size, then by member tuple."""
+    return mask.bit_count(), tuple(bits(mask))
+
+
 @dataclass(frozen=True)
 class Hyperedge:
     members: int  # bitmask over the graph's vertices
@@ -49,35 +62,20 @@ class Clutter:
     kind: CodeKind | None = None
 
     @property
-    def f1_mask(self) -> int:
-        m = 0
-        for e in self.edges:
-            if e.size == 1:
-                m |= e.members
-        return m
-
-    @property
     def f1(self) -> frozenset[int]:
-        return frozenset(bits(self.f1_mask))
+        return frozenset(v for e in self.edges if e.size == 1 for v in e.vertices())
 
     @property
     def f2(self) -> tuple[Hyperedge, ...]:
         return tuple(e for e in self.edges if e.size >= 2)
 
     @property
-    def ground_mask(self) -> int:
-        m = 0
-        for e in self.edges:
-            m |= e.members
-        return m
-
-    @property
     def ground(self) -> frozenset[int]:
-        return frozenset(bits(self.ground_mask))
+        return frozenset(v for e in self.edges for v in e.vertices())
 
     @property
     def v0(self) -> frozenset[int]:
-        return frozenset(v for v in range(self.n) if not self.ground_mask >> v & 1)
+        return frozenset(range(self.n)) - self.ground
 
     def edge_masks(self) -> tuple[int, ...]:
         return tuple(e.members for e in self.edges)
@@ -92,9 +90,7 @@ def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
     Raises InadmissibleGraphError when the graph has no such code (an empty
     separation or domination edge would otherwise appear).
     """
-    adm = is_admissible(g, kind)
-    if not adm.ok:
-        raise InadmissibleGraphError(f"graph is not {kind.value}-admissible: {adm.reason}")
+    require_admissible(g, kind)
     dom, sep = code_masks(g, kind)
     tag = "N[{}]" if kind.domination == "closed" else "N({})"
     edges = [Hyperedge(m, (tag.format(v),)) for v, m in enumerate(dom)]
@@ -121,7 +117,7 @@ def reduce_hypergraph(h: Hypergraph) -> Clutter:
         if e.members == 0:
             raise ValueError(f"empty hyperedge from {e.sources}")
         merged.setdefault(e.members, []).extend(e.sources)
-    ordered = sorted(merged, key=lambda m: (m.bit_count(), tuple(bits(m))))
+    ordered = sorted(merged, key=_clutter_order)
     kept: list[int] = []
     for mask in ordered:
         if not any(k & mask == k for k in kept):
@@ -138,9 +134,7 @@ def forced_vertices_direct(g: Graph) -> frozenset[int]:
     """Forced vertices of the open-separation dominating clutter, computed
     without building it: isolated vertices plus every vertex that is the sole
     open-separator of some non-adjacent pair."""
-    adm = is_admissible(g, CodeKind.OD)
-    if not adm.ok:
-        raise InadmissibleGraphError(f"graph is not OD-admissible: {adm.reason}")
+    require_admissible(g, CodeKind.OD)
     forced = mask_of(v for v in range(g.n) if g.adj[v] == 0)
     for u in range(g.n):
         for v in range(u + 1, g.n):
@@ -201,5 +195,5 @@ def clutter_from_json(obj: dict) -> Clutter:
         if mask == 0:
             raise ValueError("empty edge in clutter JSON")
         edges.append(Hyperedge(mask, sources))
-    edges.sort(key=lambda e: (e.size, e.vertices()))
+    edges.sort(key=lambda e: _clutter_order(e.members))
     return Clutter(n, tuple(edges), kind)

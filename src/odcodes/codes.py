@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
-from .clutters import InadmissibleGraphError, build_clutter
+from .clutters import build_clutter, require_admissible
 from .cover import min_cover
-from .graphs import CodeKind, Graph, bits, code_masks, induced_subgraph, is_admissible, mask_of
+from .graphs import CodeKind, Graph, bits, code_masks, induced_subgraph, mask_of
 
 MAX_VIOLATIONS = 100  # cap per violation list in a report
 BRUTE_FORCE_LIMIT = 20
@@ -43,12 +43,7 @@ def verify(g: Graph, code, kind: CodeKind) -> VerificationReport:
             raise ValueError(f"code vertex {v} out of range for n={g.n}")
     cmask = mask_of(code)
     dom, sep = code_masks(g, kind)
-    undominated = []
-    for v, m in enumerate(dom):
-        if not m & cmask:
-            undominated.append(v)
-            if len(undominated) >= MAX_VIOLATIONS:
-                break
+    undominated = [v for v, m in enumerate(dom) if not m & cmask][:MAX_VIOLATIONS]
 
     trace = [m & cmask for m in sep]
     if kind.separation == "locating":
@@ -58,23 +53,18 @@ def verify(g: Graph, code, kind: CodeKind) -> VerificationReport:
     groups: dict[int, list[int]] = {}
     for v in pool:
         groups.setdefault(trace[v], []).append(v)
-    unseparated = []
-    for t, members in sorted(groups.items(), key=lambda kv: kv[1]):
-        if len(members) < 2:
-            continue
-        shared = frozenset(bits(t))
-        for u, v in combinations(members, 2):
-            unseparated.append((u, v, shared))
-            if len(unseparated) >= MAX_VIOLATIONS:
-                break
-        if len(unseparated) >= MAX_VIOLATIONS:
-            break
+    pairs = (
+        (u, v, frozenset(bits(t)))
+        for t, members in sorted(groups.items(), key=lambda kv: kv[1])
+        for u, v in combinations(members, 2)
+    )
+    unseparated = tuple(islice(pairs, MAX_VIOLATIONS))
 
     return VerificationReport(
         kind=kind,
         valid=not undominated and not unseparated,
         undominated=tuple(undominated),
-        unseparated=tuple(unseparated),
+        unseparated=unseparated,
     )
 
 
@@ -106,9 +96,7 @@ def brute_force_gamma(g: Graph, kind: CodeKind) -> tuple[int, frozenset[int]]:
     """Subset scan in size order; the oracle the pipeline is held against."""
     if g.n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force guarded to n <= {BRUTE_FORCE_LIMIT}")
-    adm = is_admissible(g, kind)
-    if not adm.ok:
-        raise InadmissibleGraphError(f"graph is not {kind.value}-admissible: {adm.reason}")
+    require_admissible(g, kind)
     for size in range(g.n + 1):
         for cand in combinations(range(g.n), size):
             if verify(g, cand, kind).valid:
@@ -130,10 +118,7 @@ def check_relations(g: Graph) -> tuple[RelationCheck, ...]:
     open domination, the isolated-vertex shift, the locating lower bounds,
     and the log/order bounds.  Inapplicable relations are marked, not passed.
     """
-    adm = is_admissible(g, CodeKind.OD)
-    if not adm.ok:
-        raise InadmissibleGraphError(f"graph is not OD-admissible: {adm.reason}")
-    od, _ = gamma(g, CodeKind.OD)
+    od, _ = gamma(g, CodeKind.OD)  # raises on OD-inadmissible graphs
     isolated = [v for v in range(g.n) if g.adj[v] == 0]
     checks: list[RelationCheck] = []
 

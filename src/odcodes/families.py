@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
+from itertools import combinations
 
 from .graphs import CodeKind, Graph, open_twins
 
@@ -44,6 +45,19 @@ def matching(k: int) -> Graph:
     return Graph.from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
 
 
+def _cliques(sizes, base: int) -> tuple[list[tuple[int, int]], dict[int, str]]:
+    """Edges and labels of disjoint cliques on consecutive vertices from base;
+    vertex a of clique i is labelled k{i}_{a}, both counted from 1."""
+    edges: list[tuple[int, int]] = []
+    labels = {}
+    for i, s in enumerate(sizes, 1):
+        block = range(base, base + s)
+        labels.update({v: f"k{i}_{a}" for a, v in enumerate(block, 1)})
+        edges += combinations(block, 2)
+        base += s
+    return edges, labels
+
+
 def union_of_cliques(sizes) -> Graph:
     """Disjoint union of cliques, every component of order >= 2."""
     sizes = tuple(sorted(sizes))
@@ -51,16 +65,7 @@ def union_of_cliques(sizes) -> Graph:
         raise ValueError("union of cliques needs k >= 2 components")
     if sizes[0] < 2:
         raise ValueError("every component must have order >= 2")
-    edges = []
-    labels = {}
-    base = 0
-    for i, s in enumerate(sizes, 1):
-        for a in range(s):
-            labels[base + a] = f"k{i}_{a + 1}"
-            for b in range(a + 1, s):
-                edges.append((base + a, base + b))
-        base += s
-    return Graph.from_edges(base, edges, labels)
+    return Graph.from_edges(sum(sizes), *_cliques(sizes, 0))
 
 
 def clique_star(sizes) -> Graph:
@@ -74,19 +79,12 @@ def clique_star(sizes) -> Graph:
         raise ValueError("clique-star needs k >= 2 cliques")
     if any(s < 1 for s in sizes):
         raise ValueError("clique orders must be >= 1")
-    if len(sizes) >= 2 and sizes[1] < 2:
+    if sizes[1] < 2:
         raise ValueError("at most one clique of order 1 is allowed")
-    edges = []
-    labels = {0: "u"}
-    base = 1
-    for i, s in enumerate(sizes, 1):
-        for a in range(s):
-            labels[base + a] = f"k{i}_{a + 1}"
-            edges.append((0, base + a))
-            for b in range(a + 1, s):
-                edges.append((base + a, base + b))
-        base += s
-    return Graph.from_edges(base, edges, labels)
+    n = 1 + sum(sizes)
+    edges, labels = _cliques(sizes, 1)
+    edges += [(0, v) for v in range(1, n)]
+    return Graph.from_edges(n, edges, {0: "u", **labels})
 
 
 def fan(k: int) -> Graph:
@@ -169,8 +167,7 @@ def thin_sun(k: int, chords=()) -> Graph:
         norm.add((a, b))
     labels = {i: f"c{i + 1}" for i in range(k)}
     labels.update({k + i: f"s{i + 1}" for i in range(k)})
-    edges = {(i, (i + 1) % k) if i + 1 < k else (0, k - 1) for i in range(k)}
-    edges = {(min(a, b), max(a, b)) for a, b in edges}
+    edges = {(i, i + 1) for i in range(k - 1)} | {(0, k - 1)}
     edges |= {(a - 1, b - 1) for a, b in norm}
     edges |= {(i, k + i) for i in range(k)}
     return Graph.from_edges(2 * k, sorted(edges), labels)
@@ -414,8 +411,7 @@ def open_c_twins(g: Graph) -> list[tuple[int, int]]:
     pairs = []
     for i, u in enumerate(cycle_vs):
         for v in cycle_vs[i + 1 :]:
-            if g.has_edge(u, v):
-                continue
+            # u lies in N(v) but not in N(u), so adjacent pairs never match
             if g.adj[u] & cmask == g.adj[v] & cmask:
                 pairs.append((u, v))
     return pairs

@@ -87,7 +87,7 @@ class Graph:
     roles (gadget parts, family roles); it never affects the algebra.
     """
 
-    __slots__ = ("n", "adj", "labels", "_full")
+    __slots__ = ("n", "adj", "labels")
 
     def __init__(self, n: int, adj: tuple[int, ...], labels: dict[int, str] | None = None):
         if n < 0:
@@ -110,7 +110,6 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         self.labels = dict(labels) if labels else {}
-        self._full = full
 
     @classmethod
     def from_edges(cls, n: int, edges, labels: dict[int, str] | None = None) -> "Graph":
@@ -390,7 +389,11 @@ def parse_graph(text: str) -> Graph:
             continue
         if line.startswith("#"):
             parts = line[1:].split()
-            if len(parts) == 3 and parts[0] == "role":
+            if parts[:1] == ["role"]:
+                if len(parts) != 3:
+                    raise GraphFormatError(
+                        f"line {lineno}: #role needs a vertex and a label, got {line!r}"
+                    )
                 if not _VERTEX_NUMBER.fullmatch(parts[1]):
                     raise GraphFormatError(f"line {lineno}: malformed #role vertex {parts[1]!r}")
                 labels[int(parts[1])] = parts[2]
@@ -458,7 +461,7 @@ def parse_graph_json(text: str) -> Graph:
         if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
             raise GraphFormatError(f"malformed edge entry {e!r}")
         edges.append((e[0], e[1]))
-    raw_labels = obj.get("labels") or {}
+    raw_labels = obj.get("labels", {})
     if not isinstance(raw_labels, dict):
         raise GraphFormatError("'labels' must be an object")
     labels = {}

@@ -71,13 +71,13 @@ class ConstraintSystem:
         return len(self.equalities), len(self.inequalities)
 
 
-def _rank_family(vertices, floor_size: int, slack: int, source: str):
-    """Constraints x(V') >= |V'| - slack for all V' with |V'| >= floor_size."""
+def _rank_family(vertices, q: int, source: str):
+    """Constraints x(V') >= |V'| - q + 1 for all V' with |V'| >= q."""
     vertices = sorted(vertices)
     out = []
-    for size in range(floor_size, len(vertices) + 1):
+    for size in range(q, len(vertices) + 1):
         for sub in combinations(vertices, size):
-            out.append(RankConstraint(frozenset(sub), size - slack, source))
+            out.append(RankConstraint(frozenset(sub), size - q + 1, source))
     return out
 
 
@@ -86,7 +86,7 @@ def qrose_system(n: int, q: int) -> ConstraintSystem:
     for every subset of at least q of the n ground vertices."""
     if not 2 <= q < n:
         raise ValueError("q-rose needs 2 <= q < n")
-    return ConstraintSystem(n, (), tuple(_rank_family(range(n), q, q - 1, "rose rank")))
+    return ConstraintSystem(n, (), tuple(_rank_family(range(n), q, "rose rank")))
 
 
 # -- role helpers -----------------------------------------------------------------
@@ -146,12 +146,12 @@ def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
     if hint == "clique":
         if g.m != n * (n - 1) // 2 or n < 2:
             raise _role_mismatch(hint, "not a complete graph on >= 2 vertices")
-        return ConstraintSystem(n, (), tuple(_rank_family(range(n), 2, 1, "clique rank")))
+        return ConstraintSystem(n, (), tuple(_rank_family(range(n), 2, "clique rank")))
 
     if hint == "matching":
         if n % 2 or any(g.degree(v) != 1 for v in range(n)):
             raise _role_mismatch(hint, "not a perfect matching")
-        return ConstraintSystem(n, (), tuple(_rank_family(range(n), 2, 1, "matching rank")))
+        return ConstraintSystem(n, (), tuple(_rank_family(range(n), 2, "matching rank")))
 
     if hint == "generic":  # read the clutter itself
         clutter = build_clutter(g, CodeKind.OD)
@@ -164,7 +164,7 @@ def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
     _require_member(g, hint)
     if hint == "fan":
         rest = [v for v in range(n) if g.labels[v] != "u"]
-        return ConstraintSystem(n, (), tuple(_rank_family(rest, 2, 1, "fan rank")))
+        return ConstraintSystem(n, (), tuple(_rank_family(rest, 2, "fan rank")))
 
     if hint == "half-graph":
         us = role_sequence(g, "u")
@@ -179,9 +179,9 @@ def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
         k = len(qs)
         if hint == "extended-thin-spider":
             ss = ss[1:]  # s1..sk after s0
-        ineqs = list(_rank_family(qs, 2, 1, "clique-part rank"))
+        ineqs = list(_rank_family(qs, 2, "clique-part rank"))
         if hint == "thick-spider":
-            ineqs += _rank_family(ss, k - 1, k - 2, "stable-part rank")
+            ineqs += _rank_family(ss, k - 1, "stable-part rank")
             return ConstraintSystem(n, (), tuple(ineqs))
         pairs = range(k) if hint == "thin-spider" else range(k - 1)
         for i in pairs:
@@ -203,7 +203,7 @@ def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
             raise _role_mismatch(hint, "sunlet system stated for k >= 5")
         for i in range(k):
             block = [ss[i], cs[(i - 1) % k], cs[i], cs[(i + 1) % k]]
-            for c in _rank_family(block, 2, 1, "pendant block rank"):
+            for c in _rank_family(block, 2, "pendant block rank"):
                 put(c)
     else:  # almost complete thin sun
         l = k // 2
@@ -211,7 +211,7 @@ def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
             put(RankConstraint(frozenset({ss[i], ss[i + l]}), 1, "antipodal pendants"))
         for i in range(k):
             put(RankConstraint(frozenset({ss[i], cs[i]}), 1, "pendant edge"))
-    for c in _rank_family(cs, 2, 1, "cycle rank"):
+    for c in _rank_family(cs, 2, "cycle rank"):
         put(c)
     ineqs = sorted(constraints.values(), key=lambda c: (len(c.support), sorted(c.support)))
     return ConstraintSystem(n, (), tuple(ineqs))
@@ -314,10 +314,8 @@ def integer_hull_equiv(sys: ConstraintSystem, c: Clutter) -> HullReport:
 
 
 def minimum_over_system(sys: ConstraintSystem) -> int:
-    """Smallest 1-count of a 0/1 point satisfying the system (enumerated)."""
+    """Smallest 1-count of a 0/1 point satisfying the system (enumerated).
+    The all-ones point always does, as every rhs is at most its support size."""
     if sys.n > ENUMERATION_LIMIT:
         raise ValueError("enumeration limit exceeded")
-    best = min((x.bit_count() for x in range(1 << sys.n) if sys.satisfied_by(x)), default=None)
-    if best is None:
-        raise ValueError("system has no 0/1 point")
-    return best
+    return min(x.bit_count() for x in range(1 << sys.n) if sys.satisfied_by(x))

@@ -411,7 +411,7 @@ def oracle_corpus() -> list[tuple[str, Graph]]:
     for name in ("gem", "gem-complement", "bull", "bow", "net", "sun", "2p2", "p4", "p5"):
         corpus.append((name, named_graph(name)))
     for n in range(1, 6):
-        corpus.append((f"K{n}", generate(FamilySpec("clique", n=n)) if n > 1 else Graph.from_edges(1, [])))
+        corpus.append((f"K{n}", generate(FamilySpec("clique", n=n))))
     for n in (3, 5, 6, 7):
         corpus.append((f"P{n}", generate(FamilySpec("path", n=n))))
     for n in (4, 5, 6, 7):

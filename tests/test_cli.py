@@ -11,6 +11,17 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def refusal(capsys, *argv):
+    """(exit status, error code, message) of a refused command, after
+    checking that text mode and --json report the same message."""
+    code, out, err = run(capsys, *argv)
+    json_code, json_out, json_err = run(capsys, *argv, "--json")
+    error = json.loads(json_out)["error"]
+    assert out == "" and json_err == "" and json_code == code
+    assert err == f"error: {error['message']}\n"
+    return code, error["code"], error["message"]
+
+
 @pytest.fixture
 def p4_file(tmp_path):
     path = tmp_path / "p4.txt"
@@ -48,12 +59,16 @@ def lsat_file(tmp_path):
             ("verify", "{graph}", "--code", "0,x"),
             "--code expects comma-separated vertex numbers, e.g. 0,2,3, got '0,x'",
         ),
+        (
+            ("generate", "--family", "fan", "--params", "k"),
+            "malformed parameter 'k', expected key=value",
+        ),
     ],
-    ids=["chords", "k", "sizes", "polyhedron-sizes", "verify-code"],
+    ids=["chords", "k", "sizes", "polyhedron-sizes", "verify-code", "params-without-equals"],
 )
 def test_malformed_value_names_parameter_and_form(capsys, p4_file, argv, message):
-    code, out, err = run(capsys, *(a.format(graph=p4_file) for a in argv))
-    assert code == 2 and out == "" and err == f"error: {message}\n"
+    argv = [a.format(graph=p4_file) for a in argv]
+    assert refusal(capsys, *argv) == (2, "usage", message)
 
 
 class TestGenerate:
@@ -160,20 +175,43 @@ class TestGraphCommands:
         assert code == 2 and needle in err and out == ""
 
     @pytest.mark.parametrize(
-        "text",
+        "text,message",
         [
-            '{"n": 2, "edges": [[0, 1.9]]}',
-            '{"n": true, "edges": []}',
-            '{"n": 2, "edges": [[0, true]]}',
-            '{"n": 2, "edges": [[0, 1]], "labels": [1]}',
+            ('{"n": 2, "edges": [[0, 1.9]]}', "malformed edge entry [0, 1.9]"),
+            ('{"n": true, "edges": []}', "'n' must be a non-negative integer"),
+            ('{"n": 2, "edges": [[0, true]]}', "malformed edge entry [0, True]"),
+            ('{"n": 2, "edges": [[0, 1]], "labels": [1]}', "'labels' must be an object"),
+            ('{"n": 2, "edges": [[0, 1]], "labels": []}', "'labels' must be an object"),
+            ('{"n": 2, "edges": [[0, 1]], "labels": 0}', "'labels' must be an object"),
+            ('{"n": 2, "edges": [[0, 1]], "labels": ""}', "'labels' must be an object"),
+            ('{"n": 2, "edges": [[0, 1]], "labels": false}', "'labels' must be an object"),
+            ('{"n": 2, "edges": [[0, 1]], "labels": null}', "'labels' must be an object"),
+            ('{"n": 2, "edges": [[0, 1]]', "invalid JSON: "),
+            ('{"edges": [[0, 1]]}', "JSON graph needs 'n' and 'edges' keys"),
+            ('{"n": 2}', "JSON graph needs 'n' and 'edges' keys"),
+            ('{"n": 2, "edges": {"0": 1}}', "'edges' must be a list"),
         ],
-        ids=["float-endpoint", "bool-n", "bool-endpoint", "labels-list"],
+        ids=[
+            "float-endpoint",
+            "bool-n",
+            "bool-endpoint",
+            "labels-list",
+            "labels-empty-list",
+            "labels-zero",
+            "labels-empty-string",
+            "labels-false",
+            "labels-null",
+            "invalid-json",
+            "no-n",
+            "no-edges",
+            "edges-object",
+        ],
     )
-    def test_malformed_json_graph(self, capsys, tmp_path, text):
+    def test_malformed_json_graph(self, capsys, tmp_path, text, message):
         path = tmp_path / "g.json"
         path.write_text(text)
-        code, out, _ = run(capsys, "gamma", str(path), "--json")
-        assert code == 2 and json.loads(out)["error"]["code"] == "format"
+        code, error_code, got = refusal(capsys, "gamma", str(path))
+        assert (code, error_code) == (2, "format") and got.startswith(message)
 
     @pytest.mark.parametrize("command,cap", [("gamma", "0"), ("gamma", "-2"), ("tau", "0")])
     def test_enumerate_cap_below_one_is_usage_error(self, capsys, p4_file, tmp_path, command, cap):
@@ -218,6 +256,37 @@ class TestGraphCommands:
 
     def test_missing_file(self, capsys):
         assert run(capsys, "gamma", "/nonexistent/file.txt")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        ("gamma", "2 1\n0 1 2\n", "line 2: expected two integers, got '0 1 2'"),
+        ("gamma", "2 1\n0 x\n", "line 2: non-integer field in '0 x'"),
+        ("gamma", "# no header\n", "missing 'n m' header line"),
+        ("gamma", "-1 0\n", "header counts must be non-negative"),
+        ("reduce-sat", "p lsat 1 1\np lsat 1 1\n1 0\n", "line 2: second header line"),
+        ("reduce-sat", "p lsat x 1\n1 0\n", "line 1: non-integer header counts"),
+        ("reduce-sat", "p lsat 1 1\n1 a 0\n", "line 2: non-integer token"),
+        ("reduce-sat", "c no header\n", "missing 'p lsat' header"),
+        ("reduce-sat", "p lsat -1 0\n", "header counts must be non-negative"),
+    ],
+    ids=[
+        "graph-three-fields",
+        "graph-non-integer",
+        "graph-no-header",
+        "graph-negative-header",
+        "lsat-second-header",
+        "lsat-non-integer-header",
+        "lsat-non-integer-token",
+        "lsat-no-header",
+        "lsat-negative-header",
+    ],
+)
+def test_malformed_file_is_a_format_error(capsys, tmp_path, command, text, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert refusal(capsys, command, str(path)) == (2, "format", message)
 
 
 class TestSatCommands:
@@ -289,6 +358,13 @@ def p11_json(labels):
         ("g.txt", P11 + "#role 1_0 q1\n", "line 12: malformed #role vertex '1_0'"),
         ("g.txt", P11 + "#role 01 q1\n", "line 12: malformed #role vertex '01'"),
         ("g.txt", P11 + "#role +1 q1\n", "line 12: malformed #role vertex '+1'"),
+        (
+            "g.txt",
+            P11 + "#role 1 a b\n",
+            "line 12: #role needs a vertex and a label, got '#role 1 a b'",
+        ),
+        ("g.txt", P11 + "#role 0\n", "line 12: #role needs a vertex and a label, got '#role 0'"),
+        ("g.txt", P11 + "#role 11 q1\n", "#role comment names out-of-range vertex 11"),
     ],
     ids=[
         "key-underscore",
@@ -301,6 +377,9 @@ def p11_json(labels):
         "role-underscore",
         "role-leading-zero",
         "role-sign",
+        "role-three-fields",
+        "role-one-field",
+        "role-out-of-range",
     ],
 )
 def test_label_vertex_must_be_plain_decimal_and_label_a_string(

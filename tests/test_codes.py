@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from odcodes.clutters import InadmissibleGraphError, build_hypergraph
+from odcodes.clutters import InadmissibleGraphError, build_hypergraph, forced_vertices_direct
 from odcodes.codes import (
     brute_force_gamma,
     check_relations,
@@ -96,6 +96,9 @@ class TestVerify:
         g = Graph.from_edges(15, [])
         rep = verify(g, set(), CodeKind.OD)
         assert len(rep.unseparated) == 100
+        rep = verify(Graph.from_edges(120, []), set(), CodeKind.OTD)
+        assert rep.undominated == tuple(range(100))
+        assert [(u, v) for u, v, _ in rep.unseparated] == [(0, v) for v in range(1, 101)]
 
 
 class TestGamma:
@@ -114,6 +117,22 @@ class TestGamma:
     def test_inadmissible_raises_named_reason(self):
         with pytest.raises(InadmissibleGraphError, match="open twins"):
             gamma(Graph.from_edges(2, []), CodeKind.OD)
+
+    @pytest.mark.parametrize(
+        "refuse",
+        [
+            lambda g: build_hypergraph(g, CodeKind.OD),
+            lambda g: gamma(g, CodeKind.OD),
+            lambda g: brute_force_gamma(g, CodeKind.OD),
+            forced_vertices_direct,
+            check_relations,
+        ],
+        ids=["hypergraph", "gamma", "brute-force", "forced-direct", "relations"],
+    )
+    def test_every_entry_point_refuses_with_one_message(self, refuse):
+        with pytest.raises(InadmissibleGraphError) as exc:
+            refuse(Graph.from_edges(3, [(0, 1), (0, 2)]))
+        assert str(exc.value) == "graph is not OD-admissible: open twins: [(1, 2)]"
 
     def test_all_optima_valid(self):
         value, optima, truncated = gamma_all_optima(P4, CodeKind.OD)

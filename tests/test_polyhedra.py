@@ -127,6 +127,8 @@ class TestSystems:
                 ),
                 "sunlet",
             ),  # the cycle is two triangles
+            (clique(4), "thin-spider"),  # k = 2 has no thin spider
+            (Graph.from_edges(8, thin_spider(4).edges()), "thin-spider"),
         ],
         ids=[
             "thin-spider-as-thick",
@@ -136,6 +138,8 @@ class TestSystems:
             "thin-spider-without-q1q2",
             "half-graph-with-u1u2",
             "sunlet-6-two-triangles",
+            "thin-spider-order-4",
+            "thin-spider-unlabelled",
         ],
     )
     def test_hint_mismatch_rejected(self, g, hint):
@@ -162,6 +166,8 @@ class TestSystems:
             RankConstraint(frozenset({0}), 0)
         with pytest.raises(ValueError):
             ConstraintSystem(2, (5,), ())
+        with pytest.raises(ValueError, match="inequality support out of range"):
+            ConstraintSystem(2, (), (RankConstraint(frozenset({0, 2}), 1),))
 
 
 FAMILY_CASES = [
@@ -215,6 +221,18 @@ class TestChecks:
         bad = ConstraintSystem(sys.n, sys.equalities, tuple(bumped))
         rep = check_validity(bad, build_clutter(g, CodeKind.OD))
         assert not rep.ok and rep.counterexample is not None
+
+    def test_broken_equation_named(self):
+        g = clique(4)
+        sys = od_polyhedron_system(g, "clique")
+        bad = ConstraintSystem(sys.n, (0,), sys.inequalities)
+        rep = check_validity(bad, build_clutter(g, CodeKind.OD))
+        assert not rep.ok and rep.counterexample == (frozenset({1, 2, 3}), "x_0 = 1")
+
+    @pytest.mark.parametrize("check", [check_validity, check_tightness, integer_hull_equiv])
+    def test_system_and_clutter_sizes_must_agree(self, check):
+        with pytest.raises(ValueError, match="system and clutter sizes differ"):
+            check(qrose_system(4, 2), qrose_clutter(5, 2))
 
     def test_deleted_constraint_breaks_hull(self):
         g = thin_spider(4)
