@@ -11,6 +11,7 @@ edges), multi-vertex edges, and the ground-irrelevant vertex set.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .graphs import CodeKind, Graph, _is_int, bits, code_masks, is_admissible, mask_of
@@ -28,9 +29,20 @@ def require_admissible(g: Graph, kind: CodeKind) -> None:
         raise InadmissibleGraphError(f"graph is not {kind.value}-admissible: {adm.reason}")
 
 
-def _clutter_order(mask: int) -> tuple[int, tuple[int, ...]]:
-    """Sort key of clutter edges: by size, then by member tuple."""
-    return mask.bit_count(), tuple(bits(mask))
+def _clutter_order(width: int) -> Callable[[int], int]:
+    """Sort key of clutter edges below 1 << width: by size, then by member tuple.
+
+    Of two equal-size edges, A's member tuple comes first iff the lowest
+    vertex of A ^ B lies in A, that is iff A with its bits reversed over
+    width places is the larger int; so the key is the size, shifted past
+    width bits, minus that reversal.
+    """
+    spec = f"0{width}b"
+
+    def key(mask: int) -> int:
+        return (mask.bit_count() << width) - int(format(mask, spec)[::-1], 2)
+
+    return key
 
 
 @dataclass(frozen=True)
@@ -110,18 +122,22 @@ def reduce_hypergraph(h: Hypergraph) -> Clutter:
     """Drop duplicate and superset-redundant edges; covering number is kept.
 
     Duplicates merge into one edge carrying every source tag.  The result is
-    an antichain ordered by (size, member tuple).
+    an antichain ordered by (size, member tuple).  Kept edges are indexed by
+    their lowest vertex, so an edge is tested only against the kept edges
+    whose lowest vertex it holds, as any subset of it must be.
     """
     merged: dict[int, list[str]] = {}
     for e in h.edges:
         if e.members == 0:
             raise ValueError(f"empty hyperedge from {e.sources}")
         merged.setdefault(e.members, []).extend(e.sources)
-    ordered = sorted(merged, key=_clutter_order)
     kept: list[int] = []
-    for mask in ordered:
-        if not any(k & mask == k for k in kept):
+    by_low: dict[int, list[int]] = {}
+    width = max(merged, default=0).bit_length()
+    for mask in sorted(merged, key=_clutter_order(width)):
+        if not any(k & mask == k for low in by_low if low & mask for k in by_low[low]):
             kept.append(mask)
+            by_low.setdefault(mask & -mask, []).append(mask)
     edges = tuple(Hyperedge(m, tuple(sorted(merged[m]))) for m in kept)
     return Clutter(h.n, edges, h.kind)
 
@@ -195,5 +211,6 @@ def clutter_from_json(obj: dict) -> Clutter:
         if mask == 0:
             raise ValueError("empty edge in clutter JSON")
         edges.append(Hyperedge(mask, sources))
-    edges.sort(key=lambda e: _clutter_order(e.members))
+    order = _clutter_order(n)
+    edges.sort(key=lambda e: order(e.members))
     return Clutter(n, tuple(edges), kind)

@@ -37,22 +37,30 @@ class CoverResult:
 
 
 def greedy_cover(c: Clutter) -> frozenset[int]:
-    """Max-coverage greedy cover, ties broken by lowest vertex index."""
+    """Max-coverage greedy cover, ties broken by lowest vertex index.
+
+    Each vertex's count of uncovered edges is taken in one pass and then
+    lowered as the edges it holds get covered, so no round rescans them.
+    """
     uncovered = list(c.edge_masks())
     if any(m == 0 for m in uncovered):
         raise ValueError("clutter has an empty edge")
+    hits = [0] * max(uncovered, default=0).bit_length()
+    for m in uncovered:
+        for v in bits(m):
+            hits[v] += 1
     chosen = 0
     while uncovered:
-        candidates = 0
+        b = 1 << hits.index(max(hits))
+        chosen |= b
+        rest = []
         for m in uncovered:
-            candidates |= m
-        best_v, best_hits = -1, -1
-        for v in bits(candidates):
-            hits = sum(1 for m in uncovered if m >> v & 1)
-            if hits > best_hits:
-                best_v, best_hits = v, hits
-        chosen |= 1 << best_v
-        uncovered = [m for m in uncovered if not m >> best_v & 1]
+            if m & b:
+                for v in bits(m):
+                    hits[v] -= 1
+            else:
+                rest.append(m)
+        uncovered = rest
     return frozenset(bits(chosen))
 
 

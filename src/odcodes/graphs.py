@@ -470,6 +470,11 @@ def parse_graph_json(text: str) -> Graph:
             raise GraphFormatError(f"malformed label key {k!r}")
         if not isinstance(s, str):
             raise GraphFormatError(f"label of vertex {k} must be a string, got {json.dumps(s)}")
+        # the text format writes a label as one whitespace-free field
+        if s.split() != [s]:
+            raise GraphFormatError(
+                f"label of vertex {k} must be non-empty and free of whitespace, got {json.dumps(s)}"
+            )
         labels[int(k)] = s
     try:
         return Graph.from_edges(n, edges, labels)

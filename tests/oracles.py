@@ -227,6 +227,29 @@ def reference_min_cover(c, enumerate_all=False, cap=10_000):
     return value, members(state["witness"]), state["nodes"], optima_out, truncated
 
 
+def reference_reduce_hypergraph(h):
+    """The reduction that predates the lowest-vertex index, kept verbatim:
+    merge duplicate edges, sort by (size, member tuple) and test every edge
+    against every kept edge.  Returns the library's Clutter type."""
+    from odcodes.clutters import Clutter, Hyperedge
+
+    def order(mask):
+        return mask.bit_count(), tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+    merged = {}
+    for e in h.edges:
+        if e.members == 0:
+            raise ValueError(f"empty hyperedge from {e.sources}")
+        merged.setdefault(e.members, []).extend(e.sources)
+    ordered = sorted(merged, key=order)
+    kept = []
+    for mask in ordered:
+        if not any(k & mask == k for k in kept):
+            kept.append(mask)
+    edges = tuple(Hyperedge(m, tuple(sorted(merged[m]))) for m in kept)
+    return Clutter(h.n, edges, h.kind)
+
+
 def reference_saturate(n_vars, clauses):
     """The saturation loop that predates the one-pass padding: recount every
     literal, pad the smallest once-occurring one (by variable, positive

@@ -355,6 +355,21 @@ def p11_json(labels):
         ("g.json", p11_json({"1": None}), "label of vertex 1 must be a string, got null"),
         ("g.json", p11_json({"1": 7}), "label of vertex 1 must be a string, got 7"),
         ("g.json", p11_json({"1": True}), "label of vertex 1 must be a string, got true"),
+        (
+            "g.json",
+            p11_json({"1": "a b"}),
+            'label of vertex 1 must be non-empty and free of whitespace, got "a b"',
+        ),
+        (
+            "g.json",
+            p11_json({"1": ""}),
+            'label of vertex 1 must be non-empty and free of whitespace, got ""',
+        ),
+        (
+            "g.json",
+            p11_json({"1": "\t"}),
+            'label of vertex 1 must be non-empty and free of whitespace, got "\\t"',
+        ),
         ("g.txt", P11 + "#role 1_0 q1\n", "line 12: malformed #role vertex '1_0'"),
         ("g.txt", P11 + "#role 01 q1\n", "line 12: malformed #role vertex '01'"),
         ("g.txt", P11 + "#role +1 q1\n", "line 12: malformed #role vertex '+1'"),
@@ -374,6 +389,9 @@ def p11_json(labels):
         "value-null",
         "value-int",
         "value-bool",
+        "value-space",
+        "value-empty",
+        "value-tab",
         "role-underscore",
         "role-leading-zero",
         "role-sign",

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from odcodes.clutters import (
 )
 from odcodes.cover import min_cover
 from odcodes.graphs import CodeKind, Graph, is_admissible, mask_of
-from oracles import naive_gamma
+from oracles import naive_gamma, reference_reduce_hypergraph
 
 from test_graphs import complete, path, random_graph
 
@@ -127,6 +128,77 @@ class TestReduce:
         bad = type(h)(h.n, h.kind, h.edges + (Hyperedge(0, ("manual",)),))
         with pytest.raises(ValueError):
             reduce_hypergraph(bad)
+
+
+# The largest member of each family the benchmark solves, n up to 80.
+LARGE_MEMBERS = (
+    ("thin-spider", {"k": 40}),
+    ("extended-thin-spider", {"k": 39}),
+    ("sunlet", {"k": 40}),
+    ("half-graph", {"k": 40}),
+    ("fan", {"k": 24}),
+    ("clique", {"n": 48}),
+    ("matching", {"k": 24}),
+)
+
+
+@functools.cache
+def reduction_corpus(source):
+    """Hypergraphs of every admissible kind, for one source of graphs."""
+    from odcodes.families import FamilySpec, generate
+    from odcodes.reports import family_specs
+    from odcodes.sat_reduction import build_gadget, enumerate_slsat
+
+    if source == "random":
+        rng = random.Random(29)
+        graphs = [random_graph(rng.randint(1, 30), rng.random(), rng) for _ in range(60)]
+    elif source == "families":
+        graphs = [generate(FamilySpec(f, **params)) for f, params in LARGE_MEMBERS]
+        graphs += [generate(spec) for spec in family_specs(14)]
+    else:
+        graphs = [build_gadget(inst).graph for inst, _ in zip(enumerate_slsat(3, 6), range(16))]
+    return tuple(
+        build_hypergraph(g, kind) for g in graphs for kind in CodeKind if is_admissible(g, kind).ok
+    )
+
+
+CORPUS_SOURCES = ("random", "families", "slsat-gadgets")
+
+
+class TestSameClutterAsReference:
+    """The indexed reduction gives exactly the all-pairs scan's clutter."""
+
+    @pytest.mark.parametrize("source", CORPUS_SOURCES)
+    def test_corpus(self, source):
+        hypergraphs = reduction_corpus(source)
+        assert {h.kind for h in hypergraphs} == set(CodeKind)
+        for h in hypergraphs:
+            assert reduce_hypergraph(h) == reference_reduce_hypergraph(h)
+
+
+class TestReductionProperties:
+    """Random mask lists: antichain, every dropped mask covered, same as reference."""
+
+    def test_random_mask_lists(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from odcodes.clutters import Hypergraph
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 12))
+            masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=40))
+            edges = tuple(Hyperedge(m, (f"e{i}",)) for i, m in enumerate(masks))
+            h = Hypergraph(n, CodeKind.OD, edges)
+            c = reduce_hypergraph(h)
+            kept = c.edge_masks()
+            assert all(a & b != a for a in kept for b in kept if a != b)
+            assert all(any(k & m == k for k in kept) for m in masks)
+            assert set(kept) <= set(masks)
+            assert c == reference_reduce_hypergraph(h)
+
+        check()
 
 
 class TestTauPreservation:

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from odcodes.clutters import Clutter, Hyperedge, build_clutter
+from odcodes.clutters import Clutter, Hyperedge, build_clutter, reduce_hypergraph
 from odcodes.cover import CoverResult, greedy_cover, min_cover, qrose_clutter, tau_q_rose
 from odcodes.families import random_od_admissible
 from odcodes.graphs import CodeKind, mask_of
-from oracles import naive_min_cover, reference_min_cover
+from oracles import _reference_greedy, naive_min_cover, reference_min_cover
 
+from test_clutters import CORPUS_SOURCES, reduction_corpus
 from test_graphs import complete, cycle, path
 
 
@@ -33,6 +34,15 @@ class TestGreedy:
     def test_empty_edge_rejected(self):
         with pytest.raises(ValueError):
             greedy_cover(clutter_of(2, set()))
+
+    def test_empty_clutter(self):
+        assert greedy_cover(Clutter(3, ())) == frozenset()
+
+    @pytest.mark.parametrize("source", CORPUS_SOURCES)
+    def test_same_cover_as_reference(self, source):
+        for h in reduction_corpus(source):
+            c = reduce_hypergraph(h)
+            assert mask_of(greedy_cover(c)) == _reference_greedy(c.edge_masks())
 
 
 class TestMinCover:

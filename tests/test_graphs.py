@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -299,11 +300,34 @@ class TestIO:
             parse_graph("3 2\n0 1\n")
 
     def test_json_roundtrip(self):
-        import json
-
         g = gem()
         g2 = parse_graph_json(json.dumps(graph_to_json(g)))
         assert g2 == g
+
+    @pytest.mark.parametrize("label", ["a", "w1:x1", "#", "role", "é→ü", "x" * 40, "0"])
+    def test_json_label_round_trips_through_text(self, label):
+        obj = {"n": 3, "edges": [[0, 1], [1, 2]], "labels": {"0": label, "2": label + "2"}}
+        g = parse_graph_json(json.dumps(obj))
+        assert parse_graph(graph_to_text(g)) == g
+        assert graph_to_json(g) == obj
+
+    @pytest.mark.parametrize("label", [" a", "a\n", "a\u2028b"])
+    def test_json_label_that_text_cannot_hold_rejected(self, label):
+        obj = {"n": 2, "edges": [[0, 1]], "labels": {"1": label}}
+        with pytest.raises(GraphFormatError, match="label of vertex 1 must be non-empty"):
+            parse_graph_json(json.dumps(obj))
+
+    def test_library_labels_round_trip_through_json_and_text(self):
+        from odcodes.families import generate
+        from odcodes.reports import family_specs
+        from odcodes.sat_reduction import build_gadget, enumerate_slsat
+
+        graphs = [generate(spec) for spec in family_specs(12)]
+        graphs += [build_gadget(inst).graph for inst, _ in zip(enumerate_slsat(3, 6), range(5))]
+        assert any(g.labels for g in graphs)
+        for g in graphs:
+            assert parse_graph_json(json.dumps(graph_to_json(g))) == g
+            assert parse_graph(graph_to_text(g)) == g
 
     def test_json_labels(self):
         g = parse_graph_json('{"n": 2, "edges": [[0, 1]], "labels": {"0": "w1:x1"}}')
