@@ -5,13 +5,14 @@ clutter, gamma, verify, relations, reduce-sat, sat-roundtrip, tau,
 polyhedron, and paper-report.  Each handler computes one result dict and
 renders its text from that dict; ``main`` prints the dict as JSON (--json,
 schema version 1) or the text.  Exit status: 0 on success/valid/pass, 1 on
-invalid/fail, 2 on usage or format errors.
+invalid/fail or when stdout cannot be written, 2 on usage or format errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -448,6 +449,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _OutputError(Exception):
+    """stdout refused a write; kept apart from the commands' own OSErrors."""
+
+
+def _emit(chunk: str) -> None:
+    """Print one piece of output and flush it, so a failed write shows here."""
+    try:
+        print(chunk, end="" if chunk.endswith("\n") else "\n", flush=True)
+    except OSError as exc:
+        raise _OutputError(exc) from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -456,19 +469,27 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     json_mode = getattr(args, "json", False)
     try:
-        status, obj, text = args.fn(args)
-        for chunk in [text] if isinstance(text, str) else text:
-            if not json_mode:
-                print(chunk, end="" if chunk.endswith("\n") else "\n")
-    except (UsageError, ValueError, OSError) as exc:
-        code = next(code for types, code in ERROR_CODES if isinstance(exc, types))
+        try:
+            status, obj, text = args.fn(args)
+            for chunk in [text] if isinstance(text, str) else text:
+                if not json_mode:
+                    _emit(chunk)
+        except (UsageError, ValueError, OSError) as exc:
+            code = next(code for types, code in ERROR_CODES if isinstance(exc, types))
+            if json_mode:
+                _emit(json.dumps({"schema": SCHEMA, "error": {"code": code, "message": str(exc)}}))
+            else:
+                print(f"error: {exc}", file=sys.stderr)
+            return 1 if code == "inadmissible" else 2
         if json_mode:
-            print(json.dumps({"schema": SCHEMA, "error": {"code": code, "message": str(exc)}}))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1 if code == "inadmissible" else 2
-    if json_mode:
-        print(json.dumps({"schema": SCHEMA, **obj}, sort_keys=True))
+            _emit(json.dumps({"schema": SCHEMA, **obj}, sort_keys=True))
+    except _OutputError as exc:
+        # What stdout still buffers goes to devnull, so the flush at exit
+        # cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc.__cause__, BrokenPipeError):
+            print(f"error: cannot write output: {exc.__cause__}", file=sys.stderr)
+        return 1
     return status() if callable(status) else status
 
 

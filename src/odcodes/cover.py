@@ -9,7 +9,10 @@ two sorted runs.  Forced vertices (singleton edges) therefore sit in the
 sorted prefix and are absorbed in one pass.  The lower bound is a greedy
 packing of pairwise-disjoint edges in that order, stopped as soon as it
 prunes.  Branching picks the most frequent vertex inside a smallest edge,
-lowest index on ties.
+lowest index on ties.  With one vertex left in the budget, the leaves are
+the vertices in every edge, handed on lowest first, which is the order the
+branching would take them in.  With two left, the node is pruned unless some
+vertex of the first edge leaves edges that one vertex hits.
 
 One walk serves both passes: it prunes at a limit and hands each surviving
 leaf to a callback.  The value pass prunes at one below the incumbent and
@@ -21,7 +24,9 @@ repeated solves yield identical witnesses and node counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 from .clutters import Clutter, Hyperedge
 from .graphs import bits, mask_of
@@ -115,6 +120,17 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
             if count <= limit:
                 leaf(selected, count)
             return
+        if count + 1 >= limit:
+            # One vertex left: it must lie in every edge, and those are the
+            # vertices branching would take, lowest first.  An improving
+            # leaf lowers the limit and ends the loop.
+            if count + 1 == limit:
+                common = reduce(and_, edges, full)
+                while common and count < limit:
+                    b = common & -common
+                    common ^= b
+                    leaf(selected | b, count + 1)
+            return
         used, bound = 0, count
         for k in edges:
             if not k & used:
@@ -123,14 +139,21 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
                     return
                 used |= k & full
         # The most frequent vertex of edges[0] leaves the shortest include
-        # list; the strict < keeps the lowest index on ties.
+        # list; the strict < keeps the lowest index on ties.  With two
+        # vertices left, no leaf lies below unless some kept list has a vertex
+        # in every edge (the AND over no edges is full, so nonzero).
         rest, inc, vbit = edges[0] & full, None, 0
+        finishable = count + 2 < limit
         while rest:
             b = rest & -rest
             rest ^= b
             kept = [k for k in edges if not k & b]
             if inc is None or len(kept) < len(inc):
                 inc, vbit = kept, b
+            if not finishable:
+                finishable = reduce(and_, kept, full) != 0
+        if not finishable:
+            return
         walk(inc, selected | vbit, count + 1)
         dec = one | vbit
         exc = inc + [k - dec for k in edges if k & vbit]

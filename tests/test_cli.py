@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -538,3 +542,38 @@ class TestDeterminism:
             _, out, _ = run(capsys, "paper-report", "bounds", "--json")
             outs.add(out)
         assert len(outs) == 1
+
+
+def run_cli_into(stdout, *argv):
+    """Run the CLI in a child process with the given stdout file object."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "odcodes.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+    )
+
+
+GENERATE = ["generate", "--family", "fan", "--params", "k=3"]
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+class TestOutputFailure:
+    def test_closed_pipe_exits_1_quietly(self, mode):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "w") as closed:
+            proc = run_cli_into(closed, *GENERATE, *mode)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_is_a_named_error(self, mode):
+        with open("/dev/full", "w") as full:
+            proc = run_cli_into(full, *GENERATE, *mode)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot write output: ")
+        assert "Traceback" not in proc.stderr

@@ -140,6 +140,34 @@ class TestGamma:
         assert all(verify(P4, opt, CodeKind.OD).valid for opt in optima)
 
 
+class TestGammaProperties:
+    """Random graphs with n <= 9: gamma equals the definition-level scan for
+    every kind, or both refuse the graph."""
+
+    def test_gamma_matches_naive_gamma(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 9))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            present = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+            g = Graph.from_edges(n, [e for e, keep in zip(pairs, present) if keep])
+            for kind in CodeKind:
+                expected = naive_gamma(g, kind)
+                try:
+                    value, witness = gamma(g, kind)
+                except InadmissibleGraphError:
+                    assert expected is None
+                    continue
+                assert expected is not None and value == expected[0]
+                assert naive_is_code(g, witness, kind)
+
+        check()
+
+
 class TestBruteForce:
     def test_examples(self):
         assert brute_force_gamma(P4, CodeKind.LTD)[0] == 2

@@ -1,12 +1,13 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from odcodes.clutters import Clutter, Hyperedge, build_clutter, reduce_hypergraph
 from odcodes.cover import CoverResult, greedy_cover, min_cover, qrose_clutter, tau_q_rose
 from odcodes.families import random_od_admissible
-from odcodes.graphs import CodeKind, mask_of
-from oracles import _reference_greedy, naive_min_cover, reference_min_cover
+from odcodes.graphs import CodeKind, bits, mask_of
+from oracles import _reference_greedy, all_covers, naive_min_cover, reference_min_cover
 
 from test_clutters import CORPUS_SOURCES, reduction_corpus
 from test_graphs import complete, cycle, path
@@ -137,12 +138,54 @@ class TestEnumeration:
         assert min_cover(c, cap=cap).value == 1  # the cap only bounds enumeration
 
 
-def as_tuple(res):
-    return (res.value, res.witness, res.nodes_explored, res.all_optima, res.truncated)
+class TestEnumerationProperties:
+    """Random clutters: the enumerated optima are exactly the smallest covers."""
+
+    def test_optima_are_the_smallest_covers(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 10))
+            masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=16))
+            sets = [set(bits(m)) for m in masks]
+            res = min_cover(clutter_of(n, *sets), enumerate_all=True)
+            smallest = [x for x in all_covers(n, sets) if x.bit_count() == res.value]
+            assert not res.truncated
+            assert [mask_of(opt) for opt in res.all_optima] == smallest
+
+        check()
 
 
-class TestSameTreeAsReference:
-    """The search walks node for node the tree of the list-based reference."""
+def against_reference(c, **kwargs):
+    """Require the reference's value, witness, optima and truncation and at
+    most its nodes; return the result and the reference's node count."""
+    res = min_cover(c, **kwargs)
+    value, witness, nodes, optima, truncated = reference_min_cover(c, **kwargs)
+    assert (res.value, res.witness, res.all_optima, res.truncated) == (
+        value, witness, optima, truncated
+    )
+    assert res.nodes_explored <= nodes
+    return res, nodes
+
+
+CODE_CLUTTERS = {
+    "cycle32-OD": (lambda: cycle(32), CodeKind.OD),
+    "path36-OTD": (lambda: path(36), CodeKind.OTD),
+    "random26-LD": (lambda: random_od_admissible(26, 0.3, random.Random(5)), CodeKind.LD),
+}
+
+
+def code_clutter(case):
+    graph, kind = CODE_CLUTTERS[case]
+    return build_clutter(graph(), kind)
+
+
+class TestSameResultsAsReference:
+    """The search returns what the list-based reference returns and visits at
+    most its nodes: the budget tests prune only subtrees that hold no leaf."""
 
     def test_random_clutters(self):
         rng = random.Random(89)
@@ -153,29 +196,45 @@ class TestSameTreeAsReference:
                 for _ in range(rng.randint(0, 16))
             ]
             c = clutter_of(n, *sets)
-            assert as_tuple(min_cover(c)) == reference_min_cover(c)
-            cap = rng.choice([1, 2, 5, 10_000])
-            got = min_cover(c, enumerate_all=True, cap=cap)
-            assert as_tuple(got) == reference_min_cover(c, enumerate_all=True, cap=cap)
+            against_reference(c)
+            against_reference(c, enumerate_all=True, cap=rng.choice([1, 2, 5, 10_000]))
 
-    @pytest.mark.parametrize(
-        "graph, kind",
-        [
-            (lambda: cycle(32), CodeKind.OD),
-            (lambda: path(36), CodeKind.OTD),
-            (lambda: random_od_admissible(26, 0.3, random.Random(5)), CodeKind.LD),
-        ],
-        ids=["cycle32-OD", "path36-OTD", "random26-LD"],
-    )
-    def test_code_clutters(self, graph, kind):
-        c = build_clutter(graph(), kind)
-        assert as_tuple(min_cover(c)) == reference_min_cover(c)
+    @pytest.mark.parametrize("case", list(CODE_CLUTTERS))
+    def test_code_clutters(self, case):
+        against_reference(code_clutter(case))
+
+    @pytest.mark.parametrize("case", ["cycle32-OD", "random26-LD"])
+    def test_budget_tests_save_nodes(self, case):
+        res, reference_nodes = against_reference(code_clutter(case))
+        assert res.nodes_explored < reference_nodes
+
+    def test_budget_one_root_is_settled_in_one_node(self):
+        # One edge and a greedy cover of one vertex: each pass ends at the
+        # root, the enumeration handing on all three vertices of the edge.
+        res, reference_nodes = against_reference(clutter_of(3, {0, 1, 2}), enumerate_all=True)
+        assert (res.nodes_explored, reference_nodes) == (2, 6)
+
+    def test_budget_two_root_without_a_finishing_pair_is_pruned(self):
+        # K4's edges: greedy takes three vertices, no two vertices cover and
+        # no three edges are disjoint, so only the budget-two test prunes.
+        c = clutter_of(4, *map(set, combinations(range(4), 2)))
+        res, reference_nodes = against_reference(c)
+        assert (res.value, res.nodes_explored, reference_nodes) == (3, 1, 5)
 
     def test_truncated_enumeration(self):
         c = build_clutter(complete(6), CodeKind.OD)
-        expected = reference_min_cover(c, enumerate_all=True, cap=3)
-        assert expected[4]
-        assert as_tuple(min_cover(c, enumerate_all=True, cap=3)) == expected
+        res, _ = against_reference(c, enumerate_all=True, cap=3)
+        assert res.truncated
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4])
+    def test_cap_filled_by_budget_one_leaves(self, cap):
+        # K6's OD clutter is every pair, so each optimum's last vertex comes
+        # from a budget-one node, and those leaves are handed on lowest first.
+        c = build_clutter(complete(6), CodeKind.OD)
+        res, _ = against_reference(c, enumerate_all=True, cap=cap)
+        full = frozenset(range(6))
+        assert res.truncated
+        assert res.all_optima == tuple(full - {v} for v in range(5, 5 - cap, -1))
 
 
 class TestMonotonicity:
