@@ -2,9 +2,11 @@
 """Covering polyhedra: defining systems checked against all 0/1 covers.
 
 For each family the known constraint system (forced-vertex equations plus
-rank inequalities) is emitted and then held against exhaustive enumeration:
-valid on every cover, each inequality tight somewhere, and the 0/1 points
-of the system exactly the covers.
+rank inequalities) is emitted and then held against every 0/1 cover: valid
+on every cover, each inequality tight somewhere, and the 0/1 points of the
+system exactly the covers.  The checks are exact at every n: both point sets
+are up-sets, so the clutter's minimal covers and its maximal non-covers
+V - e decide them without walking all 2^n points.
 """
 
 from odcodes import CodeKind, build_clutter, generate

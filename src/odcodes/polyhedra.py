@@ -2,21 +2,22 @@
 
 A system pairs forced-vertex equations (x_v = 1) with rank inequalities
 sum(x_v for v in support) >= rhs over an implicit non-negative orthant.  The
-checks are exhaustive over 0/1 points at small sizes: validity (every cover
-satisfies the system), tightness (every inequality is achieved with equality
-by some cover), and hull equivalence (the system's 0/1 points are exactly
-the covers).  Fractional geometry, dimension arguments, and facet proofs are
-deliberately out of reach of this module.
+checks are exact at every size: validity (every cover satisfies the system),
+tightness (every inequality is achieved with equality by some cover), and
+hull equivalence (the system's 0/1 points are exactly the covers).  Both the
+system's 0/1 points and the covers are up-sets, so by blocker duality the
+checks need only the clutter's minimal covers and its maximal non-covers
+V - e, never all 2^n points.  Fractional geometry, dimension arguments, and
+facet proofs are deliberately out of reach of this module.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 from .clutters import Clutter, build_clutter
-from .cover import min_cover
 from .families import FamilySpec, generate, role_sequence
 from .graphs import CodeKind, Graph, bits, mask_of
 
@@ -33,9 +34,6 @@ class RankConstraint:
             raise ValueError(f"rank constraint needs 1 <= rhs <= |support|, got {self.rhs}")
         object.__setattr__(self, "mask", mask_of(self.support))
 
-    def tight(self, point_mask: int) -> bool:
-        return (point_mask & self.mask).bit_count() == self.rhs
-
 
 @dataclass(frozen=True)
 class ConstraintSystem:
@@ -50,7 +48,7 @@ class ConstraintSystem:
             if not 0 <= v < self.n:
                 raise ValueError(f"equality on out-of-range vertex {v}")
         for c in self.inequalities:
-            if any(not 0 <= v < self.n for v in c.support):
+            if c.mask >> self.n:
                 raise ValueError("inequality support out of range")
 
     def first_violation(self, point_mask: int) -> int | RankConstraint | None:
@@ -219,13 +217,11 @@ def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
 
 # -- 0/1 point checks ---------------------------------------------------------------
 
-ENUMERATION_LIMIT = 16
-
 
 @dataclass(frozen=True)
 class ValidityReport:
     ok: bool
-    exhaustive: bool
+    exhaustive: bool  # always True: the checks are exact at every n
     counterexample: tuple[frozenset[int], str] | None = None  # (cover, constraint)
 
 
@@ -243,32 +239,40 @@ class HullReport:
     direction: str = ""  # "cover-outside-system" | "system-point-not-cover"
 
 
-def _covers(sys: ConstraintSystem, c: Clutter) -> tuple[bool, Iterator[int]]:
-    """(exhaustive, covers) for the checks: every 0/1 cover in ascending order
-    up to the enumeration limit, otherwise the enumerated minimum covers.
-    The covers are lazy, so a caller that refuses the sampled ones searches
-    nothing."""
-    if sys.n != c.n:
-        raise ValueError("system and clutter sizes differ")
-    exhaustive = c.n <= ENUMERATION_LIMIT
+def _minimal_covers(c: Clutter) -> list[int]:
+    """Every inclusion-minimal cover of the clutter's edges, ascending as ints.
 
-    def covers():
-        if not exhaustive:
-            yield from map(mask_of, min_cover(c, enumerate_all=True, cap=5000).all_optima)
+    MMCS (Murakami and Uno 2014): branch on the candidates of an uncovered
+    edge with the fewest, leave each tried vertex out of the later branches,
+    and grow only while every chosen vertex alone hits some edge; so each
+    minimal cover is found once, in time that grows with their number."""
+    out = []
+
+    def grow(chosen, crit, cand, uncov):
+        if not uncov:
+            out.append(chosen)
             return
-        masks = c.edge_masks()
-        for x in range(1 << c.n):
-            if all(x & m for m in masks):
-                yield x
+        branch = min((m & cand for m in uncov), key=int.bit_count)
+        cand &= ~branch
+        for v in bits(branch):
+            vbit = 1 << v
+            kept = {u: [m for m in own if not m & vbit] for u, own in crit.items()}
+            if all(kept.values()):
+                kept[v] = [m for m in uncov if m & vbit]
+                grow(chosen | vbit, kept, cand, [m for m in uncov if not m & vbit])
+            cand |= vbit
 
-    return exhaustive, covers()
+    grow(0, {}, (1 << c.n) - 1, list(c.edge_masks()))
+    return sorted(out)
 
 
 def check_validity(sys: ConstraintSystem, c: Clutter) -> ValidityReport:
-    """Does every 0/1 cover satisfy the system?  Exhaustive up to the
-    enumeration limit, otherwise checked over enumerated minimum covers."""
-    exhaustive, covers = _covers(sys, c)
-    for x in covers:
+    """Does every 0/1 cover satisfy the system?  Exact at every n: a cover
+    below a breaking one breaks the system too, so the smallest breaking
+    cover as an int is a minimal cover."""
+    if sys.n != c.n:
+        raise ValueError("system and clutter sizes differ")
+    for x in _minimal_covers(c):
         broken = sys.first_violation(x)
         if broken is None:
             continue
@@ -276,46 +280,42 @@ def check_validity(sys: ConstraintSystem, c: Clutter) -> ValidityReport:
             wording = f"x({sorted(broken.support)}) >= {broken.rhs}"
         else:
             wording = f"x_{broken} = 1"
-        return ValidityReport(False, exhaustive, (frozenset(bits(x)), wording))
-    return ValidityReport(True, exhaustive)
+        return ValidityReport(False, True, (frozenset(bits(x)), wording))
+    return ValidityReport(True, True)
 
 
 def check_tightness(sys: ConstraintSystem, c: Clutter) -> TightnessReport:
-    """Is every inequality achieved with equality by some cover?"""
-    _, covers = _covers(sys, c)
-    pending = dict(enumerate(sys.inequalities))
-    witnesses = {}
-    for x in covers:
-        hit = [i for i, con in pending.items() if con.tight(x)]
-        for i in hit:
-            witnesses[i] = frozenset(bits(x))
-            del pending[i]
-        if not pending:
-            break
-    return TightnessReport(
-        ok=not pending,
-        never_tight=tuple(pending[i] for i in sorted(pending)),
-        witnesses=tuple((sys.inequalities[i], witnesses[i]) for i in sorted(witnesses)),
-    )
+    """Is every inequality achieved with equality by some cover?  Exact at
+    every n: over the covers x(S) takes each value from tau(E[S]), the cover
+    number of the edges inside S, up to |S|, its least at a minimal cover.
+    The witness is the first minimal cover with x(S) <= rhs, topped up with
+    the lowest vertices of S it lacks: if tau(E[S]) = rhs, the least one."""
+    if sys.n != c.n:
+        raise ValueError("system and clutter sizes differ")
+    covers, found, never = _minimal_covers(c), [], []
+    for con in sys.inequalities:
+        x = next((x for x in covers if (x & con.mask).bit_count() <= con.rhs), None)
+        if x is None:
+            never.append(con)
+            continue
+        rest = lack = con.mask & ~x
+        for _ in range(con.rhs - (x & con.mask).bit_count()):
+            rest &= rest - 1  # move the lowest vertex x lacks out of the rest
+        found.append((con, x | lack ^ rest))
+    as_set = cache(lambda m: frozenset(bits(m)))
+    return TightnessReport(not never, tuple(never), tuple((con, as_set(m)) for con, m in found))
 
 
 def integer_hull_equiv(sys: ConstraintSystem, c: Clutter) -> HullReport:
-    """Are the system's 0/1 points exactly the covers of the clutter?"""
-    exhaustive, covers = _covers(sys, c)
-    if not exhaustive:
-        raise ValueError(f"hull equivalence is enumerated only up to n = {ENUMERATION_LIMIT}")
-    covers = set(covers)
-    for x in range(1 << c.n):
-        is_cover = x in covers
-        if is_cover != sys.satisfied_by(x):
-            direction = "cover-outside-system" if is_cover else "system-point-not-cover"
-            return HullReport(False, frozenset(bits(x)), direction)
+    """Are the system's 0/1 points exactly the covers?  Exact at every n: both
+    are up-sets and the maximal non-covers are the V - e for edges e, so they
+    agree iff the system is valid and breaks at every V - e.  A failure's
+    witness is the validity counterexample, else the least V - e it keeps."""
+    validity = check_validity(sys, c)
+    if not validity.ok:
+        return HullReport(False, validity.counterexample[0], "cover-outside-system")
+    full = (1 << c.n) - 1
+    for x in sorted({full & ~m for m in c.edge_masks()}):
+        if sys.satisfied_by(x):
+            return HullReport(False, frozenset(bits(x)), "system-point-not-cover")
     return HullReport(True)
-
-
-def minimum_over_system(sys: ConstraintSystem) -> int:
-    """Smallest 1-count of a 0/1 point satisfying the system (enumerated).
-    The all-ones point always does, as every rhs is at most its support size."""
-    if sys.n > ENUMERATION_LIMIT:
-        raise ValueError("enumeration limit exceeded")
-    return min(x.bit_count() for x in range(1 << sys.n) if sys.satisfied_by(x))

@@ -331,3 +331,69 @@ def reference_enumerate_slsat(max_vars, max_clauses):
         rec(0)
         for idxs in results:
             yield LsatInstance(n, tuple(universe[i] for i in idxs))
+
+
+def _reference_covers(sys, c):
+    """Every 0/1 cover of the clutter in ascending order, by full 2^n scan."""
+    if sys.n != c.n:
+        raise ValueError("system and clutter sizes differ")
+    masks = c.edge_masks()
+    return [x for x in range(1 << c.n) if all(x & m for m in masks)]
+
+
+def reference_check_validity(sys, c):
+    """The 2^n scan that predates the minimal-cover checks: the smallest
+    cover as an int that breaks the system, with the constraint it breaks."""
+    from odcodes.polyhedra import RankConstraint, ValidityReport
+
+    for x in _reference_covers(sys, c):
+        broken = sys.first_violation(x)
+        if broken is None:
+            continue
+        if isinstance(broken, RankConstraint):
+            wording = f"x({sorted(broken.support)}) >= {broken.rhs}"
+        else:
+            wording = f"x_{broken} = 1"
+        members = frozenset(v for v in range(c.n) if x >> v & 1)
+        return ValidityReport(False, True, (members, wording))
+    return ValidityReport(True, True)
+
+
+def reference_check_tightness(sys, c):
+    """The 2^n scan: each inequality's witness is the smallest cover as an
+    int at which it holds with equality."""
+    from odcodes.polyhedra import TightnessReport
+
+    pending = dict(enumerate(sys.inequalities))
+    witnesses = {}
+    for x in _reference_covers(sys, c):
+        for i in [i for i, con in pending.items() if (x & con.mask).bit_count() == con.rhs]:
+            witnesses[i] = frozenset(v for v in range(c.n) if x >> v & 1)
+            del pending[i]
+        if not pending:
+            break
+    return TightnessReport(
+        ok=not pending,
+        never_tight=tuple(pending[i] for i in sorted(pending)),
+        witnesses=tuple((sys.inequalities[i], witnesses[i]) for i in sorted(witnesses)),
+    )
+
+
+def reference_integer_hull_equiv(sys, c):
+    """The 2^n scan: the smallest point as an int that is a cover outside
+    the system or a system point that is no cover."""
+    from odcodes.polyhedra import HullReport
+
+    covers = set(_reference_covers(sys, c))
+    for x in range(1 << c.n):
+        is_cover = x in covers
+        if is_cover != sys.satisfied_by(x):
+            direction = "cover-outside-system" if is_cover else "system-point-not-cover"
+            return HullReport(False, frozenset(v for v in range(c.n) if x >> v & 1), direction)
+    return HullReport(True)
+
+
+def minimum_over_system(sys):
+    """Smallest 1-count of a 0/1 point satisfying the system, by full scan.
+    The all-ones point always does, as every rhs is at most its support size."""
+    return min(x.bit_count() for x in range(1 << sys.n) if sys.satisfied_by(x))

@@ -469,6 +469,12 @@ class TestPolyhedron:
         assert code == 0
         assert "check validity: pass" in out and "check hull: pass" in out
 
+    def test_hull_check_past_16_vertices(self, capsys):
+        code, out, _ = run(
+            capsys, "polyhedron", "--family", "half-graph", "--k", "9", "--check", "hull"
+        )
+        assert code == 0 and out.splitlines()[-1] == "check hull: pass"
+
     def test_qrose(self, capsys):
         code, out, _ = run(
             capsys, "polyhedron", "--family", "qrose", "--n", "4", "--q", "2", "--json"

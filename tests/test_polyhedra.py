@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from odcodes import polyhedra
-from odcodes.clutters import build_clutter
+from odcodes.clutters import Clutter, Hyperedge, build_clutter
 from odcodes.codes import gamma
 from odcodes.cover import qrose_clutter, tau_q_rose
 from odcodes.families import (
@@ -19,15 +18,21 @@ from odcodes.families import (
 )
 from odcodes.graphs import CodeKind, Graph
 from odcodes.polyhedra import (
-    ENUMERATION_LIMIT,
     ConstraintSystem,
     RankConstraint,
+    _minimal_covers,
     check_tightness,
     check_validity,
     integer_hull_equiv,
-    minimum_over_system,
     od_polyhedron_system,
     qrose_system,
+)
+from oracles import (
+    all_covers,
+    minimum_over_system,
+    reference_check_tightness,
+    reference_check_validity,
+    reference_integer_hull_equiv,
 )
 
 
@@ -266,14 +271,16 @@ class TestChecks:
     ids=["thin-spider-9", "half-graph-9"],
 )
 class TestAboveEnumerationLimit:
-    """n = 18 > ENUMERATION_LIMIT: validity and tightness see only minimum covers."""
+    """n = 18, past the 16 vertices where the 2^n scan the checks once made
+    stopped and validity and tightness sampled the minimum covers instead.
+    The checks are exact at every n now; the test names keep the old words."""
 
     def test_sampled_checks_pass(self, g, hint):
-        assert g.n == 18 > ENUMERATION_LIMIT
+        assert g.n == 18
         sys = od_polyhedron_system(g, hint)
         clutter = build_clutter(g, CodeKind.OD)
         rep = check_validity(sys, clutter)
-        assert rep.ok and not rep.exhaustive
+        assert rep.ok and rep.exhaustive
         assert check_tightness(sys, clutter).ok
 
     def test_raised_rhs_gives_sampled_counterexample(self, g, hint):
@@ -281,17 +288,146 @@ class TestAboveEnumerationLimit:
         c = sys.inequalities[0]
         bumped = RankConstraint(c.support, c.rhs + 1, c.source)
         bad = ConstraintSystem(sys.n, sys.equalities, (bumped,) + sys.inequalities[1:])
-        rep = check_validity(bad, build_clutter(g, CodeKind.OD))
-        assert not rep.ok and not rep.exhaustive
+        clutter = build_clutter(g, CodeKind.OD)
+        rep = check_validity(bad, clutter)
+        assert not rep.ok and rep.exhaustive
         cover, broken = rep.counterexample
         assert broken == f"x({sorted(c.support)}) >= {c.rhs + 1}"
-        assert len(cover & c.support) == c.rhs
+        point = sum(1 << v for v in cover)
+        assert all(point & m for m in clutter.edge_masks())
+        # the cover keeps the original system and breaks only the bumped inequality
+        assert sys.satisfied_by(point) and len(cover & c.support) == c.rhs
+        assert ConstraintSystem(sys.n, sys.equalities, sys.inequalities[1:]).satisfied_by(point)
 
-    def test_enumerated_checks_refuse(self, g, hint, monkeypatch):
+    def test_hull_check_answers(self, g, hint):
         sys = od_polyhedron_system(g, hint)
-        # refusing must not first enumerate the minimum covers
-        monkeypatch.setattr(polyhedra, "min_cover", None)
-        with pytest.raises(ValueError, match="only up to n = 16"):
-            integer_hull_equiv(sys, build_clutter(g, CodeKind.OD))
-        with pytest.raises(ValueError, match="enumeration limit"):
-            minimum_over_system(sys)
+        clutter = build_clutter(g, CodeKind.OD)
+        assert integer_hull_equiv(sys, clutter).ok
+        # without its leg or facet x(e) >= 1 the system keeps V - e for that edge e
+        edge = next(c for c in sys.inequalities if c.source in ("leg cover", "half-graph facet"))
+        rest = tuple(c for c in sys.inequalities if c is not edge)
+        rep = integer_hull_equiv(ConstraintSystem(sys.n, sys.equalities, rest), clutter)
+        assert not rep.ok and rep.direction == "system-point-not-cover"
+        assert rep.witness == frozenset(range(g.n)) - edge.support
+
+
+def _tau_inside(covers, support_mask):
+    """Cover number of the edges inside the support, read off every cover."""
+    return min((x & support_mask).bit_count() for x in covers)
+
+
+def random_case(rng, n):
+    """A random edge family on n vertices (not always a clutter) and a system
+    over it: its singleton edges as equations, now and then one more, its
+    other edges as rhs-1 inequalities or not, and random rank inequalities
+    whose rhs is tau(E[S]) or one off it.  So the corpus holds valid and
+    invalid, tight and never-tight, hull-equal and hull-different systems."""
+    masks = []
+    for _ in range(rng.randint(1, 8)):
+        m = rng.getrandbits(n) & rng.getrandbits(n) if rng.random() < 0.5 else rng.getrandbits(n)
+        masks.append(m | 1 << rng.randrange(n))
+    clutter = Clutter(n, tuple(Hyperedge(m, (f"e{i}",)) for i, m in enumerate(masks)))
+    covers = all_covers(n, [[v for v in range(n) if m >> v & 1] for m in masks])
+    equalities = {v for m in masks if m.bit_count() == 1 for v in range(n) if m >> v & 1}
+    if rng.random() < 0.2:
+        equalities.add(rng.randrange(n))
+    ineqs = []
+    if rng.random() < 0.5:
+        ineqs += [RankConstraint(frozenset(e.vertices()), 1, "edge") for e in clutter.f2]
+    for _ in range(rng.randint(0, 5)):
+        support = rng.getrandbits(n) | 1 << rng.randrange(n)
+        tau = _tau_inside(covers, support)
+        rhs = min(max(1, tau + rng.choice((-1, 0, 0, 1))), support.bit_count())
+        ineqs.append(RankConstraint(frozenset(v for v in range(n) if support >> v & 1), rhs))
+    rng.shuffle(ineqs)
+    return ConstraintSystem(n, tuple(sorted(equalities)), tuple(ineqs)), clutter
+
+
+def assert_matches_reference(sys, clutter):
+    """The checks agree with the 2^n scan: every ok flag, the validity
+    counterexample, the never-tight inequalities and the witness of every
+    inequality with tau(E[S]) = rhs.  Other witnesses are real witnesses."""
+    covers = all_covers(sys.n, clutter.edge_sets())
+    assert check_validity(sys, clutter) == reference_check_validity(sys, clutter)
+
+    got, ref = check_tightness(sys, clutter), reference_check_tightness(sys, clutter)
+    assert got.ok == ref.ok and got.never_tight == ref.never_tight
+    ref_witness = dict(ref.witnesses)
+    assert [con for con, _ in got.witnesses] == [con for con, _ in ref.witnesses]
+    for con, witness in got.witnesses:
+        point = sum(1 << v for v in witness)
+        assert point in covers and (point & con.mask).bit_count() == con.rhs
+        if _tau_inside(covers, con.mask) == con.rhs:
+            assert witness == ref_witness[con]
+
+    hull = integer_hull_equiv(sys, clutter)
+    assert hull.ok == reference_integer_hull_equiv(sys, clutter).ok
+    if not hull.ok:
+        point = sum(1 << v for v in hull.witness)
+        is_cover = point in set(covers)
+        assert is_cover != sys.satisfied_by(point)
+        assert hull.direction == ("cover-outside-system" if is_cover else "system-point-not-cover")
+
+
+def brute_minimal_covers(n, masks):
+    covers = set(all_covers(n, [[v for v in range(n) if m >> v & 1] for m in masks]))
+    return sorted(
+        x for x in covers if not any(x & ~(1 << v) in covers for v in range(n) if x >> v & 1)
+    )
+
+
+class TestAgainstReferenceScan:
+    """The minimal-cover checks against the 2^n scan they replace."""
+
+    def corpus(self):
+        rng = random.Random(11)
+        sizes = (1, 2, 3) + (4, 5, 6, 7, 8, 9, 10) * 3 + (11, 12)
+        return [random_case(rng, rng.choice(sizes)) for _ in range(400)]
+
+    def test_random_systems(self):
+        outcomes = set()
+        for sys, clutter in self.corpus():
+            assert_matches_reference(sys, clutter)
+            checks = (check_validity, check_tightness, integer_hull_equiv)
+            outcomes.add(tuple(check(sys, clutter).ok for check in checks))
+        # the corpus reaches every way a system can pass or fail
+        assert {(True, True, True), (False, True, False), (True, False, False), (False, False, False)} <= outcomes
+
+    def test_family_systems(self):
+        for g, hint in FAMILY_CASES:
+            assert_matches_reference(od_polyhedron_system(g, hint), build_clutter(g, CodeKind.OD))
+
+    def test_minimal_covers_by_brute_force(self):
+        for _, clutter in self.corpus():
+            assert _minimal_covers(clutter) == brute_minimal_covers(clutter.n, clutter.edge_masks())
+        for g, _ in FAMILY_CASES:
+            clutter = build_clutter(g, CodeKind.OD)
+            assert _minimal_covers(clutter) == brute_minimal_covers(g.n, clutter.edge_masks())
+
+    def test_minimal_covers_edge_cases(self):
+        assert _minimal_covers(Clutter(3, ())) == [0]  # no edge: the empty set covers
+        empty = Clutter(2, (Hyperedge(0, ("e",)),))
+        assert _minimal_covers(empty) == []  # an empty edge: nothing covers
+        assert integer_hull_equiv(ConstraintSystem(2, (), ()), empty).direction == "system-point-not-cover"
+
+    def test_random_systems_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 9))
+            masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=8))
+            clutter = Clutter(n, tuple(Hyperedge(m, (f"e{i}",)) for i, m in enumerate(masks)))
+            assert _minimal_covers(clutter) == brute_minimal_covers(n, masks)
+            covers = all_covers(n, clutter.edge_sets())
+            equalities = data.draw(st.sets(st.integers(0, n - 1), max_size=2))
+            ineqs = []
+            for support in data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=5)):
+                shift = data.draw(st.integers(-1, 1))
+                rhs = min(max(1, _tau_inside(covers, support) + shift), support.bit_count())
+                ineqs.append(RankConstraint(frozenset(v for v in range(n) if support >> v & 1), rhs))
+            assert_matches_reference(ConstraintSystem(n, tuple(sorted(equalities)), tuple(ineqs)), clutter)
+
+        check()
