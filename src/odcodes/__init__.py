@@ -9,9 +9,7 @@ from .graphs import (
     CodeKind,
     Graph,
     GraphFormatError,
-    closed_twins,
     disjoint_union,
-    distance,
     girth,
     graph_to_json,
     graph_to_text,
@@ -25,6 +23,7 @@ from .graphs import (
 )
 from .clutters import (
     Clutter,
+    ClutterFormatError,
     Hyperedge,
     Hypergraph,
     InadmissibleGraphError,

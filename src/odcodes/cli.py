@@ -18,6 +18,7 @@ from dataclasses import asdict
 
 from . import reports
 from .clutters import (
+    ClutterFormatError,
     InadmissibleGraphError,
     build_clutter,
     clutter_from_json,
@@ -54,7 +55,7 @@ class UsageError(Exception):
 # the error code of each failure main reports, most specific class first
 ERROR_CODES = (
     (InadmissibleGraphError, "inadmissible"),
-    ((GraphFormatError, LsatFormatError, OSError), "format"),
+    ((GraphFormatError, LsatFormatError, ClutterFormatError, OSError), "format"),
     ((UsageError, ValueError), "usage"),
 )
 
@@ -254,7 +255,11 @@ def cmd_sat_roundtrip(args):
 
 
 def cmd_tau(args):
-    c = clutter_from_json(json.loads(_read(args.clutter)))
+    try:
+        obj = json.loads(_read(args.clutter))
+    except json.JSONDecodeError as exc:
+        raise ClutterFormatError(f"invalid JSON: {exc}") from None
+    c = clutter_from_json(obj)
     res = min_cover(c, enumerate_all=args.enumerate, cap=args.cap)
     obj = {"command": "tau", "nodes_explored": res.nodes_explored}
     obj.update(_cover_fields(res, args.enumerate))

@@ -21,6 +21,10 @@ class InadmissibleGraphError(ValueError):
     """The graph admits no code of the requested kind."""
 
 
+class ClutterFormatError(ValueError):
+    """Raised when clutter JSON violates the clutter layout."""
+
+
 def require_admissible(g: Graph, kind: CodeKind) -> None:
     """Raise InadmissibleGraphError, naming the obstruction, unless the graph
     has a code of the kind."""
@@ -91,9 +95,6 @@ class Clutter:
 
     def edge_masks(self) -> tuple[int, ...]:
         return tuple(e.members for e in self.edges)
-
-    def edge_sets(self) -> list[frozenset[int]]:
-        return [frozenset(e.vertices()) for e in self.edges]
 
 
 def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
@@ -181,35 +182,40 @@ def clutter_to_json(c: Clutter) -> dict:
 def clutter_from_json(obj: dict) -> Clutter:
     """Accepts the clutter_to_json layout or a bare {"n":..., "edges":[[...]]}."""
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise ValueError("clutter JSON needs 'n' and 'edges' keys")
+        raise ClutterFormatError("clutter JSON needs 'n' and 'edges' keys")
     n = obj["n"]
     if not _is_int(n) or n < 0:
-        raise ValueError("clutter JSON 'n' must be a non-negative integer")
+        raise ClutterFormatError("clutter JSON 'n' must be a non-negative integer")
     if not isinstance(obj["edges"], list):
-        raise ValueError("clutter JSON 'edges' must be a list")
-    kind = CodeKind(obj["kind"]) if obj.get("kind") else None
+        raise ClutterFormatError("clutter JSON 'edges' must be a list")
+    try:
+        kind = CodeKind(obj["kind"]) if obj.get("kind") else None
+    except ValueError as exc:
+        raise ClutterFormatError(str(exc)) from None
     edges = []
     for entry in obj["edges"]:
         if isinstance(entry, dict):
             if "vertices" not in entry:
-                raise ValueError(f"clutter edge entry {entry!r} has no 'vertices' key")
+                raise ClutterFormatError(f"clutter edge entry {entry!r} has no 'vertices' key")
             verts = entry["vertices"]
             sources = entry.get("sources", [])
             if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
-                raise ValueError(f"clutter edge 'sources' {sources!r} is not a list of strings")
+                raise ClutterFormatError(
+                    f"clutter edge 'sources' {sources!r} is not a list of strings"
+                )
             sources = tuple(sources)
         else:
             verts = entry
             sources = ()
         if not isinstance(verts, list):
-            raise ValueError(f"clutter edge entry {entry!r} is not a vertex list")
+            raise ClutterFormatError(f"clutter edge entry {entry!r} is not a vertex list")
         mask = 0
         for v in verts:
             if not _is_int(v) or not 0 <= v < n:
-                raise ValueError(f"edge vertex {v!r} is not an integer in 0 <= v < {n}")
+                raise ClutterFormatError(f"edge vertex {v!r} is not an integer in 0 <= v < {n}")
             mask |= 1 << v
         if mask == 0:
-            raise ValueError("empty edge in clutter JSON")
+            raise ClutterFormatError("empty edge in clutter JSON")
         edges.append(Hyperedge(mask, sources))
     order = _clutter_order(n)
     edges.sort(key=lambda e: order(e.members))

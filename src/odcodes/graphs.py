@@ -1,10 +1,9 @@
 """Finite simple graphs with the neighborhood algebra used by separation codes.
 
-Vertices are dense 0-based indices.  Vertex sets are manipulated as Python
-integers used as bitmasks (bit v set means vertex v belongs to the set), which
-keeps symmetric differences and subset tests cheap.  The public operations
-return ordinary ``set``/``frozenset`` objects; the ``*_mask`` accessors expose
-the raw bitmasks for the solver layers.
+Vertices are dense 0-based indices.  Every vertex set is a Python int used as
+a bitmask (bit v set means vertex v belongs to the set): ``adj[v]`` is N(v),
+``closed_mask(v)`` is N[v] and ``delta_open_mask(u, v)`` is N(u) ^ N(v), so
+symmetric differences and subset tests stay single int operations.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 
 class GraphFormatError(ValueError):
@@ -134,35 +134,14 @@ class Graph:
     def closed_mask(self, v: int) -> int:
         return self.adj[v] | (1 << v)
 
-    def open_nbhd(self, v: int) -> set[int]:
-        """N(v): the vertices adjacent to v."""
-        self._check_vertex(v)
-        return set(bits(self.adj[v]))
-
-    def closed_nbhd(self, v: int) -> set[int]:
-        """N[v] = N(v) plus v itself."""
-        self._check_vertex(v)
-        return set(bits(self.closed_mask(v)))
-
     def delta_open_mask(self, u: int, v: int) -> int:
         if u == v:
             raise ValueError("symmetric difference needs two distinct vertices")
         return self.adj[u] ^ self.adj[v]
 
-    def delta_open(self, u: int, v: int) -> set[int]:
-        """N(u) symmetric-difference N(v)."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return set(bits(self.delta_open_mask(u, v)))
-
-    def delta_closed(self, u: int, v: int) -> set[int]:
-        """N[u] symmetric-difference N[v]: the open one with u and v toggled."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return set(bits(self.delta_open_mask(u, v) ^ (1 << u) ^ (1 << v)))
-
     def degree(self, v: int) -> int:
-        self._check_vertex(v)
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
         return self.adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -170,20 +149,11 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
-        out = []
-        for u in range(self.n):
-            m = self.adj[u] >> (u + 1) << (u + 1)
-            for v in bits(m):
-                out.append((u, v))
-        return out
+        return [(u, v) for u in range(self.n) for v in bits(self.adj[u] >> u + 1 << u + 1)]
 
     @property
     def m(self) -> int:
         return sum(d.bit_count() for d in self.adj) // 2
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
 
     def __eq__(self, other) -> bool:
         return (
@@ -208,22 +178,11 @@ def open_twins(g: Graph) -> list[tuple[int, int]]:
     return _twin_pairs(g.adj)
 
 
-def closed_twins(g: Graph) -> list[tuple[int, int]]:
-    """All unordered pairs u < v with N[u] = N[v]."""
-    return _twin_pairs(tuple(g.closed_mask(v) for v in range(g.n)))
-
-
 def _twin_pairs(nbhds: tuple[int, ...]) -> list[tuple[int, int]]:
     groups: dict[int, list[int]] = {}
     for v, m in enumerate(nbhds):
         groups.setdefault(m, []).append(v)
-    pairs = []
-    for members in groups.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.append((members[i], members[j]))
-    pairs.sort()
-    return pairs
+    return sorted(pair for members in groups.values() for pair in combinations(members, 2))
 
 
 @dataclass(frozen=True)
@@ -274,28 +233,6 @@ def is_admissible(g: Graph, kind: CodeKind) -> Admissibility:
 
 
 # -- metric and structural checks ----------------------------------------------
-
-
-def distance(g: Graph, u: int, v: int) -> int | float:
-    """BFS shortest-path length between u and v; math.inf when disconnected."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    if u == v:
-        return 0
-    seen = 1 << u
-    frontier = [u]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for x in frontier:
-            for y in bits(g.adj[x] & ~seen):
-                if y == v:
-                    return d
-                seen |= 1 << y
-                nxt.append(y)
-        frontier = nxt
-    return math.inf
 
 
 def girth(g: Graph) -> int | float:
@@ -372,7 +309,8 @@ def induced_subgraph(g: Graph, keep) -> Graph:
 # -- text and JSON formats -----------------------------------------------------
 #
 # Text: first line "n m", then m lines "u v" with 0 <= u < v < n.  Lines
-# starting with "#" are comments; "#role V NAME" comments round-trip labels.
+# starting with "#" are comments; "#role V NAME" comments round-trip labels,
+# at most one per vertex.
 # JSON: {"n": ..., "edges": [[u, v], ...], "labels": {"0": "q1", ...}}.
 # A label's vertex is written in plain decimal: no sign, padding or underscore.
 
@@ -396,6 +334,8 @@ def parse_graph(text: str) -> Graph:
                     )
                 if not _VERTEX_NUMBER.fullmatch(parts[1]):
                     raise GraphFormatError(f"line {lineno}: malformed #role vertex {parts[1]!r}")
+                if int(parts[1]) in labels:
+                    raise GraphFormatError(f"line {lineno}: vertex {parts[1]} is labelled twice")
                 labels[int(parts[1])] = parts[2]
             continue
         fields = line.split()

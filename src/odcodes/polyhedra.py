@@ -1,8 +1,10 @@
 """Constraint systems for covering polyhedra and their 0/1-point checks.
 
 A system pairs forced-vertex equations (x_v = 1) with rank inequalities
-sum(x_v for v in support) >= rhs over an implicit non-negative orthant.  The
-checks are exact at every size: validity (every cover satisfies the system),
+sum(x_v for v in support) >= rhs over an implicit non-negative orthant.  Each
+support, like each 0/1 point and cover, is a vertex bitmask; sets appear only
+in the reports' witnesses and in ``RankConstraint.support``.  The checks are
+exact at every size: validity (every cover satisfies the system),
 tightness (every inequality is achieved with equality by some cover), and
 hull equivalence (the system's 0/1 points are exactly the covers).  Both the
 system's 0/1 points and the covers are up-sets, so by blocker duality the
@@ -13,26 +15,31 @@ facet proofs are deliberately out of reach of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-from .clutters import Clutter, build_clutter
+from .clutters import Clutter, _clutter_order, build_clutter
 from .families import FamilySpec, generate, role_sequence
-from .graphs import CodeKind, Graph, bits, mask_of
+from .graphs import CodeKind, Graph, bits
 
 
 @dataclass(frozen=True)
 class RankConstraint:
-    support: frozenset[int]
+    """The rank inequality x(S) >= rhs.  S is stored once, as the bitmask
+    ``mask``; ``support`` rebuilds it as a frozenset for display."""
+
+    mask: int
     rhs: int
     source: str = ""
-    mask: int = field(init=False, repr=False, compare=False)  # the support as a bitmask
 
     def __post_init__(self):
-        if not 1 <= self.rhs <= len(self.support):
+        if not 1 <= self.rhs <= self.mask.bit_count():
             raise ValueError(f"rank constraint needs 1 <= rhs <= |support|, got {self.rhs}")
-        object.__setattr__(self, "mask", mask_of(self.support))
+
+    @property
+    def support(self) -> frozenset[int]:
+        return frozenset(bits(self.mask))
 
 
 @dataclass(frozen=True)
@@ -71,11 +78,11 @@ class ConstraintSystem:
 
 def _rank_family(vertices, q: int, source: str):
     """Constraints x(V') >= |V'| - q + 1 for all V' with |V'| >= q."""
-    vertices = sorted(vertices)
+    vbits = [1 << v for v in sorted(vertices)]
     out = []
-    for size in range(q, len(vertices) + 1):
-        for sub in combinations(vertices, size):
-            out.append(RankConstraint(frozenset(sub), size - q + 1, source))
+    for size in range(q, len(vbits) + 1):
+        for sub in combinations(vbits, size):
+            out.append(RankConstraint(sum(sub), size - q + 1, source))
     return out
 
 
@@ -154,9 +161,7 @@ def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
     if hint == "generic":  # read the clutter itself
         clutter = build_clutter(g, CodeKind.OD)
         equalities = tuple(sorted(clutter.f1))
-        ineqs = tuple(
-            RankConstraint(frozenset(e.vertices()), 1, "clutter edge") for e in clutter.f2
-        )
+        ineqs = tuple(RankConstraint(e.members, 1, "clutter edge") for e in clutter.f2)
         return ConstraintSystem(n, equalities, ineqs)
 
     _require_member(g, hint)
@@ -168,7 +173,7 @@ def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
         us = role_sequence(g, "u")
         ws = role_sequence(g, "w")
         equalities = tuple(us[1:]) + tuple(ws[:-1])
-        facet = RankConstraint(frozenset({us[0], ws[-1]}), 1, "half-graph facet")
+        facet = RankConstraint(1 << us[0] | 1 << ws[-1], 1, "half-graph facet")
         return ConstraintSystem(n, tuple(sorted(equalities)), (facet,))
 
     if hint in ("thick-spider", "thin-spider", "extended-thin-spider"):
@@ -183,36 +188,32 @@ def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
             return ConstraintSystem(n, (), tuple(ineqs))
         pairs = range(k) if hint == "thin-spider" else range(k - 1)
         for i in pairs:
-            ineqs.append(RankConstraint(frozenset({qs[i], ss[i]}), 1, "leg cover"))
+            ineqs.append(RankConstraint(1 << qs[i] | 1 << ss[i], 1, "leg cover"))
         equalities = () if hint == "thin-spider" else (ss[-1],)
-        ineqs.sort(key=lambda c: (len(c.support), sorted(c.support)))
+        order = _clutter_order(n)
+        ineqs.sort(key=lambda c: order(c.mask))
         return ConstraintSystem(n, equalities, tuple(ineqs))
 
     cs = role_sequence(g, "c")
     ss = role_sequence(g, "s")
     k = len(cs)
-    constraints: dict[tuple[frozenset[int], int], RankConstraint] = {}
-
-    def put(c: RankConstraint) -> None:
-        constraints.setdefault((c.support, c.rhs), c)
-
     if hint == "sunlet":
         if k < 5:
             raise _role_mismatch(hint, "sunlet system stated for k >= 5")
+        ineqs = []
         for i in range(k):
             block = [ss[i], cs[(i - 1) % k], cs[i], cs[(i + 1) % k]]
-            for c in _rank_family(block, 2, "pendant block rank"):
-                put(c)
+            ineqs += _rank_family(block, 2, "pendant block rank")
     else:  # almost complete thin sun
         l = k // 2
-        for i in range(l):
-            put(RankConstraint(frozenset({ss[i], ss[i + l]}), 1, "antipodal pendants"))
-        for i in range(k):
-            put(RankConstraint(frozenset({ss[i], cs[i]}), 1, "pendant edge"))
-    for c in _rank_family(cs, 2, "cycle rank"):
-        put(c)
-    ineqs = sorted(constraints.values(), key=lambda c: (len(c.support), sorted(c.support)))
-    return ConstraintSystem(n, (), tuple(ineqs))
+        pairs = [(ss[i], ss[i + l], "antipodal pendants") for i in range(l)]
+        pairs += [(ss[i], cs[i], "pendant edge") for i in range(k)]
+        ineqs = [RankConstraint(1 << a | 1 << b, 1, source) for a, b, source in pairs]
+    unique: dict[tuple[int, int], RankConstraint] = {}
+    for c in ineqs + _rank_family(cs, 2, "cycle rank"):
+        unique.setdefault((c.mask, c.rhs), c)
+    order = _clutter_order(n)
+    return ConstraintSystem(n, (), tuple(sorted(unique.values(), key=lambda c: order(c.mask))))
 
 
 # -- 0/1 point checks ---------------------------------------------------------------

@@ -11,7 +11,7 @@ from itertools import combinations, permutations
 def naive_is_code(g, code, kind) -> bool:
     """Definition-level X-code check using plain sets."""
     code = set(code)
-    nopen = {v: set(g.open_nbhd(v)) for v in range(g.n)}
+    nopen = {v: {u for u in range(g.n) if g.has_edge(v, u)} for v in range(g.n)}
     nclosed = {v: nopen[v] | {v} for v in range(g.n)}
     dom = nclosed if kind.domination == "closed" else nopen
     for v in range(g.n):
@@ -68,7 +68,7 @@ def naive_girth(g):
     import math
 
     best = math.inf
-    adj = {v: sorted(g.open_nbhd(v)) for v in range(g.n)}
+    adj = {v: [u for u in range(g.n) if g.has_edge(v, u)] for v in range(g.n)}
 
     def extend(start, path, seen):
         nonlocal best

@@ -158,6 +158,7 @@ class TestGraphCommands:
             ('{"n": 3, "edges": 5}', "'edges'"),
             ('{"n": 3, "edges": [{"vertices": [0, 1], "sources": 5}]}', "'sources'"),
             ('{"n": 3, "edges": [{"vertices": [0, 1], "sources": "ab"}]}', "'sources'"),
+            ('{"n": 3, "edges": [[0, 1]]', "invalid JSON: "),
         ],
         ids=[
             "edge-without-vertices",
@@ -170,13 +171,14 @@ class TestGraphCommands:
             "int-edges",
             "int-sources",
             "string-sources",
+            "truncated",
         ],
     )
     def test_tau_rejects_malformed_clutter_json(self, capsys, tmp_path, text, needle):
         cpath = tmp_path / "c.json"
         cpath.write_text(text)
-        code, out, err = run(capsys, "tau", str(cpath))
-        assert code == 2 and needle in err and out == ""
+        code, error_code, message = refusal(capsys, "tau", str(cpath))
+        assert code == 2 and error_code == "format" and needle in message
 
     @pytest.mark.parametrize(
         "text,message",
@@ -384,6 +386,7 @@ def p11_json(labels):
         ),
         ("g.txt", P11 + "#role 0\n", "line 12: #role needs a vertex and a label, got '#role 0'"),
         ("g.txt", P11 + "#role 11 q1\n", "#role comment names out-of-range vertex 11"),
+        ("g.txt", P11 + "#role 1 a\n#role 1 b\n", "line 13: vertex 1 is labelled twice"),
     ],
     ids=[
         "key-underscore",
@@ -402,6 +405,7 @@ def p11_json(labels):
         "role-three-fields",
         "role-one-field",
         "role-out-of-range",
+        "role-twice",
     ],
 )
 def test_label_vertex_must_be_plain_decimal_and_label_a_string(

@@ -85,7 +85,8 @@ class TestMinCover:
                 if not is_admissible(g, kind).ok:
                     continue
                 c = build_clutter(g, kind)
-                assert min_cover(c).value == naive_min_cover(c.n, c.edge_sets())[0]
+                edges = [e.vertices() for e in c.edges]
+                assert min_cover(c).value == naive_min_cover(c.n, edges)[0]
 
     def test_deterministic(self):
         c = build_clutter(complete(6), CodeKind.OD)
@@ -282,4 +283,4 @@ class TestQRose:
 
     def test_tiny_rose_bruteforce(self):
         c = qrose_clutter(3, 2)
-        assert naive_min_cover(3, c.edge_sets())[0] == 2
+        assert naive_min_cover(3, [e.vertices() for e in c.edges])[0] == 2

@@ -70,7 +70,7 @@ class TestGenerators:
     def test_extended_spider_s0_rule(self):
         g = extended_thin_spider(5)
         s0 = next(v for v, lab in g.labels.items() if lab == "s0")
-        assert g.open_nbhd(s0) == set(range(4))  # q1..q_{k-1}
+        assert g.adj[s0] == 0b1111  # q1..q_{k-1}
 
     def test_fan_is_clique_star_of_edges(self):
         assert fan(3).edges() == clique_star([2, 2, 2]).edges()

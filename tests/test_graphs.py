@@ -8,15 +8,14 @@ from odcodes.graphs import (
     CodeKind,
     Graph,
     GraphFormatError,
-    closed_twins,
     disjoint_union,
-    distance,
     girth,
     graph_to_json,
     graph_to_text,
     is_admissible,
     is_bipartite,
     load_graph,
+    mask_of,
     max_degree,
     open_twins,
     parse_graph,
@@ -47,70 +46,69 @@ P4 = path(4)
 
 class TestNeighborhoods:
     def test_open_nbhd_path(self):
-        assert P4.open_nbhd(1) == {0, 2}
+        assert P4.adj[1] == mask_of({0, 2})
 
     def test_open_nbhd_isolated(self):
-        assert Graph.from_edges(1, []).open_nbhd(0) == set()
+        assert Graph.from_edges(1, []).adj[0] == 0
 
     def test_open_nbhd_gem_apex(self):
-        assert gem().open_nbhd(4) == {0, 1, 2, 3}
+        assert gem().adj[4] == mask_of({0, 1, 2, 3})
 
     def test_closed_nbhd_path(self):
-        assert P4.closed_nbhd(1) == {0, 1, 2}
+        assert P4.closed_mask(1) == mask_of({0, 1, 2})
 
     def test_closed_nbhd_k1(self):
-        assert Graph.from_edges(1, []).closed_nbhd(0) == {0}
+        assert Graph.from_edges(1, []).closed_mask(0) == mask_of({0})
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_closed_nbhd_complete(self, n):
         g = complete(n)
         for v in range(n):
-            assert g.closed_nbhd(v) == set(range(n))
+            assert g.closed_mask(v) == mask_of(range(n))
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            P4.open_nbhd(4)
+
+def delta_closed(g, u, v):
+    """N[u] ^ N[v]: the separation edge of the closed-separating kinds."""
+    return g.closed_mask(u) ^ g.closed_mask(v)
 
 
 class TestDeltas:
     def test_delta_open_p4(self):
         # second-neighbor pair on the path leaves a single separator
-        assert P4.delta_open(0, 2) == {3}
-        assert P4.delta_open(0, 3) == {1, 2}
-        assert P4.delta_open(1, 3) == {0}
+        assert P4.delta_open_mask(0, 2) == mask_of({3})
+        assert P4.delta_open_mask(0, 3) == mask_of({1, 2})
+        assert P4.delta_open_mask(1, 3) == mask_of({0})
 
     def test_delta_open_twins_empty(self):
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert star.delta_open(1, 2) == set()
+        assert star.delta_open_mask(1, 2) == 0
 
     def test_delta_closed_p4(self):
-        assert P4.delta_closed(0, 1) == {2}
+        assert delta_closed(P4, 0, 1) == mask_of({2})
 
     def test_delta_closed_twins_empty(self):
-        assert complete(4).delta_closed(1, 2) == set()
+        assert delta_closed(complete(4), 1, 2) == 0
 
     def test_delta_closed_isolated_pair(self):
         g = Graph.from_edges(2, [])
-        assert g.delta_closed(0, 1) == {0, 1}
+        assert delta_closed(g, 0, 1) == mask_of({0, 1})
 
     def test_same_vertex_rejected(self):
         with pytest.raises(ValueError):
-            P4.delta_open(2, 2)
-        with pytest.raises(ValueError):
-            P4.delta_closed(2, 2)
+            P4.delta_open_mask(2, 2)
 
     def test_delta_membership_characterization(self):
-        # w lies in delta_open(u, v) exactly when w is adjacent to one of u, v
+        # w lies in delta_open_mask(u, v) exactly when w is adjacent to one of u, v
         rng = random.Random(7)
         for _ in range(25):
             n = rng.randint(2, 9)
             g = random_graph(n, 0.4, rng)
             for u in range(n):
                 for v in range(u + 1, n):
-                    d = g.delta_open(u, v)
+                    d = g.delta_open_mask(u, v)
                     for w in range(n):
                         expected = g.has_edge(w, u) != g.has_edge(w, v)
-                        assert (w in d) == expected
+                        assert bool(d >> w & 1) == expected
 
     def test_delta_symmetry_and_distance3(self):
         rng = random.Random(11)
@@ -119,9 +117,10 @@ class TestDeltas:
             g = random_graph(n, 0.3, rng)
             for u in range(n):
                 for v in range(u + 1, n):
-                    assert g.delta_open(u, v) == g.delta_open(v, u)
-                    if distance(g, u, v) >= 3:
-                        assert g.delta_open(u, v) == g.open_nbhd(u) | g.open_nbhd(v)
+                    assert g.delta_open_mask(u, v) == g.delta_open_mask(v, u)
+                    # at distance >= 3: neither adjacent nor sharing a neighbor
+                    if not g.has_edge(u, v) and not g.adj[u] & g.adj[v]:
+                        assert g.delta_open_mask(u, v) == g.adj[u] | g.adj[v]
 
 
 class TestTwins:
@@ -137,15 +136,15 @@ class TestTwins:
         assert open_twins(g) == [(1, 2), (1, 3), (2, 3)]
 
     def test_complete_closed_twins(self):
-        assert closed_twins(complete(3)) == [(0, 1), (0, 2), (1, 2)]
+        assert is_admissible(complete(3), CodeKind.ID).twin_pairs == ((0, 1), (0, 2), (1, 2))
 
     def test_p4_closed_twin_free(self):
-        assert closed_twins(P4) == []
+        assert is_admissible(P4, CodeKind.ID).twin_pairs == ()
 
     def test_bowtie_closed_twins(self):
         # two triangles sharing vertex 2: each triangle's outer pair collapses
         bowtie = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-        assert closed_twins(bowtie) == [(0, 1), (3, 4)]
+        assert is_admissible(bowtie, CodeKind.ID).twin_pairs == ((0, 1), (3, 4))
 
 
 class TestAdmissibility:
@@ -176,15 +175,6 @@ class TestAdmissibility:
 
 
 class TestMetrics:
-    def test_distance_path(self):
-        assert distance(P4, 0, 3) == 3
-        assert distance(P4, 1, 2) == 1
-        assert distance(P4, 2, 2) == 0
-
-    def test_distance_disconnected(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        assert distance(g, 0, 3) == math.inf
-
     def test_girth_known(self):
         assert girth(cycle(6)) == 6
         assert girth(complete(3)) == 3

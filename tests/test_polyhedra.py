@@ -6,10 +6,12 @@ from odcodes.clutters import Clutter, Hyperedge, build_clutter
 from odcodes.codes import gamma
 from odcodes.cover import qrose_clutter, tau_q_rose
 from odcodes.families import (
+    FamilySpec,
     almost_complete_thin_sun,
     clique,
     extended_thin_spider,
     fan,
+    generate,
     half_graph,
     matching,
     sunlet,
@@ -27,6 +29,7 @@ from odcodes.polyhedra import (
     od_polyhedron_system,
     qrose_system,
 )
+from odcodes.reports import polyhedra_cases
 from oracles import (
     all_covers,
     minimum_over_system,
@@ -166,13 +169,46 @@ class TestSystems:
 
     def test_rank_constraint_validation(self):
         with pytest.raises(ValueError):
-            RankConstraint(frozenset({0, 1}), 3)
+            RankConstraint(0b11, 3)
         with pytest.raises(ValueError):
-            RankConstraint(frozenset({0}), 0)
+            RankConstraint(0b1, 0)
         with pytest.raises(ValueError):
             ConstraintSystem(2, (5,), ())
         with pytest.raises(ValueError, match="inequality support out of range"):
-            ConstraintSystem(2, (), (RankConstraint(frozenset({0, 2}), 1),))
+            ConstraintSystem(2, (), (RankConstraint(0b101, 1),))
+
+
+ORDER_CASES = list(
+    dict.fromkeys(
+        polyhedra_cases()
+        + [
+            (family, FamilySpec(family, k=k))
+            for family, ks in (
+                ("thin-spider", range(4, 8)),
+                ("extended-thin-spider", range(4, 8)),
+                ("sunlet", range(5, 8)),
+                ("almost-complete-thin-sun", range(3, 5)),
+            )
+            for k in ks
+        ]
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "hint,spec", ORDER_CASES, ids=[f"{h}-{s.n or s.k}" for h, s in ORDER_CASES]
+)
+def test_inequalities_sorted_by_size_then_support_without_repeats(hint, spec):
+    ineqs = od_polyhedron_system(generate(spec), hint).inequalities
+    blocks = [ineqs]
+    if hint == "thick-spider":  # its clique-part family, then its stable-part family
+        sources = ("clique-part rank", "stable-part rank")
+        blocks = [[c for c in ineqs if c.source == s] for s in sources]
+        assert [c for block in blocks for c in block] == list(ineqs)
+    for block in blocks:
+        keys = [(len(c.support), sorted(c.support)) for c in block]
+        assert keys == sorted(keys)
+    assert len({(c.support, c.rhs) for c in ineqs}) == len(ineqs)
 
 
 FAMILY_CASES = [
@@ -222,7 +258,7 @@ class TestChecks:
         sys = od_polyhedron_system(g, "clique")
         bumped = list(sys.inequalities)
         c = bumped[0]
-        bumped[0] = RankConstraint(c.support, c.rhs + 1, c.source)
+        bumped[0] = RankConstraint(c.mask, c.rhs + 1, c.source)
         bad = ConstraintSystem(sys.n, sys.equalities, tuple(bumped))
         rep = check_validity(bad, build_clutter(g, CodeKind.OD))
         assert not rep.ok and rep.counterexample is not None
@@ -286,7 +322,7 @@ class TestAboveEnumerationLimit:
     def test_raised_rhs_gives_sampled_counterexample(self, g, hint):
         sys = od_polyhedron_system(g, hint)
         c = sys.inequalities[0]
-        bumped = RankConstraint(c.support, c.rhs + 1, c.source)
+        bumped = RankConstraint(c.mask, c.rhs + 1, c.source)
         bad = ConstraintSystem(sys.n, sys.equalities, (bumped,) + sys.inequalities[1:])
         clutter = build_clutter(g, CodeKind.OD)
         rep = check_validity(bad, clutter)
@@ -333,12 +369,12 @@ def random_case(rng, n):
         equalities.add(rng.randrange(n))
     ineqs = []
     if rng.random() < 0.5:
-        ineqs += [RankConstraint(frozenset(e.vertices()), 1, "edge") for e in clutter.f2]
+        ineqs += [RankConstraint(e.members, 1, "edge") for e in clutter.f2]
     for _ in range(rng.randint(0, 5)):
         support = rng.getrandbits(n) | 1 << rng.randrange(n)
         tau = _tau_inside(covers, support)
         rhs = min(max(1, tau + rng.choice((-1, 0, 0, 1))), support.bit_count())
-        ineqs.append(RankConstraint(frozenset(v for v in range(n) if support >> v & 1), rhs))
+        ineqs.append(RankConstraint(support, rhs))
     rng.shuffle(ineqs)
     return ConstraintSystem(n, tuple(sorted(equalities)), tuple(ineqs)), clutter
 
@@ -347,7 +383,7 @@ def assert_matches_reference(sys, clutter):
     """The checks agree with the 2^n scan: every ok flag, the validity
     counterexample, the never-tight inequalities and the witness of every
     inequality with tau(E[S]) = rhs.  Other witnesses are real witnesses."""
-    covers = all_covers(sys.n, clutter.edge_sets())
+    covers = all_covers(sys.n, [e.vertices() for e in clutter.edges])
     assert check_validity(sys, clutter) == reference_check_validity(sys, clutter)
 
     got, ref = check_tightness(sys, clutter), reference_check_tightness(sys, clutter)
@@ -421,13 +457,13 @@ class TestAgainstReferenceScan:
             masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=8))
             clutter = Clutter(n, tuple(Hyperedge(m, (f"e{i}",)) for i, m in enumerate(masks)))
             assert _minimal_covers(clutter) == brute_minimal_covers(n, masks)
-            covers = all_covers(n, clutter.edge_sets())
+            covers = all_covers(n, [e.vertices() for e in clutter.edges])
             equalities = data.draw(st.sets(st.integers(0, n - 1), max_size=2))
             ineqs = []
             for support in data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=5)):
                 shift = data.draw(st.integers(-1, 1))
                 rhs = min(max(1, _tau_inside(covers, support) + shift), support.bit_count())
-                ineqs.append(RankConstraint(frozenset(v for v in range(n) if support >> v & 1), rhs))
+                ineqs.append(RankConstraint(support, rhs))
             assert_matches_reference(ConstraintSystem(n, tuple(sorted(equalities)), tuple(ineqs)), clutter)
 
         check()
