@@ -55,7 +55,7 @@ class UsageError(Exception):
 # the error code of each failure main reports, most specific class first
 ERROR_CODES = (
     (InadmissibleGraphError, "inadmissible"),
-    ((GraphFormatError, LsatFormatError, ClutterFormatError, OSError), "format"),
+    ((GraphFormatError, LsatFormatError, ClutterFormatError, UnicodeDecodeError, OSError), "format"),
     ((UsageError, ValueError), "usage"),
 )
 

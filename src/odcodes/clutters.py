@@ -66,7 +66,12 @@ class Hyperedge:
 class Hypergraph:
     n: int
     kind: CodeKind
-    edges: tuple[Hyperedge, ...]
+    masks: tuple[int, ...]  # hyperedge i is masks[i], from sources[i]
+    sources: tuple[str, ...]  # one per hyperedge: "N[v]", "N(v)" or "delta(u,v)"
+
+    @property
+    def edges(self) -> tuple[Hyperedge, ...]:
+        return tuple(Hyperedge(m, (s,)) for m, s in zip(self.masks, self.sources))
 
 
 @dataclass(frozen=True)
@@ -106,39 +111,50 @@ def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
     require_admissible(g, kind)
     dom, sep = code_masks(g, kind)
     tag = "N[{}]" if kind.domination == "closed" else "N({})"
-    edges = [Hyperedge(m, (tag.format(v),)) for v, m in enumerate(dom)]
-    locating = kind.separation == "locating"
+    masks = list(dom)
+    sources = [tag.format(v) for v in range(g.n)]
+    # a locating pair is only constrained while both lie outside the code,
+    # so membership of u or v discharges it
+    own = [1 << v if kind.separation == "locating" else 0 for v in range(g.n)]
     for u in range(g.n):
-        for v in range(u + 1, g.n):
-            mask = sep[u] ^ sep[v]
-            if locating:
-                # a pair is only constrained while both lie outside the
-                # code, so membership of u or v discharges it
-                mask |= (1 << u) | (1 << v)
-            edges.append(Hyperedge(mask, (f"delta({u},{v})",)))
-    return Hypergraph(g.n, kind, tuple(edges))
+        su, ou, ahead = sep[u], own[u], range(u + 1, g.n)
+        masks += [su ^ sep[v] | ou | own[v] for v in ahead]
+        sources += [f"delta({u},{v})" for v in ahead]
+    return Hypergraph(g.n, kind, tuple(masks), tuple(sources))
+
+
+def _holds_kept(mask: int, by_low: dict[int, list[int]]) -> bool:
+    """Whether mask holds an edge of by_low, which lists edges by lowest vertex."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        for k in by_low.get(low, ()):
+            if k & mask == k:
+                return True
+    return False
 
 
 def reduce_hypergraph(h: Hypergraph) -> Clutter:
     """Drop duplicate and superset-redundant edges; covering number is kept.
 
-    Duplicates merge into one edge carrying every source tag.  The result is
-    an antichain ordered by (size, member tuple).  Kept edges are indexed by
-    their lowest vertex, so an edge is tested only against the kept edges
-    whose lowest vertex it holds, as any subset of it must be.
+    Duplicates merge into one edge carrying every source tag.  Edges go by
+    size, as a proper subset is smaller, each tested against the kept edges
+    filed under one of its own vertices as their lowest.  The result is an
+    antichain ordered by (size, member tuple).
     """
     merged: dict[int, list[str]] = {}
-    for e in h.edges:
-        if e.members == 0:
-            raise ValueError(f"empty hyperedge from {e.sources}")
-        merged.setdefault(e.members, []).extend(e.sources)
+    for mask, source in zip(h.masks, h.sources):
+        merged.setdefault(mask, []).append(source)
+    if 0 in merged:
+        raise ValueError(f"empty hyperedge from {merged[0]}")
     kept: list[int] = []
     by_low: dict[int, list[int]] = {}
-    width = max(merged, default=0).bit_length()
-    for mask in sorted(merged, key=_clutter_order(width)):
-        if not any(k & mask == k for low in by_low if low & mask for k in by_low[low]):
+    for mask in sorted(merged, key=int.bit_count):
+        if not _holds_kept(mask, by_low):
             kept.append(mask)
             by_low.setdefault(mask & -mask, []).append(mask)
+    kept.sort(key=_clutter_order(max(kept, default=0).bit_length()))
     edges = tuple(Hyperedge(m, tuple(sorted(merged[m]))) for m in kept)
     return Clutter(h.n, edges, h.kind)
 

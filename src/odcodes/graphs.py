@@ -313,8 +313,15 @@ def induced_subgraph(g: Graph, keep) -> Graph:
 # at most one per vertex.
 # JSON: {"n": ..., "edges": [[u, v], ...], "labels": {"0": "q1", ...}}.
 # A label's vertex is written in plain decimal: no sign, padding or underscore.
+# So is every field of the text form, though a minus sign may lead it.
 
 _VERTEX_NUMBER = re.compile(r"0|[1-9][0-9]*")
+
+
+def _is_decimal(field: str) -> bool:
+    """Plain decimal with an optional leading minus: no plus sign, padding,
+    underscore or non-ASCII digit, all of which int() would accept."""
+    return _VERTEX_NUMBER.fullmatch(field.removeprefix("-")) is not None
 
 
 def parse_graph(text: str) -> Graph:
@@ -341,10 +348,9 @@ def parse_graph(text: str) -> Graph:
         fields = line.split()
         if len(fields) != 2:
             raise GraphFormatError(f"line {lineno}: expected two integers, got {line!r}")
-        try:
-            a, b = int(fields[0]), int(fields[1])
-        except ValueError:
+        if not all(map(_is_decimal, fields)):
             raise GraphFormatError(f"line {lineno}: non-integer field in {line!r}")
+        a, b = int(fields[0]), int(fields[1])
         if header is None:
             header = (a, b)
         else:

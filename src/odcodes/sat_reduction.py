@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from .graphs import Graph, bits
+from .graphs import Graph, _is_decimal, bits
 
 
 class LsatFormatError(ValueError):
@@ -98,6 +98,7 @@ def _fmt_clause(c) -> str:
 #
 # Header "p lsat <n_vars> <n_clauses>", then DIMACS clause lines (integers
 # terminated by 0, possibly spanning lines).  "c ..." lines are comments.
+# Every number is plain decimal; a minus sign negates a literal.
 
 
 def parse_lsat(text: str) -> LsatInstance:
@@ -113,17 +114,16 @@ def parse_lsat(text: str) -> LsatInstance:
             fields = line.split()
             if len(fields) != 4 or fields[1] != "lsat":
                 raise LsatFormatError(f"line {lineno}: header must be 'p lsat <vars> <clauses>'")
-            try:
-                header = (int(fields[2]), int(fields[3]))
-            except ValueError:
+            if not all(map(_is_decimal, fields[2:])):
                 raise LsatFormatError(f"line {lineno}: non-integer header counts")
+            header = (int(fields[2]), int(fields[3]))
             continue
         if header is None:
             raise LsatFormatError(f"line {lineno}: clause data before header")
-        try:
-            tokens.extend(int(t) for t in line.split())
-        except ValueError:
+        fields = line.split()
+        if not all(map(_is_decimal, fields)):
             raise LsatFormatError(f"line {lineno}: non-integer token")
+        tokens += map(int, fields)
     if header is None:
         raise LsatFormatError("missing 'p lsat' header")
     n_vars, n_clauses = header

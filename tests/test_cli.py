@@ -295,6 +295,14 @@ def test_malformed_file_is_a_format_error(capsys, tmp_path, command, text, messa
     assert refusal(capsys, command, str(path)) == (2, "format", message)
 
 
+@pytest.mark.parametrize("command", ["gamma", "reduce-sat", "tau"])
+def test_file_not_utf8_is_a_format_error(capsys, tmp_path, command):
+    path = tmp_path / "input"
+    path.write_bytes(bytes.fromhex("ff fe 33 20 30 0a"))
+    code, error, message = refusal(capsys, command, str(path))
+    assert (code, error) == (2, "format") and "can't decode byte 0xff" in message
+
+
 class TestSatCommands:
     def test_reduce_sat_emits_files(self, capsys, lsat_file, tmp_path):
         gpath = tmp_path / "g.txt"

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from odcodes.clutters import (
-    Hyperedge,
+    Hypergraph,
     InadmissibleGraphError,
     build_clutter,
     build_hypergraph,
@@ -18,12 +18,19 @@ from odcodes.graphs import CodeKind, Graph, is_admissible, mask_of
 from oracles import naive_gamma, reference_reduce_hypergraph
 
 from test_graphs import complete, path, random_graph
+from test_polyhedra import relabelled
 
 P4 = path(4)
 
 
 def edge_sets(clutter):
     return [set(e.vertices()) for e in clutter.edges]
+
+
+def hypergraph_of(n, kind, edges):
+    """The Hypergraph with one hyperedge per (edge, source) pair of the edges."""
+    pairs = [(e.members, s) for e in edges for s in e.sources]
+    return Hypergraph(n, kind, tuple(m for m, _ in pairs), tuple(s for _, s in pairs))
 
 
 class TestBuildHypergraph:
@@ -58,6 +65,28 @@ class TestBuildHypergraph:
     def test_inadmissible_rejected(self):
         with pytest.raises(InadmissibleGraphError):
             build_hypergraph(Graph.from_edges(2, []), CodeKind.OD)
+
+    # build_hypergraph(P4, kind).edges, pinned in order: the four domination
+    # edges by vertex, then one separation edge per pair (u, v), u < v
+    P4_PAIRS = ["delta(0,1)", "delta(0,2)", "delta(0,3)", "delta(1,2)", "delta(1,3)", "delta(2,3)"]
+    P4_EDGES = {
+        CodeKind.OD: [(0, 1), (0, 1, 2), (1, 2, 3), (2, 3), (0, 1, 2), (3,), (1, 2), (0, 1, 2, 3), (0,), (1, 2, 3)],
+        CodeKind.OTD: [(1,), (0, 2), (1, 3), (2,), (0, 1, 2), (3,), (1, 2), (0, 1, 2, 3), (0,), (1, 2, 3)],
+        CodeKind.ID: [(0, 1), (0, 1, 2), (1, 2, 3), (2, 3), (2,), (0, 2, 3), (0, 1, 2, 3), (0, 3), (0, 1, 3), (1,)],
+        CodeKind.ITD: [(1,), (0, 2), (1, 3), (2,), (2,), (0, 2, 3), (0, 1, 2, 3), (0, 3), (0, 1, 3), (1,)],
+        CodeKind.LD: [(0, 1), (0, 1, 2), (1, 2, 3), (2, 3), (0, 1, 2), (0, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 3), (1, 2, 3)],
+        CodeKind.LTD: [(1,), (0, 2), (1, 3), (2,), (0, 1, 2), (0, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 3), (1, 2, 3)],
+    }
+
+    @pytest.mark.parametrize("kind", list(CodeKind))
+    def test_p4_edges_in_order(self, kind):
+        h = build_hypergraph(P4, kind)
+        tag = "N[{}]" if kind.domination == "closed" else "N({})"
+        sources = [tag.format(v) for v in range(4)] + self.P4_PAIRS
+        assert [e.sources for e in h.edges] == [(s,) for s in sources]
+        assert [e.vertices() for e in h.edges] == self.P4_EDGES[kind]
+        assert h.masks == tuple(e.members for e in h.edges)
+        assert h.sources == tuple(sources)
 
     def test_locating_edges_include_pair(self):
         h = build_hypergraph(P4, CodeKind.LD)
@@ -111,9 +140,7 @@ class TestReduce:
                     for j, b in enumerate(masks):
                         if i != j:
                             assert a & b != a, "antichain violated"
-                again = reduce_hypergraph(
-                    type(build_hypergraph(g, kind))(c.n, kind, c.edges)
-                )
+                again = reduce_hypergraph(hypergraph_of(c.n, kind, c.edges))
                 assert again.edge_masks() == masks
 
     def test_duplicate_sources_merged(self):
@@ -123,9 +150,17 @@ class TestReduce:
         # N[v] = V is redundant; each pair edge keeps only its delta source
         assert merged[(0, 1)] == ("delta(0,1)",)
 
+    def test_merged_sources_sorted_as_strings(self):
+        # the K2 component {2, 10} beside a path: N[2], N[10] and delta(2,10)
+        # are one edge, whose sources sort as strings, so N[10] before N[2]
+        g = Graph.from_edges(11, [(2, 10), (0, 1), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)])
+        for kind in (CodeKind.OD, CodeKind.LD):
+            merged = {e.vertices(): e.sources for e in build_clutter(g, kind).edges}
+            assert merged[(2, 10)] == ("N[10]", "N[2]", "delta(2,10)")
+
     def test_empty_edge_rejected(self):
         h = build_hypergraph(P4, CodeKind.OD)
-        bad = type(h)(h.n, h.kind, h.edges + (Hyperedge(0, ("manual",)),))
+        bad = Hypergraph(h.n, h.kind, h.masks + (0,), h.sources + ("manual",))
         with pytest.raises(ValueError):
             reduce_hypergraph(bad)
 
@@ -154,6 +189,10 @@ def reduction_corpus(source):
         graphs = [random_graph(rng.randint(1, 30), rng.random(), rng) for _ in range(60)]
     elif source == "families":
         graphs = [generate(FamilySpec(f, **params)) for f, params in LARGE_MEMBERS]
+        # each large member again under a fixed-seed relabelling, so that
+        # edges and their sources no longer come in vertex order
+        rng = random.Random(31)
+        graphs += [relabelled(g, rng.sample(range(g.n), g.n)) for g in graphs]
         graphs += [generate(spec) for spec in family_specs(14)]
     else:
         graphs = [build_gadget(inst).graph for inst, _ in zip(enumerate_slsat(3, 6), range(16))]
@@ -182,15 +221,13 @@ class TestReductionProperties:
     def test_random_mask_lists(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        from odcodes.clutters import Hypergraph
 
         @hypothesis.settings(max_examples=200, deadline=None, database=None)
         @hypothesis.given(st.data())
         def check(data):
             n = data.draw(st.integers(1, 12))
             masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=40))
-            edges = tuple(Hyperedge(m, (f"e{i}",)) for i, m in enumerate(masks))
-            h = Hypergraph(n, CodeKind.OD, edges)
+            h = Hypergraph(n, CodeKind.OD, tuple(masks), tuple(f"e{i}" for i in range(len(masks))))
             c = reduce_hypergraph(h)
             kept = c.edge_masks()
             assert all(a & b != a for a in kept for b in kept if a != b)

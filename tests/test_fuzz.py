@@ -150,3 +150,59 @@ def test_cli_exits_0_1_or_2(tmp_path, capsys):
         capsys.readouterr()
 
     check()
+
+
+class TestOptionValues:
+    """Option values from a small grammar: generate's --params, polyhedron's
+    --sizes and verify's --code.  Each command exits 0, 1 or 2, a refusal
+    included, and never raises.  A --sizes part stays below 7, since
+    polyhedron checks the system of the graph it builds."""
+
+    token = st.one_of(small.map(str), word, st.sampled_from(["-0", " 2", "2 ", "\u0663", "+", "-", "="]))
+
+    def check_exits(self, capsys, argvs):
+        @hypothesis.settings(SETTINGS, max_examples=200)
+        @hypothesis.given(argvs, st.booleans())
+        def check(argv, as_json):
+            assert main(argv + ["--json"] * as_json) in (0, 1, 2)
+            capsys.readouterr()
+
+        check()
+
+    def test_generate_params(self, capsys):
+        from odcodes.families import FAMILIES
+
+        pair = st.tuples(small, small).map("{0[0]}-{0[1]}".format)
+        value = st.lists(st.one_of(self.token, pair), min_size=1, max_size=3).map("+".join)
+        key = st.sampled_from(["chords", "sizes", "k", "n", "name", " k", "x", ""])
+        item = st.tuples(key, value).map("=".join)
+        params = st.lists(st.one_of(item, item, self.token), min_size=1, max_size=3).map(",".join)
+        argv = st.builds(
+            lambda family, raw: ["generate", "--family", family, "--params", raw],
+            st.sampled_from(FAMILIES),
+            params,
+        )
+        self.check_exits(capsys, argv)
+
+    def test_polyhedron_sizes(self, capsys):
+        part = st.one_of(st.integers(-1, 6).map(str), self.token.filter(lambda t: not t.isdigit()))
+        sizes = st.lists(part, max_size=4).map("+".join)
+        family = st.sampled_from(
+            [
+                ["--family", "generic", "--generic-family", "union-of-cliques"],
+                ["--family", "generic", "--generic-family", "clique-star"],
+                ["--family", "generic", "--generic-family", "clique"],
+                ["--family", "clique", "--n", "4"],
+                ["--family", "qrose", "--n", "4", "--q", "2"],
+            ]
+        )
+        argv = st.builds(lambda f, s: ["polyhedron", *f, "--sizes", s], family, sizes)
+        self.check_exits(capsys, argv)
+
+    def test_verify_code(self, capsys, tmp_path):
+        path = tmp_path / "p6.txt"
+        path.write_text("6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n")
+        code = st.lists(self.token, max_size=5).map(",".join)
+        kind = st.sampled_from(["OD", "LTD", "XX"])
+        argv = st.builds(lambda c, k: ["verify", str(path), "--code", c, "--kind", k], code, kind)
+        self.check_exits(capsys, argv)

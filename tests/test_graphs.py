@@ -289,6 +289,22 @@ class TestIO:
         with pytest.raises(GraphFormatError):
             parse_graph("3 2\n0 1\n")
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("11 1\n0 1_0\n", "line 2: non-integer field in '0 1_0'"),
+            ("+3 0\n", "line 1: non-integer field in '+3 0'"),
+            ("3 1\n00 1\n", "line 2: non-integer field in '00 1'"),
+            ("3 1\n0 \u0661\n", "line 2: non-integer field in '0 \u0661'"),
+        ],
+        ids=["underscore", "plus", "padding", "arabic-indic-digit"],
+    )
+    def test_text_fields_plain_decimal(self, text, line):
+        # int() reads all of these (1_0 as 10); the file format does not
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == line
+
     def test_json_roundtrip(self):
         g = gem()
         g2 = parse_graph_json(json.dumps(graph_to_json(g)))

@@ -53,6 +53,10 @@ class TestParse:
             ("p lsat 2 1\n1\n", "not terminated"),
             ("1 0\n", "header"),
             ("p cnf 2 1\n1 0\n", "header"),
+            ("p lsat +1_2 1\n1_0 0\n", "^line 1: non-integer header counts$"),
+            ("p lsat 12 1\n1_0 0\n", "^line 2: non-integer token$"),
+            ("p lsat 2 1\n+1 0\n", "^line 2: non-integer token$"),
+            ("p lsat 2 1\n1 --2 0\n", "^line 2: non-integer token$"),
         ],
     )
     def test_rejections_named(self, text, needle):
