@@ -27,7 +27,14 @@ from .clutters import (
 from .codes import check_cover_code, check_relations, verify
 from .cover import min_cover, qrose_clutter
 from .families import FAMILIES, FamilySpec, generate
-from .graphs import CodeKind, GraphFormatError, graph_to_json, graph_to_text, load_graph
+from .graphs import (
+    CodeKind,
+    GraphFormatError,
+    _is_decimal,
+    graph_to_json,
+    graph_to_text,
+    load_graph,
+)
 from .polyhedra import (
     FAMILY_HINTS,
     check_tightness,
@@ -78,23 +85,32 @@ def _join(values) -> str:
     return " ".join(map(str, values))
 
 
+def _integer(value: str) -> int:
+    """Every integer option value is read here, in plain decimal as the file
+    parsers read theirs; int() alone would take '1_0', '+3', ' 2' or non-ASCII
+    digits."""
+    if not _is_decimal(value):
+        raise argparse.ArgumentTypeError(f"expects a plain decimal integer, got {value!r}")
+    return int(value)
+
+
 def _parsed(name: str, form: str, value: str, parse):
     """parse(value), or a UsageError naming the parameter and its expected form."""
     try:
         return parse(value)
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise UsageError(f"{name} expects {form}, got {value!r}") from None
 
 
 def _sizes(value: str, name: str = "parameter sizes") -> tuple[int, ...]:
     form = "integers joined by '+', e.g. 2+2+3"
-    return _parsed(name, form, value, lambda v: tuple(int(s) for s in v.split("+")))
+    return _parsed(name, form, value, lambda v: tuple(map(_integer, v.split("+"))))
 
 
 def _chords(value: str) -> tuple[tuple[int, int], ...]:
     def pair(text: str) -> tuple[int, int]:
         a, b = text.split("-")
-        return int(a), int(b)
+        return _integer(a), _integer(b)
 
     form = "a-b pairs joined by '+', e.g. 1-3+2-4"
     return _parsed(
@@ -113,7 +129,7 @@ def _parse_params(raw: str | None) -> dict:
         key, value = item.split("=", 1)
         key = key.strip()
         if key in ("k", "n"):
-            params[key] = _parsed(f"parameter {key}", "an integer", value, int)
+            params[key] = _parsed(f"parameter {key}", "an integer", value, _integer)
         elif key == "sizes":
             params["sizes"] = _sizes(value)
         elif key == "chords":
@@ -178,7 +194,7 @@ def cmd_verify(args):
     g = load_graph(_read(args.graph))
     kind = _kind(args.kind)
     form = "comma-separated vertex numbers, e.g. 0,2,3"
-    code = _parsed("--code", form, args.code, lambda v: sorted({int(t) for t in v.split(",") if t}))
+    code = _parsed("--code", form, args.code, lambda v: sorted({_integer(t) for t in v.split(",") if t}))
     rep = verify(g, code, kind)
     obj = {
         "command": "verify",
@@ -396,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--kind", default="OD")
     p.add_argument("--enumerate", action="store_true", help="list all optimal codes")
-    p.add_argument("--cap", type=int, default=10_000)
+    p.add_argument("--cap", type=_integer, default=10_000)
     add_json(p)
     p.set_defaults(fn=cmd_gamma)
 
@@ -427,15 +443,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tau", help="minimum cover of a clutter JSON file")
     p.add_argument("clutter")
     p.add_argument("--enumerate", action="store_true")
-    p.add_argument("--cap", type=int, default=10_000)
+    p.add_argument("--cap", type=_integer, default=10_000)
     add_json(p)
     p.set_defaults(fn=cmd_tau)
 
     p = sub.add_parser("polyhedron", help="emit and check a family constraint system")
     p.add_argument("--family", required=True, choices=tuple(FAMILY_HINTS) + ("qrose",))
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--q", type=int)
+    p.add_argument("--k", type=_integer)
+    p.add_argument("--n", type=_integer)
+    p.add_argument("--q", type=_integer)
     p.add_argument("--sizes")
     p.add_argument("--generic-family", help="family used to build the graph for --family generic")
     p.add_argument("--graph", help="graph file for --family generic")
@@ -445,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper-report", help="recompute the published result tables")
     p.add_argument("section", help=f"one of {', '.join(reports.REPORT_SECTIONS)} or all")
-    p.add_argument("--max-k", type=int, help="size cap for families/qrose/sat sections")
-    p.add_argument("--seed", type=int, default=reports.DEFAULT_SEED)
+    p.add_argument("--max-k", type=_integer, help="size cap for families/qrose/sat sections")
+    p.add_argument("--seed", type=_integer, default=reports.DEFAULT_SEED)
     p.add_argument("--verbose", action="store_true", help="print passing rows too")
     add_json(p)
     p.set_defaults(fn=cmd_paper_report)

@@ -385,7 +385,9 @@ def enumerate_slsat(max_vars: int, max_clauses: int):
     variables (each occurring) for n = 1..max_vars; two instances are
     isomorphic when a variable relabeling plus polarity flips maps one onto
     the other.  Representatives are the index-wise minimal members of their
-    class, so the output is deterministic.
+    class, so the output is deterministic.  A prefix is tested for minimality
+    before it expands (orderly generation), since no minimal set extends a
+    non-minimal one.
 
     The search state is three ints: the clauses that may still join, and the
     literals used once and twice, literal l being bit 2(|l| - 1) + (l < 0).
@@ -403,24 +405,22 @@ def enumerate_slsat(max_vars: int, max_clauses: int):
         chosen: list[int] = []
         results: list[tuple[int, ...]] = []
 
-        def canonical() -> bool:
-            idx = chosen  # already sorted ascending
-            first = idx[0]
-            for table in tables:
-                low = min(table[i] for i in idx)
-                if low < first:
-                    return False
-                if low == first and sorted(table[i] for i in idx) < idx:
-                    return False
-            return True
+        def canonical() -> bool:  # chosen is sorted ascending
+            return all(sorted([table[i] for i in chosen]) >= chosen for table in tables)
 
         def rec(allowed: int, once: int, twice: int) -> None:
             used = once | twice  # folded onto the positive bits: the variables in use
             unused = n - ((used | used >> 1) & positives).bit_count()
-            if chosen and not once and not unused and canonical():
-                results.append(tuple(chosen))
+            saturated = not once and not unused
             left = max_clauses - len(chosen)
-            if left <= 0 or once.bit_count() + 2 * unused > 3 * left:
+            grows = left > 0 and once.bit_count() + 2 * unused <= 3 * left
+            # Canonicity is hereditary: if a table g maps the prefix P below P, it maps
+            # every S extending P below S (the j smallest of g(S) are <= those of g(P)).
+            if (saturated or grows and left >= 2) and not canonical():
+                return
+            if saturated:
+                results.append(tuple(chosen))
+            if not grows:
                 return
             for i in bits(allowed):
                 reached = once & lits[i]  # literals taking their second use

@@ -268,11 +268,26 @@ def reference_saturate(n_vars, clauses):
         clauses += [frozenset({once[0], n_vars}), frozenset({n_vars})]
 
 
+def reference_canonical(idx, tables):
+    """True when no table maps the ascending universe-index list idx to a
+    lexicographically smaller sorted list: idx is its class's representative."""
+    first = idx[0]
+    for table in tables:
+        low = min(table[i] for i in idx)
+        if low < first:
+            return False
+        if low == first and sorted(table[i] for i in idx) < idx:
+            return False
+    return True
+
+
 def reference_enumerate_slsat(max_vars, max_clauses):
-    """The SLSAT enumerator that predates the int search state, kept verbatim:
-    a literal-count dict, a pairwise share matrix and per-node rescans of
-    both.  It shares clause_universe and _transform_tables with the library,
-    which the int-state rewrite left as they were."""
+    """The SLSAT enumerator that predates the int search state, kept verbatim
+    but for its canonicity test, factored out as reference_canonical: a
+    literal-count dict, a pairwise share matrix and per-node rescans of both,
+    testing canonicity only at saturated leaves.  It shares clause_universe
+    and _transform_tables with the library, which the int-state rewrite left
+    as they were."""
     from odcodes.sat_reduction import LsatInstance, _transform_tables, clause_universe
 
     for n in range(1, max_vars + 1):
@@ -294,19 +309,8 @@ def reference_enumerate_slsat(max_vars, max_clauses):
                     used.add(abs(lit))
             return len(used) == n
 
-        def canonical() -> bool:
-            idx = chosen  # already sorted ascending
-            first = idx[0]
-            for table in tables:
-                low = min(table[i] for i in idx)
-                if low < first:
-                    return False
-                if low == first and sorted(table[i] for i in idx) < idx:
-                    return False
-            return True
-
         def rec(start: int) -> None:
-            if saturated_with_all_vars() and canonical():
+            if saturated_with_all_vars() and reference_canonical(chosen, tables):
                 results.append(tuple(chosen))
             if len(chosen) >= max_clauses:
                 return

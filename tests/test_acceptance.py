@@ -45,7 +45,14 @@ def test_criterion_5_random_bounds_and_relations():
 def test_criterion_6_sat_equivalence_exhaustive():
     rep = _run(6, "SAT equivalence, vars <= 4, clauses <= 6", 300, reports.report_sat_equivalence,
                max_vars=4, max_clauses=6)
-    assert "221 instances" in rep.rows[-1].label
+    assert rep.rows[-1].label == "equivalence holds on all 221 instances (170 satisfiable)"
+
+
+def test_criterion_6_sat_equivalence_five_variables():
+    # the paper's hardness check widened by one variable
+    rep = _run(6, "SAT equivalence, vars <= 5, clauses <= 5", 60, reports.report_sat_equivalence,
+               max_vars=5, max_clauses=5)
+    assert rep.rows[-1].label == "equivalence holds on all 69 instances (60 satisfiable)"
 
 
 def test_criterion_7_qrose_covering():

@@ -67,12 +67,73 @@ def lsat_file(tmp_path):
             ("generate", "--family", "fan", "--params", "k"),
             "malformed parameter 'k', expected key=value",
         ),
+        # int() would read each of these; option values are plain decimal
+        (
+            ("verify", "{graph}", "--code", "1_0"),
+            "--code expects comma-separated vertex numbers, e.g. 0,2,3, got '1_0'",
+        ),
+        (
+            ("verify", "{graph}", "--code", "\u0661"),
+            "--code expects comma-separated vertex numbers, e.g. 0,2,3, got '\u0661'",
+        ),
+        (
+            ("generate", "--family", "fan", "--params", "k=+3"),
+            "parameter k expects an integer, got '+3'",
+        ),
+        (
+            ("generate", "--family", "clique-star", "--params", "sizes=2_0+2"),
+            "parameter sizes expects integers joined by '+', e.g. 2+2+3, got '2_0+2'",
+        ),
+        (
+            ("generate", "--family", "thin-sun", "--params", "k=5,chords=1-0_3"),
+            "parameter chords expects a-b pairs joined by '+', e.g. 1-3+2-4, got '1-0_3'",
+        ),
+        (
+            ("polyhedron", "--family", "thin-spider", "--k", "4", "--sizes", "2_0+2"),
+            "--sizes expects integers joined by '+', e.g. 2+2+3, got '2_0+2'",
+        ),
     ],
-    ids=["chords", "k", "sizes", "polyhedron-sizes", "verify-code", "params-without-equals"],
+    ids=[
+        "chords",
+        "k",
+        "sizes",
+        "polyhedron-sizes",
+        "verify-code",
+        "params-without-equals",
+        "code-underscore",
+        "code-arabic-indic-digit",
+        "k-plus-sign",
+        "params-sizes-underscore",
+        "chords-underscore",
+        "polyhedron-sizes-underscore",
+    ],
 )
 def test_malformed_value_names_parameter_and_form(capsys, p4_file, argv, message):
     argv = [a.format(graph=p4_file) for a in argv]
     assert refusal(capsys, *argv) == (2, "usage", message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gamma", "{graph}", "--enumerate", "--cap", "1_0"),
+        ("tau", "{graph}", "--enumerate", "--cap", " 2"),
+        ("polyhedron", "--family", "half-graph", "--k", "+2"),
+        ("polyhedron", "--family", "clique", "--n", "0_4"),
+        ("polyhedron", "--family", "qrose", "--n", "4", "--q", "\u0662"),
+        ("paper-report", "sat", "--max-k", "1_0"),
+        ("paper-report", "bounds", "--seed", "+3"),
+    ],
+    ids=["cap", "tau-cap", "k", "n", "q", "max-k", "seed"],
+)
+def test_integer_option_not_in_plain_decimal_is_refused(capsys, p4_file, argv):
+    argv = [a.format(graph=p4_file) for a in argv]
+    option, value = argv[-2:]
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out) == (2, "")
+        message = f"error: argument {option}: expects a plain decimal integer, got {value!r}\n"
+        assert err.endswith(message)
 
 
 class TestGenerate:

@@ -8,6 +8,7 @@ format error, and ``odcodes`` may only exit 0, 1 or 2.
 """
 
 import json
+import re
 
 import pytest
 
@@ -152,20 +153,36 @@ def test_cli_exits_0_1_or_2(tmp_path, capsys):
     check()
 
 
+def _plain(text):
+    """Plain decimal, ASCII digits only, with an optional leading minus."""
+    return re.fullmatch(r"-?(0|[1-9][0-9]*)", text) is not None
+
+
 class TestOptionValues:
     """Option values from a small grammar: generate's --params, polyhedron's
     --sizes and verify's --code.  Each command exits 0, 1 or 2, a refusal
-    included, and never raises.  A --sizes part stays below 7, since
-    polyhedron checks the system of the graph it builds."""
+    included, and never raises; a value holding a number that is not plain
+    decimal (which int() would read) is refused with exit 2.  A --sizes part
+    stays below 7, since polyhedron checks the system of the graph it builds."""
 
     token = st.one_of(small.map(str), word, st.sampled_from(["-0", " 2", "2 ", "\u0663", "+", "-", "="]))
 
-    def check_exits(self, capsys, argvs):
+    def check_exits(self, capsys, argvs, option, not_plain):
+        """not_plain(value) is True when the value of option holds a number
+        that the command reads but that is not plain decimal."""
+
         @hypothesis.settings(SETTINGS, max_examples=200)
         @hypothesis.given(argvs, st.booleans())
         def check(argv, as_json):
-            assert main(argv + ["--json"] * as_json) in (0, 1, 2)
-            capsys.readouterr()
+            status = main(argv + ["--json"] * as_json)
+            assert status in (0, 1, 2)
+            out = capsys.readouterr().out
+            value = argv[argv.index(option) + 1]
+            if not_plain(value):
+                assert status == 2
+                # argparse itself refuses a value that looks like an option
+                if as_json and not value.startswith("-"):
+                    assert json.loads(out)["error"]["code"] == "usage"
 
         check()
 
@@ -182,7 +199,24 @@ class TestOptionValues:
             st.sampled_from(FAMILIES),
             params,
         )
-        self.check_exits(capsys, argv)
+
+        def not_plain(raw):
+            for item in raw.split(","):
+                key, _, value = item.partition("=")
+                key = key.strip()
+                if key in ("k", "n"):
+                    numbers = [value]
+                elif key == "sizes":
+                    numbers = value.split("+")
+                elif key == "chords" and value:
+                    numbers = [a for pair in value.split("+") for a in pair.split("-")]
+                else:
+                    continue
+                if not all(map(_plain, numbers)):
+                    return True
+            return False
+
+        self.check_exits(capsys, argv, "--params", not_plain)
 
     def test_polyhedron_sizes(self, capsys):
         part = st.one_of(st.integers(-1, 6).map(str), self.token.filter(lambda t: not t.isdigit()))
@@ -197,7 +231,9 @@ class TestOptionValues:
             ]
         )
         argv = st.builds(lambda f, s: ["polyhedron", *f, "--sizes", s], family, sizes)
-        self.check_exits(capsys, argv)
+        # an empty --sizes is read as no sizes
+        not_plain = lambda s: s and not all(map(_plain, s.split("+")))
+        self.check_exits(capsys, argv, "--sizes", not_plain)
 
     def test_verify_code(self, capsys, tmp_path):
         path = tmp_path / "p6.txt"
@@ -205,4 +241,33 @@ class TestOptionValues:
         code = st.lists(self.token, max_size=5).map(",".join)
         kind = st.sampled_from(["OD", "LTD", "XX"])
         argv = st.builds(lambda c, k: ["verify", str(path), "--code", c, "--kind", k], code, kind)
-        self.check_exits(capsys, argv)
+        not_plain = lambda c: not all(_plain(t) for t in c.split(",") if t)
+        self.check_exits(capsys, argv, "--code", not_plain)
+
+    def test_number_forms_int_would_read(self, capsys, tmp_path):
+        # one number of a command that is otherwise valid, written in a form
+        # int() reads: the command is refused exactly when the form is not plain
+        path = tmp_path / "p6.txt"
+        path.write_text("6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n")
+        forms = st.sampled_from(["{}", "{}", "0{}", "+{}", " {}", "{} ", "0_{}"])
+        value = st.integers(2, 3)
+        number = st.builds(str.format, forms, value) | value.map(lambda v: chr(0x660 + v))
+        commands = [
+            lambda x: ["generate", "--family", "clique", "--params", f"n={x}"],
+            lambda x: ["generate", "--family", "clique-star", "--params", f"sizes=2+{x}"],
+            lambda x: ["polyhedron", "--family", "generic", "--generic-family", "clique-star"]
+            + ["--sizes", f"2+{x}"],
+            lambda x: ["verify", str(path), "--code", f"0,{x},4"],
+            lambda x: ["gamma", str(path), "--enumerate", "--cap", x],
+            lambda x: ["polyhedron", "--family", "qrose", "--n", "4", "--q", x],
+            lambda x: ["paper-report", "qrose", "--max-k", x],
+        ]
+
+        @hypothesis.settings(SETTINGS, max_examples=100)
+        @hypothesis.given(st.sampled_from(commands), number)
+        def check(command, x):
+            status = main(command(x))
+            capsys.readouterr()
+            assert status == 2 if not _plain(x) else status in (0, 1)
+
+        check()

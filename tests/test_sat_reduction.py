@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -8,6 +9,7 @@ from odcodes.graphs import CodeKind, girth, is_bipartite, max_degree
 from odcodes.sat_reduction import (
     LsatFormatError,
     LsatInstance,
+    _transform_tables,
     assignment_to_code,
     auxiliary_graph,
     brute_force_sat,
@@ -21,7 +23,7 @@ from odcodes.sat_reduction import (
     parse_lsat,
     saturate,
 )
-from oracles import reference_enumerate_slsat, reference_saturate
+from oracles import reference_canonical, reference_enumerate_slsat, reference_saturate
 
 UNSAT_2VAR = LsatInstance(2, (frozenset({1}), frozenset({-1, 2}), frozenset({-1, -2})))
 
@@ -264,6 +266,37 @@ class TestEnumerator:
         # and (4, 6); these pin the order of every smaller sweep
         expected = list(reference_enumerate_slsat(max_vars, max_clauses))
         assert list(enumerate_slsat(max_vars, max_clauses)) == expected
+
+    @pytest.mark.parametrize(
+        "max_vars,max_clauses,count,digest",
+        [
+            (4, 5, 49, "a0dcad7ef2833683604e111c45034a3aa5996781d40a17d427d0520ffd2f0b5c"),
+            (4, 6, 221, "d845368bd7730a4c424d58ed8b724fd5d2096acdc0e89d6a84fd95504a1cbfec"),
+            (5, 5, 69, "2906fba2447b637dd87ba9e97166e5b686f1d6a2761fa8b8a5d46c0949b172f1"),
+        ],
+    )
+    def test_larger_sweeps_pinned_by_digest(self, max_vars, max_clauses, count, digest):
+        # the SHA-256 of the sweeps as the leaf-tested enumerator wrote them;
+        # reference_enumerate_slsat itself takes about 20 s at (4, 6)
+        instances = list(enumerate_slsat(max_vars, max_clauses))
+        text = "".join(format_lsat(inst) for inst in instances)
+        assert len(instances) == count
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_every_prefix_of_a_representative_is_canonical(self):
+        # the early cut rests on this: a representative's lowest k clause
+        # indices are themselves the representative of their class
+        by_n = {}
+        for inst in enumerate_slsat(4, 6):
+            if inst.n_vars not in by_n:
+                universe = clause_universe(inst.n_vars)
+                position = {c: i for i, c in enumerate(universe)}
+                by_n[inst.n_vars] = position, _transform_tables(inst.n_vars, universe)
+            position, tables = by_n[inst.n_vars]
+            idx = sorted(position[c] for c in inst.clauses)
+            for k in range(1, len(idx) + 1):
+                assert reference_canonical(idx[:k], tables), (format_lsat(inst), k)
+        assert sorted(by_n) == [2, 3, 4]
 
     def test_counting_lower_bound_on_optimal_codes(self):
         # every optimal code keeps at least 2 vertices per gadget path, one
