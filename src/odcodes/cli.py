@@ -194,7 +194,9 @@ def cmd_verify(args):
     g = load_graph(_read(args.graph))
     kind = _kind(args.kind)
     form = "comma-separated vertex numbers, e.g. 0,2,3"
-    code = _parsed("--code", form, args.code, lambda v: sorted({_integer(t) for t in v.split(",") if t}))
+    code = _parsed(
+        "--code", form, args.code, lambda v: sorted({_integer(t) for t in v.split(",") if t})
+    )
     rep = verify(g, code, kind)
     obj = {
         "command": "verify",
