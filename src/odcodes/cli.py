@@ -59,6 +59,22 @@ class UsageError(Exception):
     pass
 
 
+class _Refused(UsageError):
+    """argparse refused the command line; parser is the one that refused it."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _Refused where argparse would print usage and exit 2, so that
+    main reports the refusal the way --json asks, as it does a handler's."""
+
+    def error(self, message):
+        raise _Refused(self, message)
+
+
 # the error code of each failure main reports, most specific class first
 ERROR_CODES = (
     (InadmissibleGraphError, "inadmissible"),
@@ -316,7 +332,7 @@ def cmd_polyhedron(args):
             label = f"generic {args.graph}"
         else:
             params = {key: v for key, v in (("k", args.k), ("n", args.n)) if v is not None}
-            if args.sizes:
+            if args.sizes is not None:
                 params["sizes"] = _sizes(args.sizes, "--sizes")
             spec_family = args.generic_family if args.family == "generic" else args.family
             if spec_family is None:
@@ -389,7 +405,7 @@ def cmd_paper_report(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="odcodes",
         description="Open-separating dominating codes: solvers, families, reductions, polyhedra.",
     )
@@ -484,23 +500,33 @@ def _emit(chunk: str) -> None:
         raise _OutputError(exc) from exc
 
 
+def _asks_json(argv: list[str]) -> bool:
+    """Whether a command line that argparse refused gives --json, or a prefix
+    of it as argparse would read one, before any bare --."""
+    head = argv[: argv.index("--")] if "--" in argv else argv
+    return any(len(arg) > 2 and "--json".startswith(arg) for arg in head)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    json_mode = getattr(args, "json", False)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    json_mode = _asks_json(argv)
     try:
         try:
+            args = build_parser().parse_args(argv)
+            json_mode = getattr(args, "json", False)
             status, obj, text = args.fn(args)
             for chunk in [text] if isinstance(text, str) else text:
                 if not json_mode:
                     _emit(chunk)
+        except SystemExit as exc:  # --help
+            return int(exc.code or 0)
         except (UsageError, ValueError, OSError) as exc:
             code = next(code for types, code in ERROR_CODES if isinstance(exc, types))
             if json_mode:
                 _emit(json.dumps({"schema": SCHEMA, "error": {"code": code, "message": str(exc)}}))
+            elif isinstance(exc, _Refused):
+                exc.parser.print_usage(sys.stderr)
+                print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
             else:
                 print(f"error: {exc}", file=sys.stderr)
             return 1 if code == "inadmissible" else 2

@@ -1,18 +1,18 @@
 """Exact minimum set cover over clutters.
 
-Branch and bound on packed edges: each uncovered edge is one int,
-``(size << w) | mask`` with ``w`` the bit length of the widest mask, so a
-plain ``list.sort()`` orders edges by size, then mask.  Every node's edge
-list is kept in that order.  Taking the branch vertex filters the list and
-keeps it sorted; dropping it shrinks the edges that hold it and merges the
-two sorted runs.  Forced vertices (singleton edges) therefore sit in the
-sorted prefix and are absorbed in one pass.  The lower bound is a greedy
-packing of pairwise-disjoint edges in that order, stopped as soon as it
-prunes.  Branching picks the most frequent vertex inside a smallest edge,
-lowest index on ties.  With one vertex left in the budget, the leaves are
-the vertices in every edge, handed on lowest first, which is the order the
-branching would take them in.  With two left, the node is pruned unless some
-vertex of the first edge leaves edges that one vertex hits.
+Branch and bound on edge-index bitsets.  The distinct edges are numbered in
+(size, mask) order, and a node's uncovered edges are one int over those
+indices.  Per-vertex tables (the edges that hold v) and size classes (the
+edges by how many of their vertices are not excluded) make each step a few
+big-int operations: taking a vertex clears the edges it holds, excluding it
+moves them one class down.  Forced vertices (singleton edges) are absorbed
+in one pass.  The lower bound is a greedy packing of pairwise-disjoint
+edges by (size, index), stopped as soon as it prunes.  Branching picks the
+most frequent vertex inside the least edge by (size, mask), lowest index on
+ties.  With one vertex left in the budget, the leaves are the vertices in
+every edge, handed on lowest first, the order branching would take them in.
+With two left, the node is pruned unless some vertex of a smallest edge
+leaves edges that one vertex hits.
 
 One walk serves both passes: it prunes at a limit and hands each surviving
 leaf to a callback.  The value pass prunes at one below the incumbent and
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from operator import and_
+from operator import or_
 
 from .clutters import Clutter, Hyperedge
 from .graphs import bits, mask_of
@@ -83,8 +83,6 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
     if 0 in masks:
         raise ValueError("clutter has an empty edge")
 
-    w = max(masks).bit_length()
-    full, one, two = (1 << w) - 1, 1 << w, 2 << w
     greedy = mask_of(greedy_cover(c))
     witness, limit, nodes = greedy, greedy.bit_count() - 1, 0
     optima: list[int] = []
@@ -100,23 +98,42 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
 
     leaf = improve
 
-    def walk(edges: list[int], selected: int, count: int) -> None:
-        """One node: edges are sorted packed ints, none empty."""
+    # Edge i is the i-th distinct mask by (size, mask), with vertices verts[i]
+    # (lists, as freed tuples pile up on per-length free lists: +3 MB of RSS).
+    # hold[v] has the edges that hold v, root[s] those of size s, skip[v] those
+    # missing v; apart[i], built when i is first packed, those missing all of i.
+    edge = sorted(masks, key=lambda m: (m.bit_count(), m))
+    verts = [list(bits(m)) for m in edge]
+    hold = [0] * max(masks).bit_length()
+    root = [0] * (len(verts[-1]) + 1)
+    for i, vs in enumerate(verts):
+        root[len(vs)] |= 1 << i
+        for v in vs:
+            hold[v] |= 1 << i
+    skip = [~h for h in hold]
+    apart: list[int | None] = [None] * len(edge)
+    tops = range(2, len(root))
+
+    def walk(left: int, size: list[int], out: int, selected: int, count: int) -> None:
+        """One node: left holds the uncovered edges, and size[s] those of
+        them with s vertices outside the excluded ones, out."""
         nonlocal nodes
         nodes += 1
-        # Singletons lead the sorted list, and dropping the edges they hit
-        # makes no new singleton, so one pass absorbs them all.
-        if edges and edges[0] < two:
+        # Dropping the edges that the singletons hit makes no new singleton,
+        # so one pass absorbs them all.
+        single = size[1] & left
+        if single:
             forced = 0
-            for k in edges:
-                if k >= two:
-                    break
-                forced |= k
-            forced &= full
+            while single:
+                low = single & -single
+                single ^= low
+                forced |= edge[low.bit_length() - 1]
+            forced &= ~out
             selected |= forced
             count += forced.bit_count()
-            edges = [k for k in edges if not k & forced]
-        if not edges:
+            for v in bits(forced):
+                left &= skip[v]
+        if not left:
             if count <= limit:
                 leaf(selected, count)
             return
@@ -125,43 +142,86 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
             # vertices branching would take, lowest first.  An improving
             # leaf lowers the limit and ends the loop.
             if count + 1 == limit:
-                common = reduce(and_, edges, full)
-                while common and count < limit:
-                    b = common & -common
-                    common ^= b
-                    leaf(selected | b, count + 1)
+                for v in bits(edge[(left & -left).bit_length() - 1] & ~out):
+                    if count >= limit:
+                        break
+                    if not left & skip[v]:
+                        leaf(selected | 1 << v, count + 1)
             return
-        used, bound = 0, count
-        for k in edges:
-            if not k & used:
+        # The branching order alone fixes the leaves at or below the limit,
+        # and a valid prune removes none, so the witness, the optima and
+        # where cap cuts them do not depend on the packing order; (size,
+        # index) packs differently from (size, mask) and moves only nodes.
+        free, bound = left, count
+        for s in tops:
+            pick = size[s] & free
+            while pick:
                 bound += 1
                 if bound > limit:
                     return
-                used |= k & full
-        # The most frequent vertex of edges[0] leaves the shortest include
-        # list; the strict < keeps the lowest index on ties.  With two
-        # vertices left, no leaf lies below unless some kept list has a vertex
-        # in every edge (the AND over no edges is full, so nonzero).
-        rest, inc, vbit = edges[0] & full, None, 0
+                i = (pick & -pick).bit_length() - 1
+                if edge[i] & out:
+                    for v in verts[i]:
+                        if not out >> v & 1:
+                            free &= skip[v]
+                else:
+                    a = apart[i]
+                    if a is None:
+                        a = apart[i] = ~reduce(or_, [hold[v] for v in verts[i]])
+                    free &= a
+                pick = size[s] & free
+            if not free:
+                break
+        # Branch on the least (size, mask) edge: the lowest index among the
+        # whole edges of size s, or a shrunk one with a smaller mask.
+        s = 2
+        while not size[s] & left:
+            s += 1
+        first = size[s] & left
+        whole = first & root[s]
+        best = edge[(whole & -whole).bit_length() - 1] if whole else None
+        shrunk = first ^ whole
+        while shrunk:
+            low = shrunk & -shrunk
+            shrunk ^= low
+            m = edge[low.bit_length() - 1] & ~out
+            if best is None or m < best:
+                best = m
+        # Take its vertex that holds the most uncovered edges, lowest on ties.
+        # With two vertices left, no leaf lies below unless some vertex b
+        # leaves edges that one vertex x hits; x lies in the first two.
+        most, v = -1, 0
         finishable = count + 2 < limit
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            kept = [k for k in edges if not k & b]
-            if inc is None or len(kept) < len(inc):
-                inc, vbit = kept, b
+        for b in bits(best):
+            hits = (left & hold[b]).bit_count()
+            if hits > most:
+                most, v = hits, b
             if not finishable:
-                finishable = reduce(and_, kept, full) != 0
+                kept = left & skip[b]
+                two = kept & (kept - 1)
+                common = edge[(kept & -kept).bit_length() - 1] & ~out if kept else 0
+                if two:
+                    common &= edge[(two & -two).bit_length() - 1]
+                finishable = not kept
+                while common and not finishable:
+                    low = common & -common
+                    common ^= low
+                    finishable = not kept & skip[low.bit_length() - 1]
         if not finishable:
             return
-        walk(inc, selected | vbit, count + 1)
-        dec = one | vbit
-        exc = inc + [k - dec for k in edges if k & vbit]
-        exc.sort()
-        walk(exc, selected, count)
+        walk(left & skip[v], size, out, selected | 1 << v, count + 1)
+        moved, size = left & hold[v], size[:]
+        for s in tops:
+            shrink = size[s] & moved
+            if shrink:
+                size[s] ^= shrink
+                size[s - 1] |= shrink
+                moved ^= shrink
+                if not moved:
+                    break
+        walk(left, size, out | 1 << v, selected, count)
 
-    base = sorted((m.bit_count() << w) | m for m in masks)
-    walk(base, 0, 0)
+    walk((1 << len(edge)) - 1, root, 0, 0, 0)
     value = limit + 1
     if any(not m & witness for m in masks):
         raise AssertionError("solver returned a non-cover")
@@ -171,7 +231,7 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
     if enumerate_all:
         leaf, limit = collect, value
         try:
-            walk(base, 0, 0)
+            walk((1 << len(edge)) - 1, root, 0, 0, 0)
         except _Truncated:
             truncated = True
         optima_out = tuple(frozenset(bits(m)) for m in sorted(optima))

@@ -129,11 +129,57 @@ def test_malformed_value_names_parameter_and_form(capsys, p4_file, argv, message
 def test_integer_option_not_in_plain_decimal_is_refused(capsys, p4_file, argv):
     argv = [a.format(graph=p4_file) for a in argv]
     option, value = argv[-2:]
-    for extra in ((), ("--json",)):
-        code, out, err = run(capsys, *argv, *extra)
-        assert (code, out) == (2, "")
-        message = f"error: argument {option}: expects a plain decimal integer, got {value!r}\n"
-        assert err.endswith(message)
+    message = f"argument {option}: expects a plain decimal integer, got {value!r}"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: odcodes ") and err.endswith(f": error: {message}\n")
+    assert argparse_refusal_as_json(capsys, *argv) == message
+
+
+def argparse_refusal_as_json(capsys, *argv):
+    """The message of a command line that argparse refuses, after checking
+    that --json reports it on stdout as a usage error with exit 2."""
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (2, "")
+    obj = json.loads(out)
+    assert obj["schema"] == 1 and obj["error"]["code"] == "usage"
+    return obj["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("paper-report", "sat", "--max-k", "1_0"),
+            "argument --max-k: expects a plain decimal integer, got '1_0'",
+        ),
+        (
+            ("gamma", "{graph}", "--cap", "abc"),
+            "argument --cap: expects a plain decimal integer, got 'abc'",
+        ),
+        (("gamma",), "the following arguments are required: graph"),
+        (("gamma", "{graph}", "--kind"), "argument --kind: expected one argument"),
+        (("gamma", "{graph}", "--bogus"), "unrecognized arguments: --bogus"),
+    ],
+    ids=["max-k", "cap", "missing-graph", "missing-value", "unknown-flag"],
+)
+def test_argparse_refusal_under_json_is_a_usage_object(capsys, p4_file, argv, message):
+    argv = [a.format(graph=p4_file) for a in argv]
+    assert argparse_refusal_as_json(capsys, *argv) == message
+
+
+def test_abbreviated_json_flag_counts_for_an_argparse_refusal(capsys):
+    code, out, _ = run(capsys, "paper-report", "sat", "--max-k", "1_0", "--js")
+    assert code == 2 and json.loads(out)["error"]["code"] == "usage"
+    # after a bare --, a --json token is an argument, not the flag
+    code, out, err = run(capsys, "gamma", "--bogus", "--", "--json")
+    assert (code, out) == (2, "") and "unrecognized arguments" in err
+
+
+def test_empty_polyhedron_sizes_is_refused(capsys):
+    argv = ("polyhedron", "--family", "clique", "--n", "4", "--sizes", "")
+    message = "--sizes expects integers joined by '+', e.g. 2+2+3, got ''"
+    assert refusal(capsys, *argv) == (2, "usage", message)
 
 
 class TestGenerate:

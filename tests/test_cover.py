@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -189,16 +191,19 @@ class TestSameResultsAsReference:
     most its nodes: the budget tests prune only subtrees that hold no leaf."""
 
     def test_random_clutters(self):
+        # The second batch has edges large enough to shrink into duplicates
+        # and size classes above 5.
         rng = random.Random(89)
-        for _ in range(200):
-            n = rng.randint(1, 12)
-            sets = [
-                set(rng.sample(range(n), rng.randint(1, min(5, n))))
-                for _ in range(rng.randint(0, 16))
-            ]
-            c = clutter_of(n, *sets)
-            against_reference(c)
-            against_reference(c, enumerate_all=True, cap=rng.choice([1, 2, 5, 10_000]))
+        for count, top_n, top_edges, top_size in ((200, 12, 16, 5), (120, 16, 40, 10)):
+            for _ in range(count):
+                n = rng.randint(1, top_n)
+                sets = [
+                    set(rng.sample(range(n), rng.randint(1, min(top_size, n))))
+                    for _ in range(rng.randint(0, top_edges))
+                ]
+                c = clutter_of(n, *sets)
+                against_reference(c)
+                against_reference(c, enumerate_all=True, cap=rng.choice([1, 2, 5, 10_000]))
 
     @pytest.mark.parametrize("case", list(CODE_CLUTTERS))
     def test_code_clutters(self, case):
@@ -236,6 +241,28 @@ class TestSameResultsAsReference:
         full = frozenset(range(6))
         assert res.truncated
         assert res.all_optima == tuple(full - {v} for v in range(5, 5 - cap, -1))
+
+
+# SHA-256 of the rows that test_results_beyond_the_reference_are_pinned
+# builds, as the packed-list search before the edge-index walk returned them;
+# the reference is too slow at these sizes to run in the suite.
+BEYOND_REFERENCE_SHA256 = "d6123cfc0a96c98aa966a63965b2d8b4bae865c4d8e60737c63dc1a2ae6bc45c"
+
+
+def test_results_beyond_the_reference_are_pinned():
+    rows = []
+    for family, make, sizes in (("cycle", cycle, (32, 36, 40)), ("path", path, (36, 40))):
+        for n in sizes:
+            for kind in (CodeKind.OD, CodeKind.OTD):
+                res = min_cover(build_clutter(make(n), kind))
+                rows.append([family, n, kind.name, res.value, sorted(res.witness)])
+    for n in (24, 28, 30):
+        for kind in (CodeKind.OD, CodeKind.LD):
+            res = min_cover(build_clutter(cycle(n), kind), enumerate_all=True, cap=100_000)
+            optima = [sorted(s) for s in res.all_optima]
+            rows.append(["cycle-all", n, kind.name, res.value, len(optima), optima])
+    digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+    assert digest == BEYOND_REFERENCE_SHA256
 
 
 class TestMonotonicity:
