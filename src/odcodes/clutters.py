@@ -7,6 +7,9 @@ vertex set is a code exactly when it hits every edge, so the covering number
 of the hypergraph is the code number.  Reduction removes superset-redundant
 edges, yielding the clutter together with its forced vertices (singleton
 edges), multi-vertex edges, and the ground-irrelevant vertex set.
+
+Both layers hold their edges as bitmasks in a tuple parallel to their
+sources; a Hyperedge is built only when `edges` is read.
 """
 
 from __future__ import annotations
@@ -79,12 +82,17 @@ class Clutter:
     """Antichain of non-redundant edges, sorted by (size, member tuple)."""
 
     n: int
-    edges: tuple[Hyperedge, ...]
+    masks: tuple[int, ...]  # edge i is masks[i], merged from sources[i]
+    sources: tuple[tuple[str, ...], ...]
     kind: CodeKind | None = None
 
     @property
+    def edges(self) -> tuple[Hyperedge, ...]:
+        return tuple(map(Hyperedge, self.masks, self.sources))
+
+    @property
     def f1(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges if e.size == 1 for v in e.vertices())
+        return frozenset(m.bit_length() - 1 for m in self.masks if m.bit_count() == 1)
 
     @property
     def f2(self) -> tuple[Hyperedge, ...]:
@@ -92,14 +100,11 @@ class Clutter:
 
     @property
     def ground(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e.vertices())
+        return frozenset(v for m in self.masks for v in bits(m))
 
     @property
     def v0(self) -> frozenset[int]:
         return frozenset(range(self.n)) - self.ground
-
-    def edge_masks(self) -> tuple[int, ...]:
-        return tuple(e.members for e in self.edges)
 
 
 def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
@@ -155,8 +160,7 @@ def reduce_hypergraph(h: Hypergraph) -> Clutter:
             kept.append(mask)
             by_low.setdefault(mask & -mask, []).append(mask)
     kept.sort(key=_clutter_order(max(kept, default=0).bit_length()))
-    edges = tuple(Hyperedge(m, tuple(sorted(merged[m]))) for m in kept)
-    return Clutter(h.n, edges, h.kind)
+    return Clutter(h.n, tuple(kept), tuple(tuple(sorted(merged[m])) for m in kept), h.kind)
 
 
 def build_clutter(g: Graph, kind: CodeKind) -> Clutter:
@@ -187,9 +191,9 @@ def clutter_to_json(c: Clutter) -> dict:
         "ground": sorted(c.ground),
         "v0": sorted(c.v0),
         "f1": sorted(c.f1),
-        "f2": [list(e.vertices()) for e in c.f2],
+        "f2": [list(bits(m)) for m in c.masks if m.bit_count() >= 2],
         "edges": [
-            {"vertices": list(e.vertices()), "sources": list(e.sources)} for e in c.edges
+            {"vertices": list(bits(m)), "sources": list(s)} for m, s in zip(c.masks, c.sources)
         ],
     }
     return obj
@@ -232,7 +236,7 @@ def clutter_from_json(obj: dict) -> Clutter:
             mask |= 1 << v
         if mask == 0:
             raise ClutterFormatError("empty edge in clutter JSON")
-        edges.append(Hyperedge(mask, sources))
-    order = _clutter_order(n)
-    edges.sort(key=lambda e: order(e.members))
-    return Clutter(n, tuple(edges), kind)
+        edges.append((mask, sources))
+    order = _clutter_order(max((m for m, _ in edges), default=0).bit_length())
+    edges.sort(key=lambda e: order(e[0]))
+    return Clutter(n, tuple(m for m, _ in edges), tuple(s for _, s in edges), kind)

@@ -28,7 +28,7 @@ from functools import reduce
 from itertools import combinations
 from operator import or_
 
-from .clutters import Clutter, Hyperedge
+from .clutters import Clutter
 from .graphs import bits, mask_of
 
 
@@ -44,28 +44,23 @@ class CoverResult:
 def greedy_cover(c: Clutter) -> frozenset[int]:
     """Max-coverage greedy cover, ties broken by lowest vertex index.
 
-    Each vertex's count of uncovered edges is taken in one pass and then
-    lowered as the edges it holds get covered, so no round rescans them.
+    hold[v] has the indices of the edges that hold v, duplicates counted
+    apart; each round takes the vertex holding the most uncovered edges and
+    clears those it holds.
     """
-    uncovered = list(c.edge_masks())
-    if any(m == 0 for m in uncovered):
+    masks = c.masks
+    if 0 in masks:
         raise ValueError("clutter has an empty edge")
-    hits = [0] * max(uncovered, default=0).bit_length()
-    for m in uncovered:
+    hold = [0] * max(masks, default=0).bit_length()
+    for i, m in enumerate(masks):
         for v in bits(m):
-            hits[v] += 1
-    chosen = 0
-    while uncovered:
-        b = 1 << hits.index(max(hits))
-        chosen |= b
-        rest = []
-        for m in uncovered:
-            if m & b:
-                for v in bits(m):
-                    hits[v] -= 1
-            else:
-                rest.append(m)
-        uncovered = rest
+            hold[v] |= 1 << i
+    left, chosen = (1 << len(masks)) - 1, 0
+    while left:
+        hits = [(left & h).bit_count() for h in hold]
+        v = hits.index(max(hits))
+        chosen |= 1 << v
+        left &= ~hold[v]
     return frozenset(bits(chosen))
 
 
@@ -77,7 +72,7 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
     """Exact minimum cover; with enumerate_all, every optimum up to cap."""
     if enumerate_all and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    masks = set(c.edge_masks())
+    masks = set(c.masks)
     if not masks:
         return CoverResult(0, frozenset(), 0, (frozenset(),) if enumerate_all else None)
     if 0 in masks:
@@ -250,7 +245,5 @@ def qrose_clutter(n: int, q: int) -> Clutter:
     """The complete q-rose materialized: every q-subset of {0..n-1}."""
     if not 2 <= q < n:
         raise ValueError("q-rose needs 2 <= q < n")
-    edges = tuple(
-        Hyperedge(mask_of(sub), (f"rose{sorted(sub)}",)) for sub in combinations(range(n), q)
-    )
-    return Clutter(n, edges)
+    subs = list(combinations(range(n), q))
+    return Clutter(n, tuple(map(mask_of, subs)), tuple((f"rose{list(sub)}",) for sub in subs))

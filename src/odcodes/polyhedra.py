@@ -160,8 +160,8 @@ def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
 
     if hint == "generic":  # read the clutter itself
         clutter = build_clutter(g, CodeKind.OD)
-        equalities = tuple(sorted(clutter.f1))
-        ineqs = tuple(RankConstraint(e.members, 1, "clutter edge") for e in clutter.f2)
+        equalities, masks = tuple(sorted(clutter.f1)), clutter.masks
+        ineqs = tuple(RankConstraint(m, 1, "clutter edge") for m in masks if m.bit_count() >= 2)
         return ConstraintSystem(n, equalities, ineqs)
 
     _require_member(g, hint)
@@ -263,7 +263,7 @@ def _minimal_covers(c: Clutter) -> list[int]:
                 grow(chosen | vbit, kept, cand, [m for m in uncov if not m & vbit])
             cand |= vbit
 
-    grow(0, {}, (1 << c.n) - 1, list(c.edge_masks()))
+    grow(0, {}, (1 << c.n) - 1, list(c.masks))
     return sorted(out)
 
 
@@ -316,7 +316,7 @@ def integer_hull_equiv(sys: ConstraintSystem, c: Clutter) -> HullReport:
     if not validity.ok:
         return HullReport(False, validity.counterexample[0], "cover-outside-system")
     full = (1 << c.n) - 1
-    for x in sorted({full & ~m for m in c.edge_masks()}):
+    for x in sorted({full & ~m for m in c.masks}):
         if sys.satisfied_by(x):
             return HullReport(False, frozenset(bits(x)), "system-point-not-cover")
     return HullReport(True)

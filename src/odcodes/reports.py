@@ -21,6 +21,7 @@ from .families import (
     generate,
     named_graph,
     predicted_gamma,
+    random_graph,
     random_od_admissible,
 )
 from .graphs import (
@@ -439,8 +440,7 @@ def oracle_corpus() -> list[tuple[str, Graph]]:
     for i in range(6):
         n = rng.randint(5, 9)
         p = rng.choice((0.3, 0.5, 0.7))
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-        corpus.append((f"random{i} n={n}", Graph.from_edges(n, edges)))
+        corpus.append((f"random{i} n={n}", random_graph(n, p, rng)))
     return corpus
 
 

@@ -164,13 +164,13 @@ def reference_min_cover(c, enumerate_all=False, cap=10_000):
                 best_v, best_freq = v, freq
         return best_v
 
-    base = sorted(set(c.edge_masks()), key=key)
+    base = sorted(set(c.masks), key=key)
     if not base:
         return 0, frozenset(), 0, ((frozenset(),) if enumerate_all else None), False
     if any(m == 0 for m in base):
         raise ValueError("clutter has an empty edge")
 
-    greedy = _reference_greedy(c.edge_masks())
+    greedy = _reference_greedy(c.masks)
     state = {"best": greedy.bit_count(), "witness": greedy, "nodes": 0}
 
     def search(edges, selected, count):
@@ -247,7 +247,7 @@ def reference_reduce_hypergraph(h):
         if not any(k & mask == k for k in kept):
             kept.append(mask)
     edges = tuple(Hyperedge(m, tuple(sorted(merged[m]))) for m in kept)
-    return Clutter(h.n, edges, h.kind)
+    return Clutter(h.n, tuple(e.members for e in edges), tuple(e.sources for e in edges), h.kind)
 
 
 def reference_saturate(n_vars, clauses):
@@ -341,7 +341,7 @@ def _reference_covers(sys, c):
     """Every 0/1 cover of the clutter in ascending order, by full 2^n scan."""
     if sys.n != c.n:
         raise ValueError("system and clutter sizes differ")
-    masks = c.edge_masks()
+    masks = c.masks
     return [x for x in range(1 << c.n) if all(x & m for m in masks)]
 
 

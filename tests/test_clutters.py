@@ -135,13 +135,13 @@ class TestReduce:
                 if not is_admissible(g, kind).ok:
                     continue
                 c = build_clutter(g, kind)
-                masks = c.edge_masks()
+                masks = c.masks
                 for i, a in enumerate(masks):
                     for j, b in enumerate(masks):
                         if i != j:
                             assert a & b != a, "antichain violated"
                 again = reduce_hypergraph(hypergraph_of(c.n, kind, c.edges))
-                assert again.edge_masks() == masks
+                assert again.masks == masks
 
     def test_duplicate_sources_merged(self):
         h = build_hypergraph(complete(3), CodeKind.OD)
@@ -229,7 +229,7 @@ class TestReductionProperties:
             masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=40))
             h = Hypergraph(n, CodeKind.OD, tuple(masks), tuple(f"e{i}" for i in range(len(masks))))
             c = reduce_hypergraph(h)
-            kept = c.edge_masks()
+            kept = c.masks
             assert all(a & b != a for a in kept for b in kept if a != b)
             assert all(any(k & m == k for k in kept) for m in masks)
             assert set(kept) <= set(masks)
@@ -342,13 +342,26 @@ class TestClutterJson:
     def test_roundtrip(self):
         c = build_clutter(P4, CodeKind.OD)
         c2 = clutter_from_json(clutter_to_json(c))
-        assert c2.edge_masks() == c.edge_masks()
+        assert c2.masks == c.masks
         assert c2.kind == c.kind
         assert [e.sources for e in c2.edges] == [e.sources for e in c.edges]
 
     def test_bare_edges_accepted(self):
         c = clutter_from_json({"n": 3, "edges": [[0, 1], [2]]})
-        assert c.edge_masks() == (mask_of([2]), mask_of([0, 1]))
+        assert c.masks == (mask_of([2]), mask_of([0, 1]))
+
+    def test_order_does_not_depend_on_n(self):
+        # the sort key spans the widest edge's bits, not n places: at n = 10^6
+        # the edges still come by (size, member tuple), duplicates in input order
+        rng = random.Random(16)
+        edges = [sorted(rng.sample(range(12), rng.randint(1, 4))) for _ in range(80)]
+        entries = [{"vertices": e, "sources": [f"e{i}"]} for i, e in enumerate(edges)]
+        small = clutter_from_json({"n": 12, "edges": entries})
+        large = clutter_from_json({"n": 10**6, "edges": entries})
+        order = sorted(range(len(edges)), key=lambda i: (len(edges[i]), edges[i]))
+        assert small.masks == tuple(mask_of(edges[i]) for i in order)
+        assert small.sources == tuple((f"e{i}",) for i in order)
+        assert (large.masks, large.sources) == (small.masks, small.sources)
 
     def test_bad_edge_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from odcodes.clutters import Clutter, Hyperedge, build_clutter, reduce_hypergraph
+from odcodes.clutters import Clutter, build_clutter, clutter_from_json, reduce_hypergraph
 from odcodes.cover import CoverResult, greedy_cover, min_cover, qrose_clutter, tau_q_rose
 from odcodes.families import random_od_admissible
 from odcodes.graphs import CodeKind, bits, mask_of
@@ -16,11 +16,9 @@ from test_graphs import complete, cycle, path
 
 
 def clutter_of(n, *edge_sets):
-    edges = tuple(
-        Hyperedge(mask_of(e), (f"manual{i}",)) for i, e in enumerate(edge_sets)
-    )
-    edges = tuple(sorted(edges, key=lambda e: (e.size, e.vertices())))
-    return Clutter(n, edges)
+    edges = [(mask_of(e), (f"manual{i}",)) for i, e in enumerate(edge_sets)]
+    edges.sort(key=lambda e: (e[0].bit_count(), tuple(bits(e[0]))))
+    return Clutter(n, tuple(m for m, _ in edges), tuple(s for _, s in edges))
 
 
 class TestGreedy:
@@ -39,13 +37,13 @@ class TestGreedy:
             greedy_cover(clutter_of(2, set()))
 
     def test_empty_clutter(self):
-        assert greedy_cover(Clutter(3, ())) == frozenset()
+        assert greedy_cover(Clutter(3, (), ())) == frozenset()
 
     @pytest.mark.parametrize("source", CORPUS_SOURCES)
     def test_same_cover_as_reference(self, source):
         for h in reduction_corpus(source):
             c = reduce_hypergraph(h)
-            assert mask_of(greedy_cover(c)) == _reference_greedy(c.edge_masks())
+            assert mask_of(greedy_cover(c)) == _reference_greedy(c.masks)
 
 
 class TestMinCover:
@@ -137,7 +135,7 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="cap must be at least 1"):
             min_cover(c, enumerate_all=True, cap=cap)
         with pytest.raises(ValueError, match="cap must be at least 1"):
-            min_cover(Clutter(3, ()), enumerate_all=True, cap=cap)
+            min_cover(Clutter(3, (), ()), enumerate_all=True, cap=cap)
         assert min_cover(c, cap=cap).value == 1  # the cap only bounds enumeration
 
 
@@ -241,6 +239,38 @@ class TestSameResultsAsReference:
         full = frozenset(range(6))
         assert res.truncated
         assert res.all_optima == tuple(full - {v} for v in range(5, 5 - cap, -1))
+
+
+class TestBareJsonClutters:
+    """Bare clutter JSON, the form `tau` reads, may repeat an edge or nest one
+    inside another.  The greedy counts every copy, as the reference does, and
+    the search returns what the reference returns."""
+
+    def corpus(self):
+        rng = random.Random(97)
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            edges = []
+            for _ in range(rng.randint(1, 14)):
+                if edges and rng.random() < 0.5:
+                    # a copy of an earlier edge, or one that holds it
+                    e = rng.choice(edges)
+                    edges.append(sorted(set(e) | {rng.randrange(n)}) if rng.random() < 0.5 else e)
+                else:
+                    edges.append(sorted(rng.sample(range(n), rng.randint(1, min(4, n)))))
+            yield clutter_from_json({"n": n, "edges": edges})
+
+    def test_greedy_same_as_reference(self):
+        repeated = 0
+        for c in self.corpus():
+            assert mask_of(greedy_cover(c)) == _reference_greedy(c.masks)
+            repeated += len(set(c.masks)) < len(c.masks)
+        assert repeated >= 100
+
+    def test_min_cover_same_as_reference(self):
+        for c in self.corpus():
+            against_reference(c)
+            against_reference(c, enumerate_all=True)
 
 
 # SHA-256 of the rows that test_results_beyond_the_reference_are_pinned

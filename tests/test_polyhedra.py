@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from odcodes.clutters import Clutter, Hyperedge, build_clutter
+from odcodes.clutters import Clutter, build_clutter
 from odcodes.codes import gamma
 from odcodes.cover import qrose_clutter, tau_q_rose
 from odcodes.families import (
@@ -330,7 +330,7 @@ class TestAboveEnumerationLimit:
         cover, broken = rep.counterexample
         assert broken == f"x({sorted(c.support)}) >= {c.rhs + 1}"
         point = sum(1 << v for v in cover)
-        assert all(point & m for m in clutter.edge_masks())
+        assert all(point & m for m in clutter.masks)
         # the cover keeps the original system and breaks only the bumped inequality
         assert sys.satisfied_by(point) and len(cover & c.support) == c.rhs
         assert ConstraintSystem(sys.n, sys.equalities, sys.inequalities[1:]).satisfied_by(point)
@@ -362,7 +362,7 @@ def random_case(rng, n):
     for _ in range(rng.randint(1, 8)):
         m = rng.getrandbits(n) & rng.getrandbits(n) if rng.random() < 0.5 else rng.getrandbits(n)
         masks.append(m | 1 << rng.randrange(n))
-    clutter = Clutter(n, tuple(Hyperedge(m, (f"e{i}",)) for i, m in enumerate(masks)))
+    clutter = Clutter(n, tuple(masks), tuple((f"e{i}",) for i in range(len(masks))))
     covers = all_covers(n, [[v for v in range(n) if m >> v & 1] for m in masks])
     equalities = {v for m in masks if m.bit_count() == 1 for v in range(n) if m >> v & 1}
     if rng.random() < 0.2:
@@ -435,14 +435,14 @@ class TestAgainstReferenceScan:
 
     def test_minimal_covers_by_brute_force(self):
         for _, clutter in self.corpus():
-            assert _minimal_covers(clutter) == brute_minimal_covers(clutter.n, clutter.edge_masks())
+            assert _minimal_covers(clutter) == brute_minimal_covers(clutter.n, clutter.masks)
         for g, _ in FAMILY_CASES:
             clutter = build_clutter(g, CodeKind.OD)
-            assert _minimal_covers(clutter) == brute_minimal_covers(g.n, clutter.edge_masks())
+            assert _minimal_covers(clutter) == brute_minimal_covers(g.n, clutter.masks)
 
     def test_minimal_covers_edge_cases(self):
-        assert _minimal_covers(Clutter(3, ())) == [0]  # no edge: the empty set covers
-        empty = Clutter(2, (Hyperedge(0, ("e",)),))
+        assert _minimal_covers(Clutter(3, (), ())) == [0]  # no edge: the empty set covers
+        empty = Clutter(2, (0,), (("e",),))
         assert _minimal_covers(empty) == []  # an empty edge: nothing covers
         assert integer_hull_equiv(ConstraintSystem(2, (), ()), empty).direction == "system-point-not-cover"
 
@@ -455,7 +455,7 @@ class TestAgainstReferenceScan:
         def check(data):
             n = data.draw(st.integers(1, 9))
             masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=8))
-            clutter = Clutter(n, tuple(Hyperedge(m, (f"e{i}",)) for i, m in enumerate(masks)))
+            clutter = Clutter(n, tuple(masks), tuple((f"e{i}",) for i in range(len(masks))))
             assert _minimal_covers(clutter) == brute_minimal_covers(n, masks)
             covers = all_covers(n, [e.vertices() for e in clutter.edges])
             equalities = data.draw(st.sets(st.integers(0, n - 1), max_size=2))
