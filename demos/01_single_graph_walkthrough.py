@@ -10,19 +10,20 @@ hit, so the minimum code is a minimum cover of a small hypergraph.
 from odcodes import CodeKind, build_hypergraph, gamma, generate, verify
 from odcodes.families import FamilySpec
 from odcodes.clutters import reduce_hypergraph
+from odcodes.graphs import bits
 
 g = generate(FamilySpec("path", n=4))
 print(f"graph: 4-path, edges {g.edges()}\n")
 
 h = build_hypergraph(g, CodeKind.OD)
 print("hypergraph edges (domination first, then pair separators):")
-for e in h.edges:
-    print(f"  {e.sources[0]:12s} -> {sorted(e.vertices())}")
+for mask, source in zip(h.edges, h.sources):
+    print(f"  {source:12s} -> {list(bits(mask))}")
 
 c = reduce_hypergraph(h)
 print("\nafter removing superset-redundant edges:")
-for e in c.edges:
-    print(f"  {sorted(e.vertices())}   from {', '.join(e.sources)}")
+for mask, sources in zip(c.edges, c.sources):
+    print(f"  {list(bits(mask))}   from {', '.join(sources)}")
 print(f"forced vertices (singletons): {sorted(c.f1)}")
 print(f"never needed:                 {sorted(c.v0) or 'none'}")
 

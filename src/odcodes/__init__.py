@@ -24,7 +24,6 @@ from .graphs import (
 from .clutters import (
     Clutter,
     ClutterFormatError,
-    Hyperedge,
     Hypergraph,
     InadmissibleGraphError,
     build_clutter,

@@ -359,6 +359,10 @@ def cmd_polyhedron(args):
     return (0 if all(checks.values()) else 1), obj, "\n".join(lines)
 
 
+# Above 6 variables, enumerate_slsat's symmetry tables alone take gigabytes.
+SAT_MAX_K = 6
+
+
 def _section_kwargs(name: str, args) -> dict:
     if name == "families" and args.max_k is not None:
         return {"max_n": args.max_k}
@@ -380,6 +384,8 @@ def cmd_paper_report(args):
         raise UsageError(
             f"unknown section {args.section!r}; pick from {', '.join(reports.REPORT_SECTIONS)} or all"
         )
+    if "sat" in names and (args.max_k or 0) > SAT_MAX_K:
+        raise UsageError(f"--max-k for the sat section is at most {SAT_MAX_K}, got {args.max_k}")
     obj = {"command": "paper-report", "ok": True, "sections": []}
 
     def sections():

@@ -8,8 +8,9 @@ of the hypergraph is the code number.  Reduction removes superset-redundant
 edges, yielding the clutter together with its forced vertices (singleton
 edges), multi-vertex edges, and the ground-irrelevant vertex set.
 
-Both layers hold their edges as bitmasks in a tuple parallel to their
-sources; a Hyperedge is built only when `edges` is read.
+An edge is its bitmask over the vertices.  Both layers hold their edges as
+a tuple of masks parallel to a tuple of sources, and refuse to be built when
+the two lengths differ or an edge reaches past the last vertex.
 """
 
 from __future__ import annotations
@@ -52,29 +53,22 @@ def _clutter_order(width: int) -> Callable[[int], int]:
     return key
 
 
-@dataclass(frozen=True)
-class Hyperedge:
-    members: int  # bitmask over the graph's vertices
-    sources: tuple[str, ...]  # provenance: "N[v]", "N(v)", or "delta(u,v)"
-
-    @property
-    def size(self) -> int:
-        return self.members.bit_count()
-
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(bits(self.members))
+def _check_shape(self) -> None:
+    """Refuse edges and sources of different lengths, or an edge past vertex n - 1."""
+    if len(self.edges) != len(self.sources):
+        raise ValueError(f"{len(self.edges)} edges but {len(self.sources)} sources")
+    if max(self.edges, default=0) >> self.n:
+        raise ValueError(f"an edge reaches past vertex {self.n - 1} of n={self.n}")
 
 
 @dataclass(frozen=True)
 class Hypergraph:
     n: int
     kind: CodeKind
-    masks: tuple[int, ...]  # hyperedge i is masks[i], from sources[i]
+    edges: tuple[int, ...]  # hyperedge i is a bitmask, from sources[i]
     sources: tuple[str, ...]  # one per hyperedge: "N[v]", "N(v)" or "delta(u,v)"
 
-    @property
-    def edges(self) -> tuple[Hyperedge, ...]:
-        return tuple(Hyperedge(m, (s,)) for m, s in zip(self.masks, self.sources))
+    __post_init__ = _check_shape
 
 
 @dataclass(frozen=True)
@@ -82,25 +76,23 @@ class Clutter:
     """Antichain of non-redundant edges, sorted by (size, member tuple)."""
 
     n: int
-    masks: tuple[int, ...]  # edge i is masks[i], merged from sources[i]
+    edges: tuple[int, ...]  # edge i is a bitmask, merged from sources[i]
     sources: tuple[tuple[str, ...], ...]
     kind: CodeKind | None = None
 
-    @property
-    def edges(self) -> tuple[Hyperedge, ...]:
-        return tuple(map(Hyperedge, self.masks, self.sources))
+    __post_init__ = _check_shape
 
     @property
     def f1(self) -> frozenset[int]:
-        return frozenset(m.bit_length() - 1 for m in self.masks if m.bit_count() == 1)
+        return frozenset(m.bit_length() - 1 for m in self.edges if m.bit_count() == 1)
 
     @property
-    def f2(self) -> tuple[Hyperedge, ...]:
-        return tuple(e for e in self.edges if e.size >= 2)
+    def f2(self) -> tuple[int, ...]:
+        return tuple(m for m in self.edges if m.bit_count() >= 2)
 
     @property
     def ground(self) -> frozenset[int]:
-        return frozenset(v for m in self.masks for v in bits(m))
+        return frozenset(v for m in self.edges for v in bits(m))
 
     @property
     def v0(self) -> frozenset[int]:
@@ -149,7 +141,7 @@ def reduce_hypergraph(h: Hypergraph) -> Clutter:
     antichain ordered by (size, member tuple).
     """
     merged: dict[int, list[str]] = {}
-    for mask, source in zip(h.masks, h.sources):
+    for mask, source in zip(h.edges, h.sources):
         merged.setdefault(mask, []).append(source)
     if 0 in merged:
         raise ValueError(f"empty hyperedge from {merged[0]}")
@@ -191,9 +183,9 @@ def clutter_to_json(c: Clutter) -> dict:
         "ground": sorted(c.ground),
         "v0": sorted(c.v0),
         "f1": sorted(c.f1),
-        "f2": [list(bits(m)) for m in c.masks if m.bit_count() >= 2],
+        "f2": [list(bits(m)) for m in c.f2],
         "edges": [
-            {"vertices": list(bits(m)), "sources": list(s)} for m, s in zip(c.masks, c.sources)
+            {"vertices": list(bits(m)), "sources": list(s)} for m, s in zip(c.edges, c.sources)
         ],
     }
     return obj

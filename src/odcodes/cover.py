@@ -48,7 +48,7 @@ def greedy_cover(c: Clutter) -> frozenset[int]:
     apart; each round takes the vertex holding the most uncovered edges and
     clears those it holds.
     """
-    masks = c.masks
+    masks = c.edges
     if 0 in masks:
         raise ValueError("clutter has an empty edge")
     hold = [0] * max(masks, default=0).bit_length()
@@ -72,7 +72,7 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
     """Exact minimum cover; with enumerate_all, every optimum up to cap."""
     if enumerate_all and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    masks = set(c.masks)
+    masks = set(c.edges)
     if not masks:
         return CoverResult(0, frozenset(), 0, (frozenset(),) if enumerate_all else None)
     if 0 in masks:

@@ -160,9 +160,8 @@ def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
 
     if hint == "generic":  # read the clutter itself
         clutter = build_clutter(g, CodeKind.OD)
-        equalities, masks = tuple(sorted(clutter.f1)), clutter.masks
-        ineqs = tuple(RankConstraint(m, 1, "clutter edge") for m in masks if m.bit_count() >= 2)
-        return ConstraintSystem(n, equalities, ineqs)
+        ineqs = tuple(RankConstraint(m, 1, "clutter edge") for m in clutter.f2)
+        return ConstraintSystem(n, tuple(sorted(clutter.f1)), ineqs)
 
     _require_member(g, hint)
     if hint == "fan":
@@ -263,7 +262,7 @@ def _minimal_covers(c: Clutter) -> list[int]:
                 grow(chosen | vbit, kept, cand, [m for m in uncov if not m & vbit])
             cand |= vbit
 
-    grow(0, {}, (1 << c.n) - 1, list(c.masks))
+    grow(0, {}, (1 << c.n) - 1, list(c.edges))
     return sorted(out)
 
 
@@ -316,7 +315,7 @@ def integer_hull_equiv(sys: ConstraintSystem, c: Clutter) -> HullReport:
     if not validity.ok:
         return HullReport(False, validity.counterexample[0], "cover-outside-system")
     full = (1 << c.n) - 1
-    for x in sorted({full & ~m for m in c.masks}):
+    for x in sorted({full & ~m for m in c.edges}):
         if sys.satisfied_by(x):
             return HullReport(False, frozenset(bits(x)), "system-point-not-cover")
     return HullReport(True)

@@ -27,6 +27,7 @@ from .families import (
 from .graphs import (
     CodeKind,
     Graph,
+    bits,
     disjoint_union,
     girth,
     is_admissible,
@@ -96,9 +97,9 @@ def report_p4_example() -> Report:
     rows = _Rows()
     g = generate(FamilySpec("path", n=4))
     c = build_clutter(g, CodeKind.OD)
-    rows.add("clutter edges", [{0}, {3}, {1, 2}], [set(e.vertices()) for e in c.edges])
+    rows.add("clutter edges", [{0}, {3}, {1, 2}], [set(bits(m)) for m in c.edges])
     rows.add("forced vertices", {0, 3}, set(c.f1))
-    rows.add("multi-vertex edges", [{1, 2}], [set(e.vertices()) for e in c.f2])
+    rows.add("multi-vertex edges", [{1, 2}], [set(bits(m)) for m in c.f2])
     rows.add("irrelevant vertices", set(), set(c.v0))
     rows.add("gamma_OD via covering", 3, gamma(g, CodeKind.OD)[0])
     rows.add("gamma_OD via brute force", 3, brute_force_gamma(g, CodeKind.OD)[0])
@@ -197,7 +198,7 @@ def report_clutter_shapes() -> Report:
         rows.add(
             f"clique n={n}: clutter is the complete 2-rose",
             [set(p) for p in combinations(range(n), 2)],
-            [set(e.vertices()) for e in c.edges],
+            [set(bits(m)) for m in c.edges],
         )
 
     for k in range(4, 8):
@@ -208,7 +209,7 @@ def report_clutter_shapes() -> Report:
         rows.add(
             f"thin spider k={k}: clutter equals the spider itself",
             sorted(map(sorted, expected)),
-            sorted(map(sorted, (set(e.vertices()) for e in c.edges))),
+            sorted(list(bits(m)) for m in c.edges),
         )
 
     for k in range(1, 7):
@@ -217,7 +218,7 @@ def report_clutter_shapes() -> Report:
         rows.add(
             f"half-graph k={k}: forced all but the corner pair",
             (2 * k - 2, [{0, 2 * k - 1}]),
-            (len(c.f1), [set(e.vertices()) for e in c.f2]),
+            (len(c.f1), [set(bits(m)) for m in c.f2]),
         )
         c_t = build_clutter(g, CodeKind.OTD)
         rows.add(
@@ -235,7 +236,7 @@ def report_clutter_shapes() -> Report:
         rows.add(
             f"thick spider k={k}: (k-1)-rose on S plus 2-rose on Q",
             sorted(map(sorted, expected)),
-            sorted(map(sorted, (set(e.vertices()) for e in c.edges))),
+            sorted(list(bits(m)) for m in c.edges),
         )
 
     for k in range(3, 9):

@@ -164,13 +164,13 @@ def reference_min_cover(c, enumerate_all=False, cap=10_000):
                 best_v, best_freq = v, freq
         return best_v
 
-    base = sorted(set(c.masks), key=key)
+    base = sorted(set(c.edges), key=key)
     if not base:
         return 0, frozenset(), 0, ((frozenset(),) if enumerate_all else None), False
     if any(m == 0 for m in base):
         raise ValueError("clutter has an empty edge")
 
-    greedy = _reference_greedy(c.masks)
+    greedy = _reference_greedy(c.edges)
     state = {"best": greedy.bit_count(), "witness": greedy, "nodes": 0}
 
     def search(edges, selected, count):
@@ -231,23 +231,22 @@ def reference_reduce_hypergraph(h):
     """The reduction that predates the lowest-vertex index, kept verbatim:
     merge duplicate edges, sort by (size, member tuple) and test every edge
     against every kept edge.  Returns the library's Clutter type."""
-    from odcodes.clutters import Clutter, Hyperedge
+    from odcodes.clutters import Clutter
 
     def order(mask):
         return mask.bit_count(), tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
     merged = {}
-    for e in h.edges:
-        if e.members == 0:
-            raise ValueError(f"empty hyperedge from {e.sources}")
-        merged.setdefault(e.members, []).extend(e.sources)
+    for m, s in zip(h.edges, h.sources):
+        if m == 0:
+            raise ValueError(f"empty hyperedge from {(s,)}")
+        merged.setdefault(m, []).append(s)
     ordered = sorted(merged, key=order)
     kept = []
     for mask in ordered:
         if not any(k & mask == k for k in kept):
             kept.append(mask)
-    edges = tuple(Hyperedge(m, tuple(sorted(merged[m]))) for m in kept)
-    return Clutter(h.n, tuple(e.members for e in edges), tuple(e.sources for e in edges), h.kind)
+    return Clutter(h.n, tuple(kept), tuple(tuple(sorted(merged[m])) for m in kept), h.kind)
 
 
 def reference_saturate(n_vars, clauses):
@@ -341,7 +340,7 @@ def _reference_covers(sys, c):
     """Every 0/1 cover of the clutter in ascending order, by full 2^n scan."""
     if sys.n != c.n:
         raise ValueError("system and clutter sizes differ")
-    masks = c.masks
+    masks = c.edges
     return [x for x in range(1 << c.n) if all(x & m for m in masks)]
 
 

@@ -20,13 +20,18 @@ def test_bench_selftest_exits_zero():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_declared_spans_fire_and_read_their_results(monkeypatch):
-    # bench/run.py fails a --trace 1 run whose declared spans never fire or
-    # whose info readers raise; hold a solve and an enumeration to both here
+def load_tracer(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
+    return tracer_module
+
+
+def test_declared_spans_fire_and_read_their_results(monkeypatch):
+    # bench/run.py fails a --trace 1 run whose declared spans never fire or
+    # whose info readers raise; hold a solve and an enumeration to both here
+    tracer_module = load_tracer(monkeypatch)
 
     import odcodes
 
@@ -50,3 +55,22 @@ def test_declared_spans_fire_and_read_their_results(monkeypatch):
             # the greedy excess is read off the enclosing min_cover span
             assert by_id[s[1]][2] == "cover.min_cover"
     assert [s[5]["value"] for s in tracer.spans if s[2] == "cover.min_cover"] == [value, value]
+
+
+def test_clutter_spans_count_the_edge_masks(monkeypatch):
+    # the tracer reads len(r.edges) off both clutter layers; with the edges a
+    # tuple of int masks, that count builds no object per edge
+    tracer_module = load_tracer(monkeypatch)
+
+    import odcodes
+
+    g, kind = odcodes.families.cycle_graph(12), odcodes.CodeKind.OD
+    h = odcodes.build_hypergraph(g, kind)
+    c = odcodes.reduce_hypergraph(h)
+    for edges in (h.edges, c.edges):
+        assert type(edges) is tuple and all(type(m) is int for m in edges)
+    with tracer_module.Tracer().installed() as tracer:
+        odcodes.build_clutter(g, kind)
+    info = {s[2]: s[5] for s in tracer.spans}
+    assert info["clutters.build_hypergraph"] == {"edges": len(h.edges)}
+    assert info["clutters.reduce_hypergraph"] == {"edges": len(c.edges)}

@@ -654,6 +654,38 @@ class TestPaperReport:
         code, out, _ = run(capsys, "paper-report", section, "--max-k", max_k)
         assert code == 1 and "FAIL (0 rows" in out
 
+    @pytest.mark.parametrize("section", ["sat", "all"])
+    @pytest.mark.parametrize("max_k", ["7", "8", "100"])
+    def test_sat_max_k_above_six_is_refused_before_any_section_runs(
+        self, capsys, monkeypatch, section, max_k
+    ):
+        # at 7 variables the enumerator's tables alone take gigabytes, so no
+        # section may start; every one is patched to fail if called
+        from odcodes import reports
+
+        def must_not_run(**kwargs):
+            raise AssertionError("a section ran")
+
+        for name in reports.REPORT_SECTIONS:
+            monkeypatch.setitem(reports.REPORT_SECTIONS, name, must_not_run)
+        code, error, message = refusal(capsys, "paper-report", section, "--max-k", max_k)
+        assert (code, error) == (2, "usage")
+        assert message == f"--max-k for the sat section is at most 6, got {max_k}"
+
+    def test_sat_max_k_six_is_accepted(self, capsys, monkeypatch):
+        from odcodes import reports
+
+        calls = []
+        row = reports.ReportRow("row", "1", "1", True)
+
+        def sat(**kwargs):
+            calls.append(kwargs)
+            return reports.Report("sat", (row,), 0.0)
+
+        monkeypatch.setitem(reports.REPORT_SECTIONS, "sat", sat)
+        assert run(capsys, "paper-report", "sat", "--max-k", "6")[0] == 0
+        assert calls == [{"max_vars": 6}]
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys, p4_file):

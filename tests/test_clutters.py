@@ -4,6 +4,7 @@ import random
 import pytest
 
 from odcodes.clutters import (
+    Clutter,
     Hypergraph,
     InadmissibleGraphError,
     build_clutter,
@@ -14,7 +15,7 @@ from odcodes.clutters import (
     reduce_hypergraph,
 )
 from odcodes.cover import min_cover
-from odcodes.graphs import CodeKind, Graph, is_admissible, mask_of
+from odcodes.graphs import CodeKind, Graph, bits, is_admissible, mask_of
 from oracles import naive_gamma, reference_reduce_hypergraph
 
 from test_graphs import complete, path, random_graph
@@ -24,19 +25,19 @@ P4 = path(4)
 
 
 def edge_sets(clutter):
-    return [set(e.vertices()) for e in clutter.edges]
+    return [set(bits(m)) for m in clutter.edges]
 
 
-def hypergraph_of(n, kind, edges):
-    """The Hypergraph with one hyperedge per (edge, source) pair of the edges."""
-    pairs = [(e.members, s) for e in edges for s in e.sources]
-    return Hypergraph(n, kind, tuple(m for m, _ in pairs), tuple(s for _, s in pairs))
+def hypergraph_of(c):
+    """The Hypergraph with one hyperedge per (edge, source) pair of the clutter."""
+    pairs = [(m, s) for m, sources in zip(c.edges, c.sources) for s in sources]
+    return Hypergraph(c.n, c.kind, tuple(m for m, _ in pairs), tuple(s for _, s in pairs))
 
 
 class TestBuildHypergraph:
     def test_p4_od_exact(self):
         h = build_hypergraph(P4, CodeKind.OD)
-        got = {e.sources[0]: set(e.vertices()) for e in h.edges}
+        got = {s: set(bits(m)) for m, s in zip(h.edges, h.sources)}
         assert got == {
             "N[0]": {0, 1},
             "N[1]": {0, 1, 2},
@@ -52,7 +53,7 @@ class TestBuildHypergraph:
 
     def test_k2_otd(self):
         h = build_hypergraph(complete(2), CodeKind.OTD)
-        got = {e.sources[0]: set(e.vertices()) for e in h.edges}
+        got = {s: set(bits(m)) for m, s in zip(h.edges, h.sources)}
         assert got == {"N(0)": {1}, "N(1)": {0}, "delta(0,1)": {0, 1}}
 
     @pytest.mark.parametrize("kind", list(CodeKind))
@@ -83,17 +84,41 @@ class TestBuildHypergraph:
         h = build_hypergraph(P4, kind)
         tag = "N[{}]" if kind.domination == "closed" else "N({})"
         sources = [tag.format(v) for v in range(4)] + self.P4_PAIRS
-        assert [e.sources for e in h.edges] == [(s,) for s in sources]
-        assert [e.vertices() for e in h.edges] == self.P4_EDGES[kind]
-        assert h.masks == tuple(e.members for e in h.edges)
+        assert [tuple(bits(m)) for m in h.edges] == self.P4_EDGES[kind]
         assert h.sources == tuple(sources)
 
     def test_locating_edges_include_pair(self):
         h = build_hypergraph(P4, CodeKind.LD)
-        by_src = {e.sources[0]: set(e.vertices()) for e in h.edges}
+        by_src = {s: set(bits(m)) for m, s in zip(h.edges, h.sources)}
         assert by_src["delta(0,2)"] == {0, 2, 3}
         # adjacent pairs already contain both endpoints
         assert by_src["delta(0,1)"] == {0, 1, 2}
+
+
+class TestShapeChecks:
+    # one source per edge and every edge inside range(n); the readers of a
+    # clutter built otherwise disagree on its edges
+    @pytest.mark.parametrize(
+        "edges,sources,message",
+        [
+            ((1, 2), (), "2 edges but 0 sources"),
+            ((1,), ("a", "b"), "1 edges but 2 sources"),
+            ((8,), ("e",), "an edge reaches past vertex 1 of n=2"),
+            ((1, 4), ("a", "b"), "an edge reaches past vertex 1 of n=2"),
+        ],
+        ids=["short-sources", "long-sources", "far-vertex", "next-vertex"],
+    )
+    def test_refused(self, edges, sources, message):
+        with pytest.raises(ValueError, match=message):
+            Hypergraph(2, None, edges, sources)
+        with pytest.raises(ValueError, match=message):
+            Clutter(2, edges, tuple((s,) for s in sources))
+
+    def test_empty_edges_and_full_range_accepted(self):
+        # an empty edge is left to the solvers, which refuse it by name
+        assert Clutter(2, (0, 3), (("e",), ("f",))).edges == (0, 3)
+        assert Hypergraph(2, None, (0, 3), ("e", "f")).edges == (0, 3)
+        assert Clutter(0, (), ()).ground == frozenset()
 
 
 class TestReduce:
@@ -101,7 +126,7 @@ class TestReduce:
         c = build_clutter(P4, CodeKind.OD)
         assert edge_sets(c) == [{0}, {3}, {1, 2}]
         assert c.f1 == {0, 3}
-        assert [set(e.vertices()) for e in c.f2] == [{1, 2}]
+        assert [set(bits(m)) for m in c.f2] == [{1, 2}]
         assert c.v0 == frozenset()
 
     def test_p4_keeps_distant_pair_edge(self):
@@ -109,7 +134,7 @@ class TestReduce:
         # are non-adjacent and share no common neighbor
         c = build_clutter(P4, CodeKind.OD)
         (pair,) = c.f2
-        assert pair.sources == ("delta(0,3)",)
+        assert c.sources[c.edges.index(pair)] == ("delta(0,3)",)
         assert not P4.has_edge(0, 3) and not P4.adj[0] & P4.adj[3]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -135,18 +160,18 @@ class TestReduce:
                 if not is_admissible(g, kind).ok:
                     continue
                 c = build_clutter(g, kind)
-                masks = c.masks
+                masks = c.edges
                 for i, a in enumerate(masks):
                     for j, b in enumerate(masks):
                         if i != j:
                             assert a & b != a, "antichain violated"
-                again = reduce_hypergraph(hypergraph_of(c.n, kind, c.edges))
-                assert again.masks == masks
+                again = reduce_hypergraph(hypergraph_of(c))
+                assert again.edges == masks
 
     def test_duplicate_sources_merged(self):
         h = build_hypergraph(complete(3), CodeKind.OD)
         c = reduce_hypergraph(h)
-        merged = {e.vertices(): e.sources for e in c.edges}
+        merged = {tuple(bits(m)): s for m, s in zip(c.edges, c.sources)}
         # N[v] = V is redundant; each pair edge keeps only its delta source
         assert merged[(0, 1)] == ("delta(0,1)",)
 
@@ -155,12 +180,13 @@ class TestReduce:
         # are one edge, whose sources sort as strings, so N[10] before N[2]
         g = Graph.from_edges(11, [(2, 10), (0, 1), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)])
         for kind in (CodeKind.OD, CodeKind.LD):
-            merged = {e.vertices(): e.sources for e in build_clutter(g, kind).edges}
+            c = build_clutter(g, kind)
+            merged = {tuple(bits(m)): s for m, s in zip(c.edges, c.sources)}
             assert merged[(2, 10)] == ("N[10]", "N[2]", "delta(2,10)")
 
     def test_empty_edge_rejected(self):
         h = build_hypergraph(P4, CodeKind.OD)
-        bad = Hypergraph(h.n, h.kind, h.masks + (0,), h.sources + ("manual",))
+        bad = Hypergraph(h.n, h.kind, h.edges + (0,), h.sources + ("manual",))
         with pytest.raises(ValueError):
             reduce_hypergraph(bad)
 
@@ -229,7 +255,7 @@ class TestReductionProperties:
             masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=40))
             h = Hypergraph(n, CodeKind.OD, tuple(masks), tuple(f"e{i}" for i in range(len(masks))))
             c = reduce_hypergraph(h)
-            kept = c.masks
+            kept = c.edges
             assert all(a & b != a for a in kept for b in kept if a != b)
             assert all(any(k & m == k for k in kept) for m in masks)
             assert set(kept) <= set(masks)
@@ -342,13 +368,13 @@ class TestClutterJson:
     def test_roundtrip(self):
         c = build_clutter(P4, CodeKind.OD)
         c2 = clutter_from_json(clutter_to_json(c))
-        assert c2.masks == c.masks
+        assert c2.edges == c.edges
         assert c2.kind == c.kind
-        assert [e.sources for e in c2.edges] == [e.sources for e in c.edges]
+        assert c2.sources == c.sources
 
     def test_bare_edges_accepted(self):
         c = clutter_from_json({"n": 3, "edges": [[0, 1], [2]]})
-        assert c.masks == (mask_of([2]), mask_of([0, 1]))
+        assert c.edges == (mask_of([2]), mask_of([0, 1]))
 
     def test_order_does_not_depend_on_n(self):
         # the sort key spans the widest edge's bits, not n places: at n = 10^6
@@ -359,9 +385,9 @@ class TestClutterJson:
         small = clutter_from_json({"n": 12, "edges": entries})
         large = clutter_from_json({"n": 10**6, "edges": entries})
         order = sorted(range(len(edges)), key=lambda i: (len(edges[i]), edges[i]))
-        assert small.masks == tuple(mask_of(edges[i]) for i in order)
+        assert small.edges == tuple(mask_of(edges[i]) for i in order)
         assert small.sources == tuple((f"e{i}",) for i in order)
-        assert (large.masks, large.sources) == (small.masks, small.sources)
+        assert (large.edges, large.sources) == (small.edges, small.sources)
 
     def test_bad_edge_rejected(self):
         with pytest.raises(ValueError):

@@ -77,7 +77,7 @@ class TestVerify:
                 isolated += bool(adm.isolated)
                 twins += bool(adm.twin_pairs)
                 assert adm.ok == (naive_gamma(g, kind) is not None)
-                edges = [e.members for e in build_hypergraph(g, kind).edges] if adm.ok else []
+                edges = list(build_hypergraph(g, kind).edges) if adm.ok else []
                 for cmask in range(1 << g.n):
                     code = [v for v in range(g.n) if cmask >> v & 1]
                     valid = verify(g, code, kind).valid

@@ -18,7 +18,7 @@ from odcodes.families import (
     thick_spider,
     thin_spider,
 )
-from odcodes.graphs import CodeKind, Graph
+from odcodes.graphs import CodeKind, Graph, bits
 from odcodes.polyhedra import (
     ConstraintSystem,
     RankConstraint,
@@ -330,7 +330,7 @@ class TestAboveEnumerationLimit:
         cover, broken = rep.counterexample
         assert broken == f"x({sorted(c.support)}) >= {c.rhs + 1}"
         point = sum(1 << v for v in cover)
-        assert all(point & m for m in clutter.masks)
+        assert all(point & m for m in clutter.edges)
         # the cover keeps the original system and breaks only the bumped inequality
         assert sys.satisfied_by(point) and len(cover & c.support) == c.rhs
         assert ConstraintSystem(sys.n, sys.equalities, sys.inequalities[1:]).satisfied_by(point)
@@ -369,7 +369,7 @@ def random_case(rng, n):
         equalities.add(rng.randrange(n))
     ineqs = []
     if rng.random() < 0.5:
-        ineqs += [RankConstraint(e.members, 1, "edge") for e in clutter.f2]
+        ineqs += [RankConstraint(m, 1, "edge") for m in clutter.f2]
     for _ in range(rng.randint(0, 5)):
         support = rng.getrandbits(n) | 1 << rng.randrange(n)
         tau = _tau_inside(covers, support)
@@ -383,7 +383,7 @@ def assert_matches_reference(sys, clutter):
     """The checks agree with the 2^n scan: every ok flag, the validity
     counterexample, the never-tight inequalities and the witness of every
     inequality with tau(E[S]) = rhs.  Other witnesses are real witnesses."""
-    covers = all_covers(sys.n, [e.vertices() for e in clutter.edges])
+    covers = all_covers(sys.n, [tuple(bits(m)) for m in clutter.edges])
     assert check_validity(sys, clutter) == reference_check_validity(sys, clutter)
 
     got, ref = check_tightness(sys, clutter), reference_check_tightness(sys, clutter)
@@ -435,10 +435,10 @@ class TestAgainstReferenceScan:
 
     def test_minimal_covers_by_brute_force(self):
         for _, clutter in self.corpus():
-            assert _minimal_covers(clutter) == brute_minimal_covers(clutter.n, clutter.masks)
+            assert _minimal_covers(clutter) == brute_minimal_covers(clutter.n, clutter.edges)
         for g, _ in FAMILY_CASES:
             clutter = build_clutter(g, CodeKind.OD)
-            assert _minimal_covers(clutter) == brute_minimal_covers(g.n, clutter.masks)
+            assert _minimal_covers(clutter) == brute_minimal_covers(g.n, clutter.edges)
 
     def test_minimal_covers_edge_cases(self):
         assert _minimal_covers(Clutter(3, (), ())) == [0]  # no edge: the empty set covers
@@ -457,7 +457,7 @@ class TestAgainstReferenceScan:
             masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=8))
             clutter = Clutter(n, tuple(masks), tuple((f"e{i}",) for i in range(len(masks))))
             assert _minimal_covers(clutter) == brute_minimal_covers(n, masks)
-            covers = all_covers(n, [e.vertices() for e in clutter.edges])
+            covers = all_covers(n, [tuple(bits(m)) for m in clutter.edges])
             equalities = data.draw(st.sets(st.integers(0, n - 1), max_size=2))
             ineqs = []
             for support in data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=5)):
