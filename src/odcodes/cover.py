@@ -14,11 +14,15 @@ every edge, handed on lowest first, the order branching would take them in.
 With two left, the node is pruned unless some vertex of a smallest edge
 leaves edges that one vertex hits.
 
-One walk serves both passes: it prunes at a limit and hands each surviving
-leaf to a callback.  The value pass prunes at one below the incumbent and
-records improvements; the enumeration pass pins the limit to the optimum and
-collects every optimal cover, up to cap.  Everything is deterministic, so
-repeated solves yield identical witnesses and node counts.
+The walk prunes at a limit and hands each surviving leaf to a callback.  The
+value pass prunes at one below the incumbent and records improvements.  To
+list every optimum, the same walk runs as the value pass until its first
+improving leaf, then prunes at the incumbent size itself and gathers every
+leaf of that size in walk order: a smaller leaf restarts the list, and the
+(cap+1)-th leaf of one size marks the list truncated and drops the limit
+back to strict improvement.  Only when no leaf beats the greedy cover does a
+second walk, pinned at the greedy size, collect the optima.  Everything is
+deterministic, so repeated solves yield identical witnesses and node counts.
 """
 
 from __future__ import annotations
@@ -41,6 +45,17 @@ class CoverResult:
     truncated: bool = False
 
 
+def _hold(masks) -> list[int]:
+    """Transpose the masks: bit i of hold[v] is bit v of masks[i].
+
+    The masks are written as equal-width binary rows, last mask first, so the
+    column of vertex v, read top down, is the binary numeral of hold[v].
+    """
+    width = max(masks, default=0).bit_length()
+    rows = "".join([format(m, "b").zfill(width) for m in reversed(masks)])
+    return [int(rows[width - 1 - v :: width], 2) for v in range(width)]
+
+
 def greedy_cover(c: Clutter) -> frozenset[int]:
     """Max-coverage greedy cover, ties broken by lowest vertex index.
 
@@ -51,10 +66,7 @@ def greedy_cover(c: Clutter) -> frozenset[int]:
     masks = c.edges
     if 0 in masks:
         raise ValueError("clutter has an empty edge")
-    hold = [0] * max(masks, default=0).bit_length()
-    for i, m in enumerate(masks):
-        for v in bits(m):
-            hold[v] |= 1 << i
+    hold = _hold(masks)
     left, chosen = (1 << len(masks)) - 1, 0
     while left:
         hits = [(left & h).bit_count() for h in hold]
@@ -65,11 +77,14 @@ def greedy_cover(c: Clutter) -> frozenset[int]:
 
 
 class _Truncated(Exception):
-    """Raised by the enumeration leaf once cap optima are held."""
+    """Raised by the pinned walk's leaf once cap optima are held."""
 
 
 def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> CoverResult:
-    """Exact minimum cover; with enumerate_all, every optimum up to cap."""
+    """Exact minimum cover; with enumerate_all, every optimum up to cap.
+
+    nodes_explored counts the nodes of every walk the solve ran.
+    """
     if enumerate_all and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     masks = set(c.edges)
@@ -81,30 +96,39 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
     greedy = mask_of(greedy_cover(c))
     witness, limit, nodes = greedy, greedy.bit_count() - 1, 0
     optima: list[int] = []
+    truncated = False
 
     def improve(selected: int, count: int) -> None:
         nonlocal witness, limit
         witness, limit = selected, count - 1
+
+    def gather(selected: int, count: int) -> None:
+        # Keep every leaf of the least size so far; once cap is passed,
+        # only a smaller leaf can arrive, and it starts a new list.
+        nonlocal witness, limit, truncated
+        if count < witness.bit_count():
+            witness, limit, truncated = selected, count, False
+            optima[:] = [selected]
+        elif len(optima) < cap:
+            optima.append(selected)
+        else:
+            truncated, limit = True, count - 1
 
     def collect(selected: int, count: int) -> None:
         if len(optima) >= cap:
             raise _Truncated
         optima.append(selected)
 
-    leaf = improve
+    leaf = gather if enumerate_all else improve
 
-    # Edge i is the i-th distinct mask by (size, mask), with vertices verts[i]
-    # (lists, as freed tuples pile up on per-length free lists: +3 MB of RSS).
-    # hold[v] has the edges that hold v, root[s] those of size s, skip[v] those
-    # missing v; apart[i], built when i is first packed, those missing all of i.
+    # Edge i is the i-th distinct mask by (size, mask).  hold[v] has the edges
+    # that hold v, root[s] those of size s, skip[v] those missing v; apart[i],
+    # built when i is first packed, those missing all of i.
     edge = sorted(masks, key=lambda m: (m.bit_count(), m))
-    verts = [list(bits(m)) for m in edge]
-    hold = [0] * max(masks).bit_length()
-    root = [0] * (len(verts[-1]) + 1)
-    for i, vs in enumerate(verts):
-        root[len(vs)] |= 1 << i
-        for v in vs:
-            hold[v] |= 1 << i
+    hold = _hold(edge)
+    root = [0] * (edge[-1].bit_count() + 1)
+    for i, m in enumerate(edge):
+        root[m.bit_count()] |= 1 << i
     skip = [~h for h in hold]
     apart: list[int | None] = [None] * len(edge)
     tops = range(2, len(root))
@@ -126,16 +150,18 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
             forced &= ~out
             selected |= forced
             count += forced.bit_count()
-            for v in bits(forced):
-                left &= skip[v]
+            while forced:
+                low = forced & -forced
+                forced ^= low
+                left &= skip[low.bit_length() - 1]
         if not left:
             if count <= limit:
                 leaf(selected, count)
             return
         if count + 1 >= limit:
             # One vertex left: it must lie in every edge, and those are the
-            # vertices branching would take, lowest first.  An improving
-            # leaf lowers the limit and ends the loop.
+            # vertices branching would take, lowest first.  A leaf that
+            # lowers the limit below count + 1 ends the loop.
             if count + 1 == limit:
                 for v in bits(edge[(left & -left).bit_length() - 1] & ~out):
                     if count >= limit:
@@ -155,14 +181,17 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
                 if bound > limit:
                     return
                 i = (pick & -pick).bit_length() - 1
-                if edge[i] & out:
-                    for v in verts[i]:
-                        if not out >> v & 1:
-                            free &= skip[v]
+                m = edge[i]
+                if m & out:
+                    m &= ~out
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        free &= skip[low.bit_length() - 1]
                 else:
                     a = apart[i]
                     if a is None:
-                        a = apart[i] = ~reduce(or_, [hold[v] for v in verts[i]])
+                        a = apart[i] = ~reduce(or_, [hold[v] for v in bits(m)])
                     free &= a
                 pick = size[s] & free
             if not free:
@@ -187,7 +216,10 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
         # leaves edges that one vertex x hits; x lies in the first two.
         most, v = -1, 0
         finishable = count + 2 < limit
-        for b in bits(best):
+        while best:
+            low = best & -best
+            best ^= low
+            b = low.bit_length() - 1
             hits = (left & hold[b]).bit_count()
             if hits > most:
                 most, v = hits, b
@@ -217,21 +249,18 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
         walk(left, size, out | 1 << v, selected, count)
 
     walk((1 << len(edge)) - 1, root, 0, 0, 0)
-    value = limit + 1
     if any(not m & witness for m in masks):
         raise AssertionError("solver returned a non-cover")
-
-    optima_out: tuple[frozenset[int], ...] | None = None
-    truncated = False
-    if enumerate_all:
-        leaf, limit = collect, value
+    if enumerate_all and not optima:
+        # No leaf beat the greedy cover: list the optima by a walk pinned at
+        # its size.
+        leaf, limit = collect, witness.bit_count()
         try:
             walk((1 << len(edge)) - 1, root, 0, 0, 0)
         except _Truncated:
             truncated = True
-        optima_out = tuple(frozenset(bits(m)) for m in sorted(optima))
-
-    return CoverResult(value, frozenset(bits(witness)), nodes, optima_out, truncated)
+    optima_out = tuple(frozenset(bits(m)) for m in sorted(optima)) if enumerate_all else None
+    return CoverResult(witness.bit_count(), frozenset(bits(witness)), nodes, optima_out, truncated)
 
 
 def tau_q_rose(n: int, q: int) -> int:

@@ -99,21 +99,32 @@ def are_isomorphic(g1, g2) -> bool:
 
 
 def _reference_greedy(masks):
-    """Max-coverage greedy cover as a bitmask, ties broken by lowest vertex."""
-    uncovered = list(masks)
+    """Max-coverage greedy cover as a bitmask, ties broken by lowest vertex.
+
+    Counts, not bitsets: hits[v] is the number of uncovered edges that hold
+    v, each copy of a repeated edge counted, and taking v subtracts every
+    edge it covers from the counts of that edge's vertices.
+    """
+    copies = {}
+    for m in masks:
+        copies[m] = copies.get(m, 0) + 1
+    members = {m: [v for v in range(m.bit_length()) if m >> v & 1] for m in copies}
+    hits, holding = {}, {}
+    for m, k in copies.items():
+        for v in members[m]:
+            hits[v] = hits.get(v, 0) + k
+            holding.setdefault(v, []).append(m)
+    order = sorted(hits)
+    uncovered = set(copies)
     chosen = 0
     while uncovered:
-        candidates = 0
-        for m in uncovered:
-            candidates |= m
-        best_v, best_hits = -1, -1
-        for v in range(candidates.bit_length()):
-            if candidates >> v & 1:
-                hits = sum(1 for m in uncovered if m >> v & 1)
-                if hits > best_hits:
-                    best_v, best_hits = v, hits
+        best_v = max(order, key=hits.__getitem__)
         chosen |= 1 << best_v
-        uncovered = [m for m in uncovered if not m >> best_v & 1]
+        for m in holding[best_v]:
+            if m in uncovered:
+                uncovered.remove(m)
+                for v in members[m]:
+                    hits[v] -= copies[m]
     return chosen
 
 

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from odcodes.clutters import Clutter, build_clutter, clutter_from_json, reduce_hypergraph
-from odcodes.cover import CoverResult, greedy_cover, min_cover, qrose_clutter, tau_q_rose
+from odcodes.cover import CoverResult, _hold, greedy_cover, min_cover, qrose_clutter, tau_q_rose
 from odcodes.families import random_od_admissible
 from odcodes.graphs import CodeKind, bits, mask_of
 from oracles import _reference_greedy, all_covers, naive_min_cover, reference_min_cover
@@ -44,6 +44,35 @@ class TestGreedy:
         for h in reduction_corpus(source):
             c = reduce_hypergraph(h)
             assert mask_of(greedy_cover(c)) == _reference_greedy(c.edges)
+
+
+class TestHold:
+    """The transposed incidence table: bit i of hold[v] is bit v of edge i."""
+
+    @staticmethod
+    def by_incidence(masks):
+        hold = [0] * max(masks, default=0).bit_length()
+        for i, m in enumerate(masks):
+            for v in bits(m):
+                hold[v] |= 1 << i
+        return hold
+
+    @pytest.mark.parametrize(
+        "masks",
+        [
+            (0b011, 0b110, 0b011, 0b011),  # repeated edges
+            (0b00011, 0b10000, 0b10100),  # vertex n - 1 = 4 in use
+            (0b1000,),  # a single edge
+            (1 << 69 | 1,),  # wider than a machine word
+            (),  # no edges
+        ],
+    )
+    def test_columns(self, masks):
+        assert _hold(masks) == self.by_incidence(masks)
+
+    def test_bare_json_corpus(self):
+        for c in TestBareJsonClutters().corpus():
+            assert _hold(c.edges) == self.by_incidence(c.edges)
 
 
 class TestMinCover:
@@ -239,6 +268,42 @@ class TestSameResultsAsReference:
         full = frozenset(range(6))
         assert res.truncated
         assert res.all_optima == tuple(full - {v} for v in range(5, 5 - cap, -1))
+
+    def test_truncation_cleared_by_a_smaller_cover(self):
+        # In walk order, the first cover that beats the greedy one has five
+        # vertices and a second of five follows, past cap = 1, so the list is
+        # truncated; a cover of four comes later and starts a list of its own.
+        c = clutter_of(
+            15, {9, 13}, {8, 14, 6}, {0, 11, 12}, {10, 4, 5, 7}, {9, 10, 4, 7}, {0, 9, 3, 6},
+            {3, 14}, {2, 3, 13}, {8, 1, 11, 13}, {0, 9, 2}, {1, 4},
+        )
+        res, _ = against_reference(c, enumerate_all=True, cap=1)
+        assert (res.value, len(res.all_optima), res.truncated) == (4, 1, False)
+
+
+class TestOneEnumerationWalk:
+    """Enumerate-all is one walk unless the greedy cover is optimal."""
+
+    def test_greedy_not_optimal_saves_the_second_walk(self):
+        # cycle 32 OD: greedy takes 23 vertices, the optimum is 21; the two
+        # walks of the value-then-enumerate search visited 18,402 nodes.
+        res = min_cover(build_clutter(cycle(32), CodeKind.OD), enumerate_all=True, cap=100_000)
+        assert (res.value, len(res.all_optima)) == (21, 352)
+        assert res.nodes_explored < 18_402
+
+    def test_truncation_drops_back_to_strict_improvement(self):
+        # With cap = 1 the second optimum truncates the list, and from there
+        # the walk prunes as the value pass does and visits the same nodes.
+        c = build_clutter(cycle(32), CodeKind.OD)
+        res = min_cover(c, enumerate_all=True, cap=1)
+        assert res.truncated
+        assert res.nodes_explored == min_cover(c).nodes_explored == 4_631
+
+    def test_greedy_optimal_keeps_the_pinned_walk(self):
+        # cycle 32 LD: greedy takes 13 vertices, which is optimal, so the
+        # optima come from a second walk pinned at 13.
+        res = min_cover(build_clutter(cycle(32), CodeKind.LD), enumerate_all=True, cap=100_000)
+        assert (res.value, len(res.all_optima), res.nodes_explored) == (13, 32, 7_002)
 
 
 class TestBareJsonClutters:
