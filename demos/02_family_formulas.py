@@ -29,16 +29,16 @@ print(f"{'family':32s} {'n':>3s}  {'OD':>9s}  {'OTD':>9s}  gap")
 for spec in SPECS:
     g = generate(spec)
     predicted = {p.kind: p.value for p in predicted_gamma(spec)}
-    cells = {}
+    values, cells = {}, {}
     for kind in (CodeKind.OD, CodeKind.OTD):
-        value, _ = gamma(g, kind)
+        value = values[kind] = gamma(g, kind)[0]
         want = predicted.get(kind)
         mark = "=" if want == value else ("?" if want is None else "!")
         cells[kind] = f"{value}{mark}"
     name = spec.family + (
         f"({spec.n})" if spec.n else f"({spec.k})" if spec.k else f"{list(spec.sizes)}"
     )
-    od, otd = gamma(g, CodeKind.OD)[0], gamma(g, CodeKind.OTD)[0]
-    print(f"{name:32s} {g.n:3d}  {cells[CodeKind.OD]:>9s}  {cells[CodeKind.OTD]:>9s}  {otd - od}")
+    gap = values[CodeKind.OTD] - values[CodeKind.OD]
+    print(f"{name:32s} {g.n:3d}  {cells[CodeKind.OD]:>9s}  {cells[CodeKind.OTD]:>9s}  {gap}")
 
 print("\n'=' solver equals the closed form; every gap is 0 or 1.")

@@ -14,14 +14,17 @@ every edge, handed on lowest first, the order branching would take them in.
 With two left, the node is pruned unless some vertex of a smallest edge
 leaves edges that one vertex hits.
 
-The walk prunes at a limit and hands each surviving leaf to a callback.  The
-value pass prunes at one below the incumbent and records improvements.  To
-list every optimum, the same walk runs as the value pass until its first
-improving leaf, then prunes at the incumbent size itself and gathers every
-leaf of that size in walk order: a smaller leaf restarts the list, and the
-(cap+1)-th leaf of one size marks the list truncated and drops the limit
-back to strict improvement.  Only when no leaf beats the greedy cover does a
-second walk, pinned at the greedy size, collect the optima.  Everything is
+The walk prunes at a limit and hands each surviving leaf to one rule.  A
+leaf smaller than the witness becomes the witness and restarts the list of
+optima; the value pass then prunes at one below it, a listing walk at its
+size.  Any other leaf joins the list while fewer than cap are held.  Past
+cap, a leaf at the floor, the size already proven optimal, ends the walk,
+and any other marks the list truncated and drops the limit back to strict
+improvement.  To list every optimum, one walk runs with floor 0: it is the
+value pass until its first leaf below the greedy cover, and from there it
+gathers every leaf of the least size in walk order.  Only when no leaf beats
+the greedy cover does a second walk run, pinned at the greedy size (its
+floor and its limit), and it stops at the (cap+1)-th optimum.  Everything is
 deterministic, so repeated solves yield identical witnesses and node counts.
 """
 
@@ -77,7 +80,8 @@ def greedy_cover(c: Clutter) -> frozenset[int]:
 
 
 class _Truncated(Exception):
-    """Raised by the pinned walk's leaf once cap optima are held."""
+    """Raised by the leaf at the (cap+1)-th leaf of the floor size: the
+    optimum is proven, so the list is truncated and the walk stops."""
 
 
 def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> CoverResult:
@@ -90,36 +94,26 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
     masks = set(c.edges)
     if not masks:
         return CoverResult(0, frozenset(), 0, (frozenset(),) if enumerate_all else None)
-    if 0 in masks:
-        raise ValueError("clutter has an empty edge")
 
     greedy = mask_of(greedy_cover(c))
-    witness, limit, nodes = greedy, greedy.bit_count() - 1, 0
+    witness, limit, floor, nodes = greedy, greedy.bit_count() - 1, 0, 0
     optima: list[int] = []
     truncated = False
 
-    def improve(selected: int, count: int) -> None:
-        nonlocal witness, limit
-        witness, limit = selected, count - 1
-
-    def gather(selected: int, count: int) -> None:
-        # Keep every leaf of the least size so far; once cap is passed,
-        # only a smaller leaf can arrive, and it starts a new list.
+    def leaf(selected: int, count: int) -> None:
+        # A smaller leaf restarts the list, and a listing walk then prunes at
+        # its size.  Past cap, a leaf at the proven floor ends the walk; any
+        # other drops the limit back to strict improvement.
         nonlocal witness, limit, truncated
         if count < witness.bit_count():
-            witness, limit, truncated = selected, count, False
+            witness, limit, truncated = selected, count if enumerate_all else count - 1, False
             optima[:] = [selected]
         elif len(optima) < cap:
             optima.append(selected)
+        elif count == floor:
+            raise _Truncated
         else:
             truncated, limit = True, count - 1
-
-    def collect(selected: int, count: int) -> None:
-        if len(optima) >= cap:
-            raise _Truncated
-        optima.append(selected)
-
-    leaf = gather if enumerate_all else improve
 
     # Edge i is the i-th distinct mask by (size, mask).  hold[v] has the edges
     # that hold v, root[s] those of size s, skip[v] those missing v; apart[i],
@@ -254,7 +248,7 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
     if enumerate_all and not optima:
         # No leaf beat the greedy cover: list the optima by a walk pinned at
         # its size.
-        leaf, limit = collect, witness.bit_count()
+        floor = limit = witness.bit_count()
         try:
             walk((1 << len(edge)) - 1, root, 0, 0, 0)
         except _Truncated:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -62,7 +61,6 @@ class ReportRow:
 class Report:
     title: str
     rows: tuple[ReportRow, ...]
-    elapsed: float
 
     @property
     def ok(self) -> bool:
@@ -85,15 +83,14 @@ class _Rows:
     def check(self, label: str, ok: bool, detail: str = "") -> None:
         self.rows.append(ReportRow(label, "ok", "ok" if ok else detail or "FAIL", ok))
 
-    def finish(self, title: str, t0: float) -> Report:
-        return Report(title, tuple(self.rows), time.perf_counter() - t0)
+    def finish(self, title: str) -> Report:
+        return Report(title, tuple(self.rows))
 
 
 # -- criterion 1: the worked 4-path example ------------------------------------------
 
 
 def report_p4_example() -> Report:
-    t0 = time.perf_counter()
     rows = _Rows()
     g = generate(FamilySpec("path", n=4))
     c = build_clutter(g, CodeKind.OD)
@@ -103,7 +100,7 @@ def report_p4_example() -> Report:
     rows.add("irrelevant vertices", set(), set(c.v0))
     rows.add("gamma_OD via covering", 3, gamma(g, CodeKind.OD)[0])
     rows.add("gamma_OD via brute force", 3, brute_force_gamma(g, CodeKind.OD)[0])
-    return rows.finish("4-path worked example", t0)
+    return rows.finish("4-path worked example")
 
 
 # -- criterion 2: the comparison table ------------------------------------------------
@@ -112,7 +109,6 @@ TABLE1 = ("gem", "gem-complement", "bull", "bow", "2p2", "p4")
 
 
 def report_table1() -> Report:
-    t0 = time.perf_counter()
     rows = _Rows()
     for name in TABLE1:
         g = named_graph(name)
@@ -124,7 +120,7 @@ def report_table1() -> Report:
                 pred.value,
                 brute_force_gamma(g, kind)[0],
             )
-    return rows.finish("small-graph comparison table", t0)
+    return rows.finish("small-graph comparison table")
 
 
 # -- criterion 3: family formulas ------------------------------------------------------
@@ -171,7 +167,6 @@ def family_specs(max_n: int = 18) -> list[FamilySpec]:
 
 
 def report_families(max_n: int = 18) -> Report:
-    t0 = time.perf_counter()
     rows = _Rows()
     for spec in family_specs(max_n):
         preds = predicted_gamma(spec)
@@ -183,14 +178,13 @@ def report_families(max_n: int = 18) -> Report:
         )
         for pred in preds:
             rows.add(f"{label} gamma_{pred.kind.value}", pred.value, gamma(g, pred.kind)[0])
-    return rows.finish(f"family formulas up to n = {max_n}", t0)
+    return rows.finish(f"family formulas up to n = {max_n}")
 
 
 # -- criterion 4: clutter shapes -------------------------------------------------------
 
 
 def report_clutter_shapes() -> Report:
-    t0 = time.perf_counter()
     rows = _Rows()
 
     for n in range(2, 9):
@@ -246,14 +240,13 @@ def report_clutter_shapes() -> Report:
         rows.add(f"extended spider k={k}: pendant of the last leg is forced", True, s_k in c.f1)
         if k >= 4:
             rows.add(f"extended spider k={k}: s0 is irrelevant", {k}, set(c.v0))
-    return rows.finish("clutter shapes", t0)
+    return rows.finish("clutter shapes")
 
 
 # -- criterion 5: randomized bounds and relations --------------------------------------
 
 
 def report_bounds_random(samples: int = 200, seed: int = DEFAULT_SEED) -> Report:
-    t0 = time.perf_counter()
     rows = _Rows()
     rng = random.Random(seed)
     log_ok = upper_ok = gap_ok = ld_ok = ltd_ok = remark_ok = 0
@@ -280,7 +273,7 @@ def report_bounds_random(samples: int = 200, seed: int = DEFAULT_SEED) -> Report
     rows.add("locating-domination lower bound", samples, ld_ok)
     rows.add("locating-total-domination lower bound", samples, ltd_ok)
     rows.add("at most one open-undominated vertex per optimal code", samples, remark_ok)
-    return rows.finish(f"randomized bounds ({samples} graphs, seed {seed})", t0)
+    return rows.finish(f"randomized bounds ({samples} graphs, seed {seed})")
 
 
 # -- criterion 6: SAT equivalence -------------------------------------------------------
@@ -321,7 +314,6 @@ def check_sat_instance(gg: GadgetGraph) -> SatCheck:
 
 
 def report_sat_equivalence(max_vars: int = 4, max_clauses: int = 6) -> Report:
-    t0 = time.perf_counter()
     rows = _Rows()
     total = sat_count = 0
     for inst in enumerate_slsat(max_vars, max_clauses):
@@ -346,14 +338,13 @@ def report_sat_equivalence(max_vars: int = 4, max_clauses: int = 6) -> Report:
         f"equivalence holds on all {total} instances ({sat_count} satisfiable)",
         total > 0,
     )
-    return rows.finish(f"SAT equivalence (vars <= {max_vars}, clauses <= {max_clauses})", t0)
+    return rows.finish(f"SAT equivalence (vars <= {max_vars}, clauses <= {max_clauses})")
 
 
 # -- criterion 7: q-rose covering numbers -------------------------------------------------
 
 
 def report_qrose(max_n: int = 8) -> Report:
-    t0 = time.perf_counter()
     rows = _Rows()
     for n in range(3, max_n + 1):
         for q in range(2, n):
@@ -362,7 +353,7 @@ def report_qrose(max_n: int = 8) -> Report:
                 tau_q_rose(n, q),
                 min_cover(qrose_clutter(n, q)).value,
             )
-    return rows.finish(f"q-rose covering numbers up to n = {max_n}", t0)
+    return rows.finish(f"q-rose covering numbers up to n = {max_n}")
 
 
 # -- criterion 8: polyhedral systems -----------------------------------------------------
@@ -384,7 +375,6 @@ def polyhedra_cases() -> list[tuple[str, FamilySpec]]:
 
 
 def report_polyhedra() -> Report:
-    t0 = time.perf_counter()
     rows = _Rows()
     for hint, spec in polyhedra_cases():
         g = generate(spec)
@@ -401,7 +391,7 @@ def report_polyhedra() -> Report:
         )
         hull = integer_hull_equiv(sys, clutter)
         rows.check(f"{label}: 0/1 points match covers exactly", hull.ok, hull.direction)
-    return rows.finish("polyhedral systems", t0)
+    return rows.finish("polyhedral systems")
 
 
 # -- criterion 9: oracle equivalence -------------------------------------------------------
@@ -446,7 +436,6 @@ def oracle_corpus() -> list[tuple[str, Graph]]:
 
 
 def report_oracle_equivalence() -> Report:
-    t0 = time.perf_counter()
     rows = _Rows()
     pairs = 0
     for label, g in oracle_corpus():
@@ -462,7 +451,7 @@ def report_oracle_equivalence() -> Report:
                 gamma(g, kind)[0],
             )
     rows.check(f"compared {pairs} graph/kind pairs", pairs > 100)
-    return rows.finish("covering pipeline vs subset-scan oracle", t0)
+    return rows.finish("covering pipeline vs subset-scan oracle")
 
 
 REPORT_SECTIONS = {

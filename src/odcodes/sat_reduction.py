@@ -378,6 +378,10 @@ def _transform_tables(n_vars: int, universe: list[frozenset[int]]) -> list[list[
     return tables
 
 
+# Above 6 variables, enumerate_slsat's symmetry tables alone take gigabytes.
+SAT_MAX_K = 6
+
+
 def enumerate_slsat(max_vars: int, max_clauses: int):
     """Yield one representative per isomorphism class of saturated instances.
 
@@ -391,7 +395,10 @@ def enumerate_slsat(max_vars: int, max_clauses: int):
 
     The search state is three ints: the clauses that may still join, and the
     literals used once and twice, literal l being bit 2(|l| - 1) + (l < 0).
+    Above SAT_MAX_K variables it raises ValueError before building a table.
     """
+    if max_vars > SAT_MAX_K:
+        raise ValueError(f"max_vars is at most {SAT_MAX_K}, got {max_vars}")
     for n in range(1, max_vars + 1):
         universe = clause_universe(n)
         tables = _transform_tables(n, universe)

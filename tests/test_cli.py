@@ -631,17 +631,18 @@ class TestPaperReport:
         assert code == 0 and json.loads(out)["ok"] is True
 
     def test_text_prints_each_section_as_it_finishes(self, capsys, monkeypatch):
-        from odcodes import reports
+        from odcodes import cli, reports
 
         row = reports.ReportRow("row", "1", "1", True)
         printed_before_second = []
 
         def second():
             printed_before_second.append(capsys.readouterr().out)
-            return reports.Report("second", (row,), 0.0)
+            return reports.Report("second", (row,))
 
-        sections = {"first": lambda: reports.Report("first", (row,), 0.0), "second": second}
+        sections = {"first": lambda: reports.Report("first", (row,)), "second": second}
         monkeypatch.setattr(reports, "REPORT_SECTIONS", sections)
+        monkeypatch.setattr(cli, "perf_counter", lambda: 0.0)
         code, out, _ = run(capsys, "paper-report", "all")
         assert code == 0
         assert printed_before_second == ["== first: PASS (1 rows, 0.00s)\n"]
@@ -680,7 +681,7 @@ class TestPaperReport:
 
         def sat(**kwargs):
             calls.append(kwargs)
-            return reports.Report("sat", (row,), 0.0)
+            return reports.Report("sat", (row,))
 
         monkeypatch.setitem(reports.REPORT_SECTIONS, "sat", sat)
         assert run(capsys, "paper-report", "sat", "--max-k", "6")[0] == 0

@@ -88,6 +88,11 @@ class TestMinCover:
         res = min_cover(clutter_of(3), enumerate_all=True)
         assert res == CoverResult(0, frozenset(), 0, (frozenset(),))
 
+    @pytest.mark.parametrize("enumerate_all", [False, True])
+    def test_empty_edge_rejected(self, enumerate_all):
+        with pytest.raises(ValueError, match="^clutter has an empty edge$"):
+            min_cover(clutter_of(2, set(), {0, 1}), enumerate_all=enumerate_all)
+
     def test_witness_is_cover_of_claimed_size(self):
         rng = random.Random(67)
         for _ in range(40):
@@ -304,6 +309,16 @@ class TestOneEnumerationWalk:
         # optima come from a second walk pinned at 13.
         res = min_cover(build_clutter(cycle(32), CodeKind.LD), enumerate_all=True, cap=100_000)
         assert (res.value, len(res.all_optima), res.nodes_explored) == (13, 32, 7_002)
+
+    @pytest.mark.parametrize(
+        "cap,optima,truncated,nodes", [(1, 1, True, 494), (5, 5, True, 752), (32, 32, False, 7_002)]
+    )
+    def test_pinned_walk_stops_at_the_optimum_past_cap(self, cap, optima, truncated, nodes):
+        # In the walk pinned at the proven optimum, the (cap+1)-th optimum
+        # ends the walk; dropping the limit there would visit more nodes.
+        res = min_cover(build_clutter(cycle(32), CodeKind.LD), enumerate_all=True, cap=cap)
+        assert (res.value, len(res.all_optima), res.truncated) == (13, optima, truncated)
+        assert res.nodes_explored == nodes
 
 
 class TestBareJsonClutters:

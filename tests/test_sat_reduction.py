@@ -298,6 +298,21 @@ class TestEnumerator:
                 assert reference_canonical(idx[:k], tables), (format_lsat(inst), k)
         assert sorted(by_n) == [2, 3, 4]
 
+    @pytest.mark.parametrize("max_vars", [7, 8, 100])
+    def test_above_the_table_limit_is_refused_before_any_table(self, monkeypatch, max_vars):
+        # at 7 variables the symmetry tables alone take gigabytes, so the
+        # refusal comes first; the table builder is patched to fail if called
+        from odcodes import sat_reduction
+
+        def must_not_build(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(sat_reduction, "_transform_tables", must_not_build)
+        with pytest.raises(ValueError, match=f"^max_vars is at most 6, got {max_vars}$"):
+            next(enumerate_slsat(max_vars, 3))
+        with pytest.raises(AssertionError, match="a table was built"):
+            next(enumerate_slsat(6, 3))
+
     def test_counting_lower_bound_on_optimal_codes(self):
         # every optimal code keeps at least 2 vertices per gadget path, one
         # less in total without the total-domination requirement
