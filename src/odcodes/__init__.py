@@ -17,7 +17,6 @@ from .graphs import (
     is_bipartite,
     load_graph,
     max_degree,
-    open_twins,
     parse_graph,
     parse_graph_json,
 )

@@ -254,7 +254,7 @@ def cmd_reduce_sat(args):
             fh.write(graph_to_text(gg.graph))
     if args.emit_roles:
         with open(args.emit_roles, "w", encoding="utf-8") as fh:
-            roles = {str(v): lab for v, lab in sorted(gg.roles.items())}
+            roles = {str(v): lab for v, lab in sorted(gg.graph.labels.items())}
             json.dump({"schema": SCHEMA, "roles": roles}, fh, sort_keys=True)
     obj = {
         "command": "reduce-sat",

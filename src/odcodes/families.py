@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, fields
 from itertools import combinations
 
-from .graphs import CodeKind, Graph, open_twins
+from .graphs import CodeKind, Graph, is_admissible
 
 
 # -- generators ------------------------------------------------------------------
@@ -426,15 +426,14 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
 
 
 def random_od_admissible(
-    n: int, p: float, rng: random.Random, forbid_isolated: bool = True, tries: int = 10_000
+    n: int, p: float, rng: random.Random, forbid_isolated: bool = True
 ) -> Graph:
-    """Rejection-sample a graph without open twins (and, by default, without
-    isolated vertices).  Test plumbing for the randomized property suites."""
-    for _ in range(tries):
+    """Rejection-sample an OD-admissible graph (no open twins), by default
+    also OTD-admissible (no isolated vertex), within 10,000 draws.  Test
+    plumbing for the randomized property suites."""
+    kind = CodeKind.OTD if forbid_isolated else CodeKind.OD
+    for _ in range(10_000):
         g = random_graph(n, p, rng)
-        if open_twins(g):
-            continue
-        if forbid_isolated and any(g.adj[v] == 0 for v in range(n)):
-            continue
-        return g
+        if is_admissible(g, kind).ok:
+            return g
     raise RuntimeError(f"no admissible sample found for n={n}, p={p}")

@@ -173,18 +173,6 @@ class Graph:
 # -- twins and admissibility ---------------------------------------------------
 
 
-def open_twins(g: Graph) -> list[tuple[int, int]]:
-    """All unordered pairs u < v with N(u) = N(v)."""
-    return _twin_pairs(g.adj)
-
-
-def _twin_pairs(nbhds: tuple[int, ...]) -> list[tuple[int, int]]:
-    groups: dict[int, list[int]] = {}
-    for v, m in enumerate(nbhds):
-        groups.setdefault(m, []).append(v)
-    return sorted(pair for members in groups.values() for pair in combinations(members, 2))
-
-
 @dataclass(frozen=True)
 class Admissibility:
     """Whether a graph admits a code of the given kind, with the obstruction."""
@@ -215,7 +203,11 @@ def is_admissible(g: Graph, kind: CodeKind) -> Admissibility:
     empty dom[v] (an isolated vertex under total domination) and, unless the
     kind is locating, no two equal sep sets (twins)."""
     dom, sep = code_masks(g, kind)
-    twins = () if kind.separation == "locating" else tuple(_twin_pairs(sep))
+    groups: dict[int, list[int]] = {}
+    if kind.separation != "locating":
+        for v, m in enumerate(sep):
+            groups.setdefault(m, []).append(v)
+    twins = tuple(sorted(pair for vs in groups.values() for pair in combinations(vs, 2)))
     isolated = tuple(v for v, m in enumerate(dom) if not m)
     reasons = []
     if twins:

@@ -171,15 +171,21 @@ def saturate(inst: LsatInstance) -> LsatInstance:
         n_vars += 1
         clauses += [frozenset({lit, n_vars}), frozenset({n_vars})]
     out = LsatInstance(n_vars, tuple(clauses))
-    assert out.n_vars <= 3 * n0 and out.n_clauses <= m0 + 4 * n0
-    assert out.saturated
+    if not (out.n_vars <= 3 * n0 and out.n_clauses <= m0 + 4 * n0):
+        raise AssertionError("saturation outgrew 3n variables or m + 4n clauses")
+    if not out.saturated:
+        raise AssertionError("saturation left a once-occurring literal")
     return out
 
 
-def brute_force_sat(inst: LsatInstance, limit: int = 24) -> dict[int, bool] | None:
+# brute_force_sat scans at most 2**24 truth-table rows.
+BRUTE_FORCE_MAX_VARS = 24
+
+
+def brute_force_sat(inst: LsatInstance) -> dict[int, bool] | None:
     """Truth-table scan; first satisfying assignment in binary order, or None."""
-    if inst.n_vars > limit:
-        raise ValueError(f"brute force guarded to {limit} variables")
+    if inst.n_vars > BRUTE_FORCE_MAX_VARS:
+        raise ValueError(f"brute force guarded to {BRUTE_FORCE_MAX_VARS} variables")
     for bitsword in range(1 << inst.n_vars):
         assignment = {v: bool(bitsword >> (v - 1) & 1) for v in range(1, inst.n_vars + 1)}
         if inst.evaluate(assignment):
@@ -202,18 +208,6 @@ class GadgetGraph:
     w_neg: tuple[int | None, ...]
     v_triples: tuple[tuple[int, int, int], ...]
     u_triples: tuple[tuple[int, int, int], ...]
-
-    @property
-    def n_vars(self) -> int:
-        return self.instance.n_vars
-
-    @property
-    def n_clauses(self) -> int:
-        return self.instance.n_clauses
-
-    @property
-    def roles(self) -> dict[int, str]:
-        return self.graph.labels
 
 
 def build_gadget(inst: LsatInstance) -> GadgetGraph:
@@ -268,7 +262,8 @@ def build_gadget(inst: LsatInstance) -> GadgetGraph:
         u_triples.append((u1, u2, u3))
 
     graph = Graph.from_edges(len(labels), edges, labels)
-    assert graph.n == 3 * inst.n_clauses + 3 * inst.n_vars + len(counts)
+    if graph.n != 3 * inst.n_clauses + 3 * inst.n_vars + len(counts):
+        raise AssertionError(f"gadget has {graph.n} vertices, off its layout")
     return GadgetGraph(
         graph,
         inst,
@@ -280,11 +275,11 @@ def build_gadget(inst: LsatInstance) -> GadgetGraph:
 
 
 def expected_od_size(gg: GadgetGraph) -> int:
-    return 3 * gg.n_vars + 2 * gg.n_clauses - 1
+    return 3 * gg.instance.n_vars + 2 * gg.instance.n_clauses - 1
 
 
 def expected_otd_size(gg: GadgetGraph) -> int:
-    return 3 * gg.n_vars + 2 * gg.n_clauses
+    return 3 * gg.instance.n_vars + 2 * gg.instance.n_clauses
 
 
 def assignment_to_code(gg: GadgetGraph, assignment: dict[int, bool], total: bool = False):
@@ -299,7 +294,7 @@ def assignment_to_code(gg: GadgetGraph, assignment: dict[int, bool], total: bool
         raise ValueError("assignment does not satisfy the instance")
     code = {v1 for v1, _, _ in gg.v_triples[1:]} | {v2 for _, v2, _ in gg.v_triples}
     code |= {u for u1, u2, _ in gg.u_triples for u in (u1, u2)}
-    for x in range(1, gg.n_vars + 1):
+    for x in range(1, gg.instance.n_vars + 1):
         wp, wn = gg.w_pos[x - 1], gg.w_neg[x - 1]
         if wp is not None and wn is not None:
             code.add(wp if assignment[x] else wn)
@@ -309,7 +304,9 @@ def assignment_to_code(gg: GadgetGraph, assignment: dict[int, bool], total: bool
             code.add(wn)
     if total:
         code.add(gg.v_triples[0][0])
-    assert len(code) == (expected_otd_size(gg) if total else expected_od_size(gg))
+    expected = expected_otd_size(gg) if total else expected_od_size(gg)
+    if len(code) != expected:
+        raise AssertionError(f"witness code has {len(code)} vertices, expected {expected}")
     return frozenset(code)
 
 
@@ -318,7 +315,7 @@ def code_to_assignment(gg: GadgetGraph, code) -> dict[int, bool]:
     variable; raises when some variable has zero or two of them selected."""
     code = set(code)
     assignment: dict[int, bool] = {}
-    for x in range(1, gg.n_vars + 1):
+    for x in range(1, gg.instance.n_vars + 1):
         wp, wn = gg.w_pos[x - 1], gg.w_neg[x - 1]
         present = [w for w in (wp, wn) if w is not None and w in code]
         if len(present) != 1:

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from odcodes.codes import gamma
@@ -18,6 +21,7 @@ from odcodes.families import (
     open_c_twins,
     path_graph,
     predicted_gamma,
+    random_od_admissible,
     sunlet,
     thick_spider,
     thin_spider,
@@ -342,3 +346,19 @@ class TestCyclesAndPaths:
             checked += 1
         # only the smallest one or two n are not admissible
         assert checked >= 32
+
+
+class TestRandomOdAdmissible:
+    def test_draws_are_pinned(self):
+        # the digest pins the graphs each seed's stream yields, so a change
+        # to the rejection rule or to random_graph shows here
+        draws = []
+        for seed in range(10):
+            rng = random.Random(seed)
+            for forbid_isolated in (True, False):
+                for n in range(4, 13):
+                    for p in (0.3, 0.5, 0.7):
+                        g = random_od_admissible(n, p, rng, forbid_isolated)
+                        draws.append((g.n, g.adj))
+        digest = hashlib.sha256(repr(draws).encode()).hexdigest()
+        assert digest == "d6db73e44edddddf7361189f42f2826c0eb21986002a2f972216af49bc9ad4ef"

@@ -1,6 +1,9 @@
 import hashlib
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -133,7 +136,7 @@ class TestBruteForceSat:
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            brute_force_sat(LsatInstance(30, ()), limit=24)
+            brute_force_sat(LsatInstance(30, ()))
 
 
 def gadget_of(*clauses, n_vars):
@@ -221,6 +224,35 @@ class TestAssignmentCode:
         gg = build_gadget(inst)
         with pytest.raises(ValueError, match="x1"):
             code_to_assignment(gg, set())
+
+    def test_size_check_holds_under_python_O(self):
+        # -O strips bare asserts; the witness-size check is an explicit raise
+        child = SIZE_CHECK_CHILD.format(src=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", child], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "optimize 1",
+            "raised: witness code has 11 vertices, expected 12",
+        ]
+
+
+SIZE_CHECK_CHILD = """
+import sys
+sys.path.insert(0, {src!r})
+from odcodes import sat_reduction as sr
+print("optimize", sys.flags.optimize)
+sr.expected_od_size = lambda gg: 3 * gg.instance.n_vars + 2 * gg.instance.n_clauses
+clauses = (frozenset({{1}}), frozenset({{2}}), frozenset({{1, 2}}))
+gg = sr.build_gadget(sr.LsatInstance(2, clauses))
+try:
+    sr.assignment_to_code(gg, {{1: True, 2: True}})
+except AssertionError as exc:
+    print("raised:", exc)
+else:
+    print("returned")
+"""
 
 
 class TestAuxiliaryGraph:
