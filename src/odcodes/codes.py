@@ -4,6 +4,12 @@ verify() checks a candidate set straight against the definitions (domination
 plus trace uniqueness), so it is usable on any graph.  gamma() goes through
 the clutter covering pipeline and re-verifies its witness; brute_force_gamma()
 scans subsets in size order and serves as the independent oracle.
+
+Above the brute-force guard, gamma() tests a graph for a narrow BFS order.
+A narrow graph walks for at most WALK_BUDGET nodes; past that, a frontier DP
+over the order gives the value (for OD through the empty-trace split), and
+the walk pinned at that value gives min_cover's witness.  A DP that passes
+its state cap hands the solve back to min_cover.
 """
 
 from __future__ import annotations
@@ -12,12 +18,14 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from .clutters import build_clutter, require_admissible
-from .cover import min_cover
+from .clutters import Clutter, build_clutter, require_admissible
+from .cover import CoverResult, _frontier, _search, min_cover
 from .graphs import CodeKind, Graph, bits, code_masks, induced_subgraph, mask_of
 
 MAX_VIOLATIONS = 100  # cap per violation list in a report
 BRUTE_FORCE_LIMIT = 20
+NARROW_WIDTH = 4  # the widest span of a graph edge in a narrow BFS order
+WALK_BUDGET = 1_000  # nodes a narrow graph's walk may visit before the DP takes over
 
 
 @dataclass(frozen=True)
@@ -76,11 +84,118 @@ def check_cover_code(g: Graph, code, kind: CodeKind) -> None:
 
 
 def gamma(g: Graph, kind: CodeKind) -> tuple[int, frozenset[int]]:
-    """Minimum code size and one witness, via the clutter covering pipeline."""
+    """Minimum code size and one witness, via the clutter covering pipeline.
+
+    Above BRUTE_FORCE_LIMIT vertices a narrow graph may leave the walk (see
+    _narrow_solve); value and witness are those min_cover returns.
+    """
     clutter = build_clutter(g, kind)  # raises on inadmissible graphs
-    result = min_cover(clutter)
+    result = _narrow_solve(g, kind, clutter) if g.n > BRUTE_FORCE_LIMIT else None
+    if result is None:
+        result = min_cover(clutter)
     check_cover_code(g, result.witness, kind)
     return result.value, result.witness
+
+
+def _narrow_solve(g: Graph, kind: CodeKind, clutter: Clutter) -> CoverResult | None:
+    """Solve a graph with a narrow BFS order, or return None.
+
+    The walk runs first, up to WALK_BUDGET nodes.  Past that, a frontier DP
+    over the order gives the value: on the kind's own clutter, whose far-pair
+    edges are reduced away, or for OD by the empty-trace split (_od_value).
+    The witness is then the first cover of at most the value that the walk
+    meets, which is min_cover's.  None when the graph is not narrow or a DP
+    passes its state cap.
+    """
+    order = _narrow_order(g)
+    if order is None:
+        return None
+    result = _search(clutter, budget=WALK_BUDGET)
+    if result is not None:
+        return result
+    value = _od_value(g, order) if kind is CodeKind.OD else _frontier(clutter.edges, order, g.n)
+    if value is None:
+        return None
+    result = _search(clutter, limit=value, first=True)
+    if result.value != value:
+        raise AssertionError(f"frontier DP gave {value}, the walk {result.value}")
+    return result
+
+
+def _narrow_order(g: Graph) -> list[int] | None:
+    """A BFS order in which every edge spans at most NARROW_WIDTH places, or
+    None as soon as one cannot.
+
+    Each component is searched from its lowest vertex, neighbours in index
+    order.  A vertex's earliest neighbour is the one that places it, so the
+    widest edge at the vertices u places runs from u to the last of them.
+    While the order is narrow, every vertex already placed lies fewer than
+    NARROW_WIDTH places past u, so a u that places none passes.
+    """
+    order: list[int] = []
+    placed = i = 0
+    for root in range(g.n):
+        if placed >> root & 1:
+            continue
+        order.append(root)
+        placed |= 1 << root
+        while i < len(order):
+            fresh = g.adj[order[i]] & ~placed
+            if len(order) + fresh.bit_count() - 1 - i > NARROW_WIDTH:
+                return None
+            order += bits(fresh)
+            placed |= fresh
+            i += 1
+    return order
+
+
+def _od_value(g: Graph, order: list[int]) -> int | None:
+    """gamma_OD by the empty-trace split, each case by the frontier DP; None
+    when a DP passes its state cap.
+
+    Traces N(v) & C of an OD code C are pairwise distinct, so at most one
+    vertex z has an empty one, and closed domination puts z in C.  With no
+    empty trace C is an OTD code; with z's, C is z plus a cover of
+    R_z = _split_edges(g, z).  So gamma_OD = min(gamma_OTD, 1 + min_z
+    tau(R_z)), and z is the isolated vertex when there is one.  Only a
+    1 + tau(R_z) below the best so far counts, so case z's DP drops every
+    state above best - 2.
+    """
+    isolated = [v for v in range(g.n) if not g.adj[v]]
+    if isolated:
+        best, cases = g.n + 1, isolated
+    else:
+        best, cases = _frontier(_split_edges(g, None), order, g.n), range(g.n)
+    for z in cases:
+        if best is None:
+            return None
+        edges = _split_edges(g, z)
+        if edges is not None:
+            tau = _frontier(edges, order, best - 2)
+            best = None if tau is None else min(best, tau + 1)
+    return best
+
+
+def _split_edges(g: Graph, z: int | None) -> set[int] | None:
+    """Edges whose covers C' make {z} | C' an OD code in which z's trace is
+    the one empty trace, some of them redundant; with z None, the OTD
+    hypergraph's edges less its far pairs.  None when an edge is empty, so
+    that no such code exists.
+
+    C' avoids N(z).  A vertex v outside N[z] needs N(v) - N(z).  A pair
+    u, v other than z that z does not separate needs N(u) ^ N(v) - N(z),
+    and only if the two share a neighbour outside N(z), z itself included:
+    otherwise that edge holds N(u) - N(z).  Far pairs never appear.
+    """
+    nz = g.adj[z] if z is not None else 0
+    settled = nz | 1 << z if z is not None else 0
+    edges = {m & ~nz for v, m in enumerate(g.adj) if not settled >> v & 1}
+    for w, m in enumerate(g.adj):
+        if not nz >> w & 1:
+            for u, v in combinations(bits(m), 2):
+                if not (nz >> u ^ nz >> v) & 1:
+                    edges.add((g.adj[u] ^ g.adj[v]) & ~nz)
+    return None if 0 in edges else edges
 
 
 def gamma_all_optima(

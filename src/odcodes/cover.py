@@ -26,10 +26,18 @@ gathers every leaf of the least size in walk order.  Only when no leaf beats
 the greedy cover does a second walk run, pinned at the greedy size (its
 floor and its limit), and it stops at the (cap+1)-th optimum.  Everything is
 deterministic, so repeated solves yield identical witnesses and node counts.
+
+min_cover runs the walk through _search, which can also give up past a node
+budget or stop at the first cover within a limit.  Since the leaves at or
+below a limit do not depend on how the limit moved, the first leaf of the
+walk pinned at the optimum is min_cover's witness.  _frontier is a second
+exact route, a DP over a vertex order, cheap when every edge spans few
+places of the order.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -37,6 +45,9 @@ from operator import or_
 
 from .clutters import Clutter
 from .graphs import bits, mask_of
+
+
+STATE_CAP = 4_096  # the most states _frontier keeps after a step
 
 
 @dataclass(frozen=True)
@@ -79,9 +90,10 @@ def greedy_cover(c: Clutter) -> frozenset[int]:
     return frozenset(bits(chosen))
 
 
-class _Truncated(Exception):
-    """Raised by the leaf at the (cap+1)-th leaf of the floor size: the
-    optimum is proven, so the list is truncated and the walk stops."""
+class _Stop(Exception):
+    """Ends a walk early: past the node budget, at the first leaf in first
+    mode, or at the (cap+1)-th leaf of the floor size once the optimum is
+    proven, which truncates the list."""
 
 
 def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> CoverResult:
@@ -91,12 +103,37 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
     """
     if enumerate_all and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
+    return _search(c, enumerate_all, cap)
+
+
+def _search(
+    c: Clutter,
+    enumerate_all: bool = False,
+    cap: int = 10_000,
+    limit: int | None = None,
+    first: bool = False,
+    budget: int | None = None,
+) -> CoverResult | None:
+    """The walk behind min_cover, which calls it with the defaults.
+
+    limit, when given, is the largest cover the walk looks for; the greedy
+    cover still bounds it.  With first, the solve ends at the first cover of
+    at most limit it meets: the greedy cover when that is small enough, else
+    the first leaf, which is min_cover's witness when limit is the optimum.
+    Past budget nodes the walk gives up and the result is None.
+    """
+    if budget is None:
+        budget = sys.maxsize  # an int, which compares faster than math.inf
     masks = set(c.edges)
     if not masks:
         return CoverResult(0, frozenset(), 0, (frozenset(),) if enumerate_all else None)
 
     greedy = mask_of(greedy_cover(c))
-    witness, limit, floor, nodes = greedy, greedy.bit_count() - 1, 0, 0
+    witness, floor, nodes = greedy, 0, 0
+    top = greedy.bit_count() - 1
+    if first and limit is not None and limit > top:
+        return CoverResult(greedy.bit_count(), frozenset(bits(greedy)), 0)
+    limit = top if limit is None else min(limit, top)
     optima: list[int] = []
     truncated = False
 
@@ -108,10 +145,13 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
         if count < witness.bit_count():
             witness, limit, truncated = selected, count if enumerate_all else count - 1, False
             optima[:] = [selected]
+            if first:
+                raise _Stop
         elif len(optima) < cap:
             optima.append(selected)
         elif count == floor:
-            raise _Truncated
+            truncated = True
+            raise _Stop
         else:
             truncated, limit = True, count - 1
 
@@ -132,6 +172,8 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
         them with s vertices outside the excluded ones, out."""
         nonlocal nodes
         nodes += 1
+        if nodes > budget:
+            raise _Stop
         # Dropping the edges that the singletons hit makes no new singleton,
         # so one pass absorbs them all.
         single = size[1] & left
@@ -242,19 +284,62 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
                     break
         walk(left, size, out | 1 << v, selected, count)
 
-    walk((1 << len(edge)) - 1, root, 0, 0, 0)
+    def run() -> bool:
+        """One walk from the root; False when it passed the budget."""
+        try:
+            walk((1 << len(edge)) - 1, root, 0, 0, 0)
+        except _Stop:
+            return nodes <= budget
+        return True
+
+    if not run():
+        return None
     if any(not m & witness for m in masks):
         raise AssertionError("solver returned a non-cover")
     if enumerate_all and not optima:
         # No leaf beat the greedy cover: list the optima by a walk pinned at
         # its size.
         floor = limit = witness.bit_count()
-        try:
-            walk((1 << len(edge)) - 1, root, 0, 0, 0)
-        except _Truncated:
-            truncated = True
+        if not run():
+            return None
     optima_out = tuple(frozenset(bits(m)) for m in sorted(optima)) if enumerate_all else None
     return CoverResult(witness.bit_count(), frozenset(bits(witness)), nodes, optima_out, truncated)
+
+
+def _frontier(edges, order: list[int], limit: int) -> int | None:
+    """Minimum cover of the edges by a DP over a vertex order, or limit + 1
+    when every cover is larger; None once the states pass STATE_CAP.
+
+    An edge starts at its first vertex in the order and must be hit by its
+    last.  A state is the set of started, unhit edges, and it keeps the
+    fewest vertices taken to reach it; a state above limit is dropped.
+    Taking a vertex that hits no started edge is never better than leaving
+    it, since every edge that holds it has started.
+    """
+    edges = list(edges)
+    hold = _hold(edges) + [0] * len(order)
+    start, due = [0] * len(order), [0] * len(order)
+    step = {v: i for i, v in enumerate(order)}
+    for i, m in enumerate(edges):
+        steps = [step[v] for v in bits(m)]
+        start[min(steps)] |= 1 << i
+        due[max(steps)] |= 1 << i
+    states = {0: 0}
+    for i, v in enumerate(order):
+        after: dict[int, int] = {}
+        hit = hold[v]
+        for state, count in states.items():
+            state |= start[i]
+            if not state & due[i] and after.get(state, limit + 1) > count:
+                after[state] = count
+            if state & hit and count < limit:
+                state &= ~hit
+                if after.get(state, limit + 1) > count + 1:
+                    after[state] = count + 1
+        if len(after) > STATE_CAP:
+            return None
+        states = after
+    return states.get(0, limit + 1)
 
 
 def tau_q_rose(n: int, q: int) -> int:

@@ -1,9 +1,17 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from odcodes.clutters import InadmissibleGraphError, build_hypergraph, forced_vertices_direct
+from odcodes import codes, cover
+from odcodes.clutters import (
+    InadmissibleGraphError,
+    build_clutter,
+    build_hypergraph,
+    forced_vertices_direct,
+)
 from odcodes.codes import (
     brute_force_gamma,
     check_relations,
@@ -11,20 +19,24 @@ from odcodes.codes import (
     gamma_all_optima,
     verify,
 )
+from odcodes.cover import min_cover
 from odcodes.families import (
+    cycle_graph,
     double_star,
     fan,
     half_graph,
     named_graph,
+    path_graph,
     random_od_admissible,
     thin_spider,
 )
-from odcodes.graphs import CodeKind, Graph, disjoint_union, is_admissible
+from odcodes.graphs import CodeKind, Graph, bits, disjoint_union, is_admissible
 from oracles import naive_gamma, naive_is_code
 
 from test_graphs import complete, gem, path, random_graph
 
 P4 = path(4)
+REFERENCES = Path(__file__).resolve().parent.parent / "bench" / "references.json"
 
 
 class TestVerify:
@@ -166,6 +178,113 @@ class TestGammaProperties:
                 assert naive_is_code(g, witness, kind)
 
         check()
+
+
+def relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def connected(g):
+    seen = reach = 1
+    while reach:
+        reach = 0
+        for v in bits(seen):
+            reach |= g.adj[v]
+        reach &= ~seen
+        seen |= reach
+    return seen == (1 << g.n) - 1
+
+
+@pytest.fixture
+def forced(monkeypatch):
+    """gamma's narrow route on any graph: every BFS order counts as narrow,
+    the walk spends its budget at the root and the state cap is lifted, so
+    the frontier DP gives the value and the walk pinned at it the witness."""
+    monkeypatch.setattr(codes, "NARROW_WIDTH", math.inf)
+    monkeypatch.setattr(codes, "WALK_BUDGET", 0)
+    monkeypatch.setattr(cover, "STATE_CAP", 1 << 20)
+
+    def solve(g, kind):
+        return codes._narrow_solve(g, kind, build_clutter(g, kind))
+
+    return solve
+
+
+class TestNarrowRoute:
+    """gamma leaves the walk on narrow graphs above the brute-force guard: the
+    value comes from the frontier DP (for OD, by the empty-trace split), and
+    the witness stays min_cover's."""
+
+    def test_dp_matches_brute_force(self, monkeypatch):
+        monkeypatch.setattr(codes, "NARROW_WIDTH", math.inf)
+        rng = random.Random(41)
+        checked = {kind: 0 for kind in CodeKind}
+        for _ in range(40):
+            g = random_graph(rng.randint(2, 10), rng.choice([0.2, 0.35, 0.5, 0.7]), rng)
+            order = codes._narrow_order(g)
+            for kind in CodeKind:
+                if not is_admissible(g, kind).ok:
+                    continue
+                if kind is CodeKind.OD:
+                    value = codes._od_value(g, order)
+                else:
+                    value = cover._frontier(build_clutter(g, kind).edges, order, g.n)
+                assert value == brute_force_gamma(g, kind)[0], (g, kind)
+                checked[kind] += 1
+        assert min(checked.values()) >= 5
+
+    def test_forced_route_returns_min_covers_result(self, forced):
+        rng = random.Random(43)
+        graphs = [
+            random_od_admissible(
+                rng.randint(3, 20), rng.choice([0.15, 0.3, 0.5]), rng, forbid_isolated=False
+            )
+            for _ in range(50)
+        ]
+        for _ in range(12):
+            g = random_od_admissible(rng.randint(3, 12), rng.choice([0.3, 0.5]), rng)
+            graphs.append(disjoint_union(g, Graph.from_edges(1, [])))
+            graphs.append(disjoint_union(g, random_od_admissible(rng.randint(3, 8), 0.5, rng)))
+        isolated = disconnected = 0
+        for g in graphs:
+            for kind in CodeKind:
+                if not is_admissible(g, kind).ok:
+                    continue
+                got, want = forced(g, kind), min_cover(build_clutter(g, kind))
+                assert (got.value, got.witness) == (want.value, want.witness), (g, kind)
+            isolated += sum(not m for m in g.adj) == 1
+            disconnected += not connected(g)
+        assert isolated >= 12 and disconnected >= 24
+
+    def test_narrow_orders(self):
+        for g in (relabelled(cycle_graph(36), 1), relabelled(path_graph(40), 1)):
+            order = codes._narrow_order(g)
+            step = {v: i for i, v in enumerate(order)}
+            assert sorted(order) == list(range(g.n))
+            assert max(abs(step[u] - step[v]) for u, v in g.edges()) <= codes.NARROW_WIDTH
+        pool = json.loads(REFERENCES.read_text())["sparse-search"]["pool"]["sparse-r26a"]
+        g = Graph.from_edges(pool["n"], [tuple(e) for e in pool["edges"]])
+        assert codes._narrow_order(g) is None
+
+    def test_state_cap_hands_back_to_the_walk(self, monkeypatch):
+        g = relabelled(cycle_graph(36), 1)
+        want = min_cover(build_clutter(g, CodeKind.OD))
+        calls = []
+        monkeypatch.setattr(cover, "STATE_CAP", 1)
+        monkeypatch.setattr(codes, "min_cover", lambda c: calls.append(c) or min_cover(c))
+        assert gamma(g, CodeKind.OD) == (want.value, want.witness)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "make,n", [(cycle_graph, 32), (cycle_graph, 36), (path_graph, 36), (path_graph, 40)]
+    )
+    def test_witness_is_min_covers(self, make, n):
+        for seed in (1, 2, 3):
+            g = relabelled(make(n), seed)
+            for kind in (CodeKind.OD, CodeKind.OTD):
+                assert gamma(g, kind)[1] == min_cover(build_clutter(g, kind)).witness
 
 
 class TestBruteForce:

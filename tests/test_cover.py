@@ -6,7 +6,16 @@ from itertools import combinations
 import pytest
 
 from odcodes.clutters import Clutter, build_clutter, clutter_from_json, reduce_hypergraph
-from odcodes.cover import CoverResult, _hold, greedy_cover, min_cover, qrose_clutter, tau_q_rose
+from odcodes.cover import (
+    CoverResult,
+    _frontier,
+    _hold,
+    _search,
+    greedy_cover,
+    min_cover,
+    qrose_clutter,
+    tau_q_rose,
+)
 from odcodes.families import random_od_admissible
 from odcodes.graphs import CodeKind, bits, mask_of
 from oracles import _reference_greedy, all_covers, naive_min_cover, reference_min_cover
@@ -319,6 +328,49 @@ class TestOneEnumerationWalk:
         res = min_cover(build_clutter(cycle(32), CodeKind.LD), enumerate_all=True, cap=cap)
         assert (res.value, len(res.all_optima), res.truncated) == (13, optima, truncated)
         assert res.nodes_explored == nodes
+
+
+class TestSearchEntry:
+    """min_cover is _search with its defaults; the private entry adds a node
+    budget and a finder of the first cover within a limit."""
+
+    def test_budget(self):
+        c = code_clutter("cycle32-OD")
+        full = min_cover(c)
+        assert _search(c, budget=full.nodes_explored) == full
+        assert _search(c, budget=full.nodes_explored - 1) is None
+
+    @pytest.mark.parametrize("case", list(CODE_CLUTTERS))
+    def test_first_cover_at_the_optimum_is_the_witness(self, case):
+        c = code_clutter(case)
+        full = min_cover(c)
+        found = _search(c, limit=full.value, first=True)
+        assert (found.value, found.witness) == (full.value, full.witness)
+        assert found.nodes_explored < full.nodes_explored
+
+    def test_first_takes_the_greedy_cover_within_the_limit(self):
+        # cycle 32 LD: the greedy cover is optimal, so no walk runs
+        c = build_clutter(cycle(32), CodeKind.LD)
+        found = _search(c, limit=13, first=True)
+        assert (found.value, found.witness, found.nodes_explored) == (13, greedy_cover(c), 0)
+
+
+class TestFrontier:
+    """The DP over a vertex order gives the covering number, or limit + 1
+    when every cover is larger, in any order."""
+
+    def test_random_clutters(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            sets = [
+                set(rng.sample(range(n), rng.randint(1, min(4, n))))
+                for _ in range(rng.randint(0, 12))
+            ]
+            tau = naive_min_cover(n, sets)[0]
+            limit = rng.randint(0, n)
+            order = rng.sample(range(n), n)
+            assert _frontier(map(mask_of, sets), order, limit) == min(tau, limit + 1)
 
 
 class TestBareJsonClutters:

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from odcodes.clutters import build_clutter
 from odcodes.codes import gamma
+from odcodes.cover import min_cover
 from odcodes.families import (
     FamilySpec,
     all_cycle_chords,
@@ -326,16 +328,19 @@ def table_gamma(family, kind, n):
 
 
 class TestCyclesAndPaths:
+    """The table against gamma, which leaves the walk for the frontier DP on
+    these narrow graphs from n = 21 on, and against the walk itself."""
+
     @pytest.mark.parametrize("row", ["OD-observed", "OTD", "LD", "ID"])
     @pytest.mark.parametrize("family", ["cycle", "path"])
     def test_gamma_matches_the_table(self, family, row):
-        # every admissible n from 3 to 36, and brute force up to n = 10
+        # every admissible n from 3 to 60, and brute force up to n = 10
         from odcodes.codes import brute_force_gamma
 
         make = {"cycle": cycle_graph, "path": path_graph}[family]
         kind = CodeKind[row.split("-")[0]]
         checked = 0
-        for n in range(3, 37):
+        for n in range(3, 61):
             g = make(n)
             if not is_admissible(g, kind):
                 continue
@@ -345,6 +350,23 @@ class TestCyclesAndPaths:
                 assert brute_force_gamma(g, kind)[0] == value, (family, row, n)
             checked += 1
         # only the smallest one or two n are not admissible
+        assert checked >= 56
+
+    @pytest.mark.parametrize("row", ["OD-observed", "OTD", "LD", "ID"])
+    @pytest.mark.parametrize("family", ["cycle", "path"])
+    def test_walk_matches_the_table(self, family, row):
+        # every admissible n from 3 to 36, solved by min_cover alone
+        make = {"cycle": cycle_graph, "path": path_graph}[family]
+        kind = CodeKind[row.split("-")[0]]
+        checked = 0
+        for n in range(3, 37):
+            g = make(n)
+            if not is_admissible(g, kind):
+                continue
+            assert min_cover(build_clutter(g, kind)).value == table_gamma(family, row, n), (
+                family, row, n
+            )
+            checked += 1
         assert checked >= 32
 
 
