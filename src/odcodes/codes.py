@@ -5,11 +5,12 @@ plus trace uniqueness), so it is usable on any graph.  gamma() goes through
 the clutter covering pipeline and re-verifies its witness; brute_force_gamma()
 scans subsets in size order and serves as the independent oracle.
 
-Above the brute-force guard, gamma() tests a graph for a narrow BFS order.
-A narrow graph walks for at most WALK_BUDGET nodes; past that, a frontier DP
-over the order gives the value (for OD through the empty-trace split), and
-the walk pinned at that value gives min_cover's witness.  A DP that passes
-its state cap hands the solve back to min_cover.
+Above the brute-force guard, a graph with a narrow BFS order may be solved
+by a frontier DP over it.  gamma() walks for at most WALK_BUDGET nodes;
+past that, the DP gives the value and the walk pinned at it min_cover's
+witness.  gamma_all_optima() lists the optima by the DP straight away.  A DP
+past its state cap, or with more optima than asked for, hands the solve back
+to min_cover.
 """
 
 from __future__ import annotations
@@ -101,11 +102,9 @@ def _narrow_solve(g: Graph, kind: CodeKind, clutter: Clutter) -> CoverResult | N
     """Solve a graph with a narrow BFS order, or return None.
 
     The walk runs first, up to WALK_BUDGET nodes.  Past that, a frontier DP
-    over the order gives the value: on the kind's own clutter, whose far-pair
-    edges are reduced away, or for OD by the empty-trace split (_od_value).
-    The witness is then the first cover of at most the value that the walk
-    meets, which is min_cover's.  None when the graph is not narrow or a DP
-    passes its state cap.
+    over the order gives the value, and the witness is the first cover of
+    at most the value that the walk meets, which is min_cover's.  None when
+    the graph is not narrow or the DP passes its state cap.
     """
     order = _narrow_order(g)
     if order is None:
@@ -113,9 +112,10 @@ def _narrow_solve(g: Graph, kind: CodeKind, clutter: Clutter) -> CoverResult | N
     result = _search(clutter, budget=WALK_BUDGET)
     if result is not None:
         return result
-    value = _od_value(g, order) if kind is CodeKind.OD else _frontier(clutter.edges, order, g.n)
-    if value is None:
+    found = _frontier(*_dp_edges(g, kind, clutter), order, g.n)
+    if found is None:
         return None
+    value = found[0]
     result = _search(clutter, limit=value, first=True)
     if result.value != value:
         raise AssertionError(f"frontier DP gave {value}, the walk {result.value}")
@@ -149,62 +149,48 @@ def _narrow_order(g: Graph) -> list[int] | None:
     return order
 
 
-def _od_value(g: Graph, order: list[int]) -> int | None:
-    """gamma_OD by the empty-trace split, each case by the frontier DP; None
-    when a DP passes its state cap.
+def _dp_edges(g: Graph, kind: CodeKind, clutter: Clutter) -> tuple[list[int], list[int]]:
+    """The frontier DP's (hard, spare) edges: a set is a code of the kind
+    exactly when it hits every hard edge and misses at most one spare edge.
+    Every kind but OD has its clutter as hard edges and no spare edges.
 
-    Traces N(v) & C of an OD code C are pairwise distinct, so at most one
-    vertex z has an empty one, and closed domination puts z in C.  With no
-    empty trace C is an OTD code; with z's, C is z plus a cover of
-    R_z = _split_edges(g, z).  So gamma_OD = min(gamma_OTD, 1 + min_z
-    tau(R_z)), and z is the isolated vertex when there is one.  Only a
-    1 + tau(R_z) below the best so far counts, so case z's DP drops every
-    state above best - 2.
+    OD's clutter is wide, for a far pair u, v, with no common neighbour, has
+    the edge N(u) | N(v).  As two empty traces N(v) & C with a common
+    neighbour miss N(u) ^ N(v), the far pairs only say that at most one
+    trace is empty.  So OD's hard edges are every N[v] and the N(u) ^ N(v)
+    of the pairs with a common neighbour, and its spare edges every N(v);
+    with an isolated vertex, whose trace is the empty one, every nonempty
+    N(v) is hard instead.
     """
-    isolated = [v for v in range(g.n) if not g.adj[v]]
-    if isolated:
-        best, cases = g.n + 1, isolated
-    else:
-        best, cases = _frontier(_split_edges(g, None), order, g.n), range(g.n)
-    for z in cases:
-        if best is None:
-            return None
-        edges = _split_edges(g, z)
-        if edges is not None:
-            tau = _frontier(edges, order, best - 2)
-            best = None if tau is None else min(best, tau + 1)
-    return best
-
-
-def _split_edges(g: Graph, z: int | None) -> set[int] | None:
-    """Edges whose covers C' make {z} | C' an OD code in which z's trace is
-    the one empty trace, some of them redundant; with z None, the OTD
-    hypergraph's edges less its far pairs.  None when an edge is empty, so
-    that no such code exists.
-
-    C' avoids N(z).  A vertex v outside N[z] needs N(v) - N(z).  A pair
-    u, v other than z that z does not separate needs N(u) ^ N(v) - N(z),
-    and only if the two share a neighbour outside N(z), z itself included:
-    otherwise that edge holds N(u) - N(z).  Far pairs never appear.
-    """
-    nz = g.adj[z] if z is not None else 0
-    settled = nz | 1 << z if z is not None else 0
-    edges = {m & ~nz for v, m in enumerate(g.adj) if not settled >> v & 1}
-    for w, m in enumerate(g.adj):
-        if not nz >> w & 1:
-            for u, v in combinations(bits(m), 2):
-                if not (nz >> u ^ nz >> v) & 1:
-                    edges.add((g.adj[u] ^ g.adj[v]) & ~nz)
-    return None if 0 in edges else edges
+    if kind is not CodeKind.OD:
+        return list(clutter.edges), []
+    hard = {m | 1 << v for v, m in enumerate(g.adj)}
+    for m in g.adj:
+        for u, v in combinations(bits(m), 2):
+            hard.add(g.adj[u] ^ g.adj[v])
+    if 0 not in g.adj:
+        return list(hard), list(g.adj)
+    return list(hard | set(g.adj) - {0}), []
 
 
 def gamma_all_optima(
     g: Graph, kind: CodeKind, cap: int = 10_000
 ) -> tuple[int, tuple[frozenset[int], ...], bool]:
-    """Minimum code size with every optimal code (up to cap), plus truncation flag."""
+    """Minimum code size with every optimal code (up to cap), plus truncation flag.
+
+    Narrow graphs above BRUTE_FORCE_LIMIT list them by the frontier DP, and
+    hand back to min_cover past cap, so a truncated list is the walk's.
+    """
     clutter = build_clutter(g, kind)
-    result = min_cover(clutter, enumerate_all=True, cap=cap)
-    return result.value, result.all_optima or (), result.truncated
+    order = _narrow_order(g) if g.n > BRUTE_FORCE_LIMIT else None
+    found = _frontier(*_dp_edges(g, kind, clutter), order, g.n, cap) if order else None
+    if found is None:
+        result = min_cover(clutter, enumerate_all=True, cap=cap)
+        value, optima, truncated = result.value, result.all_optima, result.truncated
+    else:
+        value, optima, truncated = found[0], tuple(frozenset(bits(m)) for m in found[1]), False
+    check_cover_code(g, optima[0], kind)
+    return value, optima, truncated
 
 
 def brute_force_gamma(g: Graph, kind: CodeKind) -> tuple[int, frozenset[int]]:

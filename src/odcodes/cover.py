@@ -32,7 +32,7 @@ budget or stop at the first cover within a limit.  Since the leaves at or
 below a limit do not depend on how the limit moved, the first leaf of the
 walk pinned at the optimum is min_cover's witness.  _frontier is a second
 exact route, a DP over a vertex order, cheap when every edge spans few
-places of the order.
+places of the order, which takes spare edges and can list every optimum.
 """
 
 from __future__ import annotations
@@ -306,17 +306,26 @@ def _search(
     return CoverResult(witness.bit_count(), frozenset(bits(witness)), nodes, optima_out, truncated)
 
 
-def _frontier(edges, order: list[int], limit: int) -> int | None:
-    """Minimum cover of the edges by a DP over a vertex order, or limit + 1
-    when every cover is larger; None once the states pass STATE_CAP.
+def _frontier(
+    edges: list[int], spare: list[int], order: list[int], limit: int, cap: int | None = None
+) -> tuple[int, list[int]] | None:
+    """Minimum cover of the edges, which may miss one spare edge, by a DP
+    over a vertex order: (value, optima), or (limit + 1, []) when every cover
+    is larger; None once the states pass STATE_CAP.
 
     An edge starts at its first vertex in the order and must be hit by its
-    last.  A state is the set of started, unhit edges, and it keeps the
-    fewest vertices taken to reach it; a state above limit is dropped.
-    Taking a vertex that hits no started edge is never better than leaving
-    it, since every edge that holds it has started.
+    last, but for one spare edge, marked by a flag bit above the edge bits.
+    A state is the set of started, unhit edges and the flag; it keeps the
+    fewest vertices taken to reach it, at most limit, and its links, the
+    states a step back that reach it with that many.  A vertex that hits no
+    edge of the state is never taken: all its edges have started, so the
+    cover without it misses the same edges, and no optimum holds it.  With
+    cap, optima are the sorted masks of the link paths from the empty state
+    to an end, counted first: past cap the result is None.
     """
-    edges = list(edges)
+    firm = (1 << len(edges)) - 1  # the edges that must be hit
+    edges = [*edges, *spare]
+    flag = 1 << len(edges)
     hold = _hold(edges) + [0] * len(order)
     start, due = [0] * len(order), [0] * len(order)
     step = {v: i for i, v in enumerate(order)}
@@ -325,21 +334,56 @@ def _frontier(edges, order: list[int], limit: int) -> int | None:
         start[min(steps)] |= 1 << i
         due[max(steps)] |= 1 << i
     states = {0: 0}
+    trail = [(states, {})]  # each step's states and links, when listing
     for i, v in enumerate(order):
-        after: dict[int, int] = {}
-        hit = hold[v]
-        for state, count in states.items():
-            state |= start[i]
-            if not state & due[i] and after.get(state, limit + 1) > count:
-                after[state] = count
-            if state & hit and count < limit:
-                state &= ~hit
-                if after.get(state, limit + 1) > count + 1:
-                    after[state] = count + 1
+        after, links = {}, {}
+        for prev, count in states.items():
+            state = prev | start[i]
+            late = state & due[i]
+            if not (late & firm or late & (late - 1) or late and state & flag):
+                left = state ^ late | flag if late else state
+                known = after.get(left, limit + 1)
+                if count < known:
+                    after[left], links[left] = count, [prev]
+                elif count == known:
+                    links[left].append(prev)
+            if state & hold[v] and count < limit:
+                state &= ~hold[v]
+                known = after.get(state, limit + 1)
+                if count < known - 1:
+                    after[state], links[state] = count + 1, [prev]
+                elif count == known - 1:
+                    links[state].append(prev)
         if len(after) > STATE_CAP:
             return None
         states = after
-    return states.get(0, limit + 1)
+        if cap is not None:
+            trail.append((states, links))
+    value = min(states.get(0, limit + 1), states.get(flag, limit + 1))
+    ends = [s for s in (0, flag) if states.get(s) == value]
+    if cap is None or not ends:
+        return value, []
+    # Walk the links back, first counting each state's paths on to an end,
+    # then carrying their masks, its tails.
+    paths = dict.fromkeys(ends, 1)
+    for _, links in trail[:0:-1]:
+        back: dict[int, int] = {}
+        for s, k in paths.items():
+            for p in links[s]:
+                back[p] = back.get(p, 0) + k
+        paths = back
+    if paths[0] > cap:
+        return None
+    tails = {s: [0] for s in ends}
+    for i in range(len(order), 0, -1):
+        (before, _), (now, links), bit = trail[i - 1], trail[i], 1 << order[i - 1]
+        heads: dict[int, list[int]] = {}
+        for s, masks in tails.items():
+            for p in links[s]:
+                grown = [m | bit for m in masks] if now[s] > before[p] else masks
+                heads.setdefault(p, []).extend(grown)
+        tails = heads
+    return value, sorted(tails[0])
 
 
 def tau_q_rose(n: int, q: int) -> int:

@@ -53,6 +53,22 @@ def naive_min_cover(n, edge_sets):
     raise AssertionError("some edge is empty")
 
 
+def naive_spare_covers(n, hard, spare):
+    """Every smallest vertex set that meets each hard edge and misses at most
+    one spare edge, by full subset scan in size order: (size, the sets as
+    sorted bitmasks)."""
+    hard, spare = [set(e) for e in hard], [set(e) for e in spare]
+    for size in range(n + 1):
+        found = []
+        for cand in combinations(range(n), size):
+            chosen = set(cand)
+            if all(e & chosen for e in hard) and sum(not e & chosen for e in spare) <= 1:
+                found.append(sum(1 << v for v in cand))
+        if found:
+            return size, sorted(found)
+    raise AssertionError("some hard edge is empty, or two spare edges are")
+
+
 def all_covers(n, edge_sets):
     """Every 0/1 cover of the edge family over ground {0..n-1}."""
     masks = [sum(1 << v for v in e) for e in edge_sets]
@@ -239,24 +255,38 @@ def reference_min_cover(c, enumerate_all=False, cap=10_000):
 
 
 def reference_reduce_hypergraph(h):
-    """The reduction that predates the lowest-vertex index, kept verbatim:
-    merge duplicate edges, sort by (size, member tuple) and test every edge
-    against every kept edge.  Returns the library's Clutter type."""
+    """The clutter of the all-pairs scan that predates the lowest-vertex
+    index, by a route that uses no such index: merge duplicate edges, keep
+    each edge that holds no kept edge, and sort the kept ones by (size,
+    member tuple).  The edges go by size, and each kept edge marks the edges
+    that hold it at once, the AND of its vertices' columns: bit i of
+    column[v] is whether the i-th edge holds v.  An edge that holds a
+    dropped one holds what that one holds, so marking from kept edges alone
+    drops every superset.  Returns the library's Clutter type."""
     from odcodes.clutters import Clutter
 
-    def order(mask):
-        return mask.bit_count(), tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+    def members(mask):
+        return [v for v, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
     merged = {}
     for m, s in zip(h.edges, h.sources):
         if m == 0:
             raise ValueError(f"empty hyperedge from {(s,)}")
         merged.setdefault(m, []).append(s)
-    ordered = sorted(merged, key=order)
-    kept = []
-    for mask in ordered:
-        if not any(k & mask == k for k in kept):
-            kept.append(mask)
+    ordered = sorted(merged, key=int.bit_count)
+    # Row i is edge i as a binary numeral over n places, vertex v at place
+    # n - 1 - v; column j, read from the last row up, is vertex n - 1 - j's.
+    rows = [format(m, f"0{h.n}b") for m in reversed(ordered)]
+    column = [int("".join(chars), 2) for chars in zip(*rows)][::-1] if rows else []
+    kept, dropped = [], 0
+    for i, m in enumerate(ordered):
+        if not dropped >> i & 1:
+            kept.append(m)
+            holders = -1
+            for v in members(m):
+                holders &= column[v]
+            dropped |= holders & ~(1 << i)
+    kept.sort(key=lambda m: (m.bit_count(), members(m)))
     return Clutter(h.n, tuple(kept), tuple(tuple(sorted(merged[m])) for m in kept), h.kind)
 
 

@@ -198,6 +198,19 @@ def connected(g):
 
 
 @pytest.fixture
+def walks(monkeypatch):
+    """The clutters codes hands to min_cover, which still solves them."""
+    calls = []
+
+    def spy(clutter, *args, **kwargs):
+        calls.append(clutter)
+        return min_cover(clutter, *args, **kwargs)
+
+    monkeypatch.setattr(codes, "min_cover", spy)
+    return calls
+
+
+@pytest.fixture
 def forced(monkeypatch):
     """gamma's narrow route on any graph: every BFS order counts as narrow,
     the walk spends its budget at the root and the state cap is lifted, so
@@ -212,10 +225,30 @@ def forced(monkeypatch):
     return solve
 
 
+def route_mix():
+    """74 random graphs with n <= 20: 50 with isolated vertices allowed, then
+    12 with one isolated vertex added and 12 joined to a second graph."""
+    rng = random.Random(43)
+    graphs = [
+        random_od_admissible(
+            rng.randint(3, 20), rng.choice([0.15, 0.3, 0.5]), rng, forbid_isolated=False
+        )
+        for _ in range(50)
+    ]
+    for _ in range(12):
+        g = random_od_admissible(rng.randint(3, 12), rng.choice([0.3, 0.5]), rng)
+        graphs.append(disjoint_union(g, Graph.from_edges(1, [])))
+        graphs.append(disjoint_union(g, random_od_admissible(rng.randint(3, 8), 0.5, rng)))
+    assert sum(sum(not m for m in g.adj) == 1 for g in graphs) >= 12
+    assert sum(not connected(g) for g in graphs) >= 24
+    return graphs
+
+
 class TestNarrowRoute:
     """gamma leaves the walk on narrow graphs above the brute-force guard: the
-    value comes from the frontier DP (for OD, by the empty-trace split), and
-    the witness stays min_cover's."""
+    value comes from the frontier DP, and the witness stays min_cover's.
+    gamma_all_optima lists the optima by the DP, the same ones min_cover
+    lists."""
 
     def test_dp_matches_brute_force(self, monkeypatch):
         monkeypatch.setattr(codes, "NARROW_WIDTH", math.inf)
@@ -227,36 +260,73 @@ class TestNarrowRoute:
             for kind in CodeKind:
                 if not is_admissible(g, kind).ok:
                     continue
-                if kind is CodeKind.OD:
-                    value = codes._od_value(g, order)
-                else:
-                    value = cover._frontier(build_clutter(g, kind).edges, order, g.n)
+                edges, spare = codes._dp_edges(g, kind, build_clutter(g, kind))
+                value = cover._frontier(edges, spare, order, g.n)[0]
                 assert value == brute_force_gamma(g, kind)[0], (g, kind)
                 checked[kind] += 1
         assert min(checked.values()) >= 5
 
     def test_forced_route_returns_min_covers_result(self, forced):
-        rng = random.Random(43)
-        graphs = [
-            random_od_admissible(
-                rng.randint(3, 20), rng.choice([0.15, 0.3, 0.5]), rng, forbid_isolated=False
-            )
-            for _ in range(50)
-        ]
-        for _ in range(12):
-            g = random_od_admissible(rng.randint(3, 12), rng.choice([0.3, 0.5]), rng)
-            graphs.append(disjoint_union(g, Graph.from_edges(1, [])))
-            graphs.append(disjoint_union(g, random_od_admissible(rng.randint(3, 8), 0.5, rng)))
-        isolated = disconnected = 0
-        for g in graphs:
+        for g in route_mix():
             for kind in CodeKind:
                 if not is_admissible(g, kind).ok:
                     continue
                 got, want = forced(g, kind), min_cover(build_clutter(g, kind))
                 assert (got.value, got.witness) == (want.value, want.witness), (g, kind)
-            isolated += sum(not m for m in g.adj) == 1
-            disconnected += not connected(g)
-        assert isolated >= 12 and disconnected >= 24
+
+    def test_forced_listing_returns_min_covers_optima(self, monkeypatch):
+        monkeypatch.setattr(codes, "BRUTE_FORCE_LIMIT", 0)
+        monkeypatch.setattr(codes, "NARROW_WIDTH", math.inf)
+        monkeypatch.setattr(cover, "STATE_CAP", 1 << 20)
+        monkeypatch.setattr(codes, "min_cover", None)  # the walk must not run
+        listed = 0
+        for g in route_mix():
+            for kind in CodeKind:
+                if not is_admissible(g, kind).ok:
+                    continue
+                want = min_cover(build_clutter(g, kind), enumerate_all=True)
+                got = gamma_all_optima(g, kind)
+                assert got == (want.value, want.all_optima, want.truncated), (g, kind)
+                listed += len(got[1])
+        assert listed > 1_000
+
+    def test_walk_lists_the_dp_optima_above_the_guard(self):
+        # gamma_all_optima lists these by the DP, so here is where the walk's
+        # listing is checked above the guard
+        for n in (24, 26):
+            g = relabelled(cycle_graph(n), 1)
+            order = codes._narrow_order(g)
+            for kind in (CodeKind.OD, CodeKind.OTD, CodeKind.LD):
+                clutter = build_clutter(g, kind)
+                walk = min_cover(clutter, enumerate_all=True)
+                dp = cover._frontier(*codes._dp_edges(g, kind, clutter), order, n, cap=10_000)
+                assert (walk.value, walk.all_optima, walk.truncated) == (
+                    dp[0],
+                    tuple(frozenset(bits(m)) for m in dp[1]),
+                    False,
+                )
+
+    def test_listing_past_cap_is_the_walks(self, walks):
+        g = relabelled(cycle_graph(28), 1)
+        assert len(gamma_all_optima(g, CodeKind.OD)[1]) == 2_800
+        assert not walks
+        want = min_cover(build_clutter(g, CodeKind.OD), enumerate_all=True, cap=100)
+        got = gamma_all_optima(g, CodeKind.OD, cap=100)
+        assert got == (want.value, want.all_optima, True) and len(got[1]) == 100
+        assert len(walks) == 1
+
+    def test_listing_past_the_state_cap_is_the_walks(self, monkeypatch, walks):
+        g = relabelled(cycle_graph(26), 1)
+        want = min_cover(build_clutter(g, CodeKind.OD), enumerate_all=True)
+        monkeypatch.setattr(cover, "STATE_CAP", 1)
+        assert gamma_all_optima(g, CodeKind.OD) == (want.value, want.all_optima, want.truncated)
+        assert len(walks) == 1
+
+    def test_cycle_60_lists_every_od_optimum(self):
+        value, optima, truncated = gamma_all_optima(cycle_graph(60), CodeKind.OD)
+        assert (value, len(optima), truncated) == (40, 5_409, False)
+        assert len(set(optima)) == 5_409 and all(len(code) == 40 for code in optima)
+        assert verify(cycle_graph(60), optima[-1], CodeKind.OD).valid
 
     def test_narrow_orders(self):
         for g in (relabelled(cycle_graph(36), 1), relabelled(path_graph(40), 1)):
@@ -268,14 +338,12 @@ class TestNarrowRoute:
         g = Graph.from_edges(pool["n"], [tuple(e) for e in pool["edges"]])
         assert codes._narrow_order(g) is None
 
-    def test_state_cap_hands_back_to_the_walk(self, monkeypatch):
+    def test_state_cap_hands_back_to_the_walk(self, monkeypatch, walks):
         g = relabelled(cycle_graph(36), 1)
         want = min_cover(build_clutter(g, CodeKind.OD))
-        calls = []
         monkeypatch.setattr(cover, "STATE_CAP", 1)
-        monkeypatch.setattr(codes, "min_cover", lambda c: calls.append(c) or min_cover(c))
         assert gamma(g, CodeKind.OD) == (want.value, want.witness)
-        assert len(calls) == 1
+        assert len(walks) == 1
 
     @pytest.mark.parametrize(
         "make,n", [(cycle_graph, 32), (cycle_graph, 36), (path_graph, 36), (path_graph, 40)]

@@ -18,7 +18,13 @@ from odcodes.cover import (
 )
 from odcodes.families import random_od_admissible
 from odcodes.graphs import CodeKind, bits, mask_of
-from oracles import _reference_greedy, all_covers, naive_min_cover, reference_min_cover
+from oracles import (
+    _reference_greedy,
+    all_covers,
+    naive_min_cover,
+    naive_spare_covers,
+    reference_min_cover,
+)
 
 from test_clutters import CORPUS_SOURCES, reduction_corpus
 from test_graphs import complete, cycle, path
@@ -357,7 +363,8 @@ class TestSearchEntry:
 
 class TestFrontier:
     """The DP over a vertex order gives the covering number, or limit + 1
-    when every cover is larger, in any order."""
+    when every cover is larger, in any order; with spare edges a cover may
+    miss one of them, and with cap it lists every optimum."""
 
     def test_random_clutters(self):
         rng = random.Random(61)
@@ -370,7 +377,42 @@ class TestFrontier:
             tau = naive_min_cover(n, sets)[0]
             limit = rng.randint(0, n)
             order = rng.sample(range(n), n)
-            assert _frontier(map(mask_of, sets), order, limit) == min(tau, limit + 1)
+            assert _frontier([mask_of(e) for e in sets], [], order, limit) == (
+                min(tau, limit + 1),
+                [],
+            )
+
+    def test_spare_edges_against_the_scan(self):
+        rng = random.Random(67)
+        seen = {"no spare": 0, "spare is hard": 0, "listed": 0, "past limit": 0}
+        for _ in range(400):
+            n = rng.randint(1, 9)
+
+            def edge():
+                return set(rng.sample(range(n), rng.randint(1, min(4, n))))
+
+            hard = [edge() for _ in range(rng.randint(0, 8))]
+            spare = [edge() for _ in range(rng.choice([0, 0, 1, 2, 4, 6]))]
+            if hard and rng.random() < 0.3:
+                spare.append(set(rng.choice(hard)))
+                seen["spare is hard"] += 1
+            seen["no spare"] += not spare
+            found = naive_spare_covers(n, hard, spare)
+            limit = rng.randint(0, n)
+            order = rng.sample(range(n), n)
+            args = [mask_of(e) for e in hard], [mask_of(e) for e in spare], order, limit
+            if found[0] > limit:
+                want = (limit + 1, [])
+                seen["past limit"] += 1
+            else:
+                want = found
+                seen["listed"] += 1
+            assert _frontier(*args) == (want[0], [])
+            assert _frontier(*args, cap=10_000) == want
+            if len(want[1]) > 1:
+                assert _frontier(*args, cap=len(want[1]) - 1) is None
+                assert _frontier(*args, cap=len(want[1])) == want
+        assert min(seen.values()) >= 20, seen
 
 
 class TestBareJsonClutters:
