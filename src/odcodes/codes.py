@@ -5,12 +5,12 @@ plus trace uniqueness), so it is usable on any graph.  gamma() goes through
 the clutter covering pipeline and re-verifies its witness; brute_force_gamma()
 scans subsets in size order and serves as the independent oracle.
 
-Above the brute-force guard, a graph with a narrow BFS order may be solved
-by a frontier DP over it.  gamma() walks for at most WALK_BUDGET nodes;
-past that, the DP gives the value and the walk pinned at it min_cover's
-witness.  gamma_all_optima() lists the optima by the DP straight away.  A DP
-past its state cap, or with more optima than asked for, hands the solve back
-to min_cover.
+Above the brute-force guard, a graph with a narrow BFS order is solved by a
+frontier DP over it, and every walk after it is pinned at its value.
+gamma() takes the walk's first cover of that size, min_cover's witness.
+gamma_all_optima() lists the optima by the DP, or, with more of them than
+asked for, by the pinned walk, which lists min_cover's first cap.  A DP past
+its state cap hands the solve back to min_cover.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .graphs import CodeKind, Graph, bits, code_masks, induced_subgraph, mask_of
 MAX_VIOLATIONS = 100  # cap per violation list in a report
 BRUTE_FORCE_LIMIT = 20
 NARROW_WIDTH = 4  # the widest span of a graph edge in a narrow BFS order
-WALK_BUDGET = 1_000  # nodes a narrow graph's walk may visit before the DP takes over
 
 
 @dataclass(frozen=True)
@@ -101,25 +100,13 @@ def gamma(g: Graph, kind: CodeKind) -> tuple[int, frozenset[int]]:
 def _narrow_solve(g: Graph, kind: CodeKind, clutter: Clutter) -> CoverResult | None:
     """Solve a graph with a narrow BFS order, or return None.
 
-    The walk runs first, up to WALK_BUDGET nodes.  Past that, a frontier DP
-    over the order gives the value, and the witness is the first cover of
-    at most the value that the walk meets, which is min_cover's.  None when
+    A frontier DP over the order gives the value, and the witness is the
+    first cover of that size the walk meets, which is min_cover's.  None when
     the graph is not narrow or the DP passes its state cap.
     """
     order = _narrow_order(g)
-    if order is None:
-        return None
-    result = _search(clutter, budget=WALK_BUDGET)
-    if result is not None:
-        return result
-    found = _frontier(*_dp_edges(g, kind, clutter), order, g.n)
-    if found is None:
-        return None
-    value = found[0]
-    result = _search(clutter, limit=value, first=True)
-    if result.value != value:
-        raise AssertionError(f"frontier DP gave {value}, the walk {result.value}")
-    return result
+    found = _frontier(*_dp_edges(g, kind, clutter), order, g.n) if order else None
+    return None if found is None else _search(clutter, limit=found[0], first=True)
 
 
 def _narrow_order(g: Graph) -> list[int] | None:
@@ -178,19 +165,23 @@ def gamma_all_optima(
 ) -> tuple[int, tuple[frozenset[int], ...], bool]:
     """Minimum code size with every optimal code (up to cap), plus truncation flag.
 
-    Narrow graphs above BRUTE_FORCE_LIMIT list them by the frontier DP, and
-    hand back to min_cover past cap, so a truncated list is the walk's.
+    Narrow graphs above BRUTE_FORCE_LIMIT list them by the frontier DP; past
+    cap, the walk pinned at the DP's value lists the walk's first cap.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     clutter = build_clutter(g, kind)
     order = _narrow_order(g) if g.n > BRUTE_FORCE_LIMIT else None
     found = _frontier(*_dp_edges(g, kind, clutter), order, g.n, cap) if order else None
     if found is None:
         result = min_cover(clutter, enumerate_all=True, cap=cap)
-        value, optima, truncated = result.value, result.all_optima, result.truncated
+    elif found[1] is None:
+        result = _search(clutter, True, cap, limit=found[0])
     else:
-        value, optima, truncated = found[0], tuple(frozenset(bits(m)) for m in found[1]), False
-    check_cover_code(g, optima[0], kind)
-    return value, optima, truncated
+        optima = tuple(frozenset(bits(m)) for m in found[1])
+        result = CoverResult(found[0], optima[0], 0, optima)
+    check_cover_code(g, result.all_optima[0], kind)
+    return result.value, result.all_optima, result.truncated
 
 
 def brute_force_gamma(g: Graph, kind: CodeKind) -> tuple[int, frozenset[int]]:

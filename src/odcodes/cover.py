@@ -27,17 +27,17 @@ the greedy cover does a second walk run, pinned at the greedy size (its
 floor and its limit), and it stops at the (cap+1)-th optimum.  Everything is
 deterministic, so repeated solves yield identical witnesses and node counts.
 
-min_cover runs the walk through _search, which can also give up past a node
-budget or stop at the first cover within a limit.  Since the leaves at or
-below a limit do not depend on how the limit moved, the first leaf of the
-walk pinned at the optimum is min_cover's witness.  _frontier is a second
-exact route, a DP over a vertex order, cheap when every edge spans few
-places of the order, which takes spare edges and can list every optimum.
+min_cover runs the walk through _search, which can also take the optimum
+as proven.  Since the leaves at or below a limit do not depend on how the
+limit moved, the walk pinned at the optimum meets min_cover's optima in
+min_cover's order: its first leaf is min_cover's witness, and its first cap
+leaves are min_cover's list.  _frontier is a second exact route, a DP over a
+vertex order, cheap when every edge spans few places of the order, which
+takes spare edges and can list every optimum.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -91,9 +91,9 @@ def greedy_cover(c: Clutter) -> frozenset[int]:
 
 
 class _Stop(Exception):
-    """Ends a walk early: past the node budget, at the first leaf in first
-    mode, or at the (cap+1)-th leaf of the floor size once the optimum is
-    proven, which truncates the list."""
+    """Ends a walk early: at the first leaf in first mode, or at the
+    (cap+1)-th leaf of the floor size once the optimum is proven, which
+    truncates the list."""
 
 
 def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> CoverResult:
@@ -112,28 +112,28 @@ def _search(
     cap: int = 10_000,
     limit: int | None = None,
     first: bool = False,
-    budget: int | None = None,
-) -> CoverResult | None:
+) -> CoverResult:
     """The walk behind min_cover, which calls it with the defaults.
 
-    limit, when given, is the largest cover the walk looks for; the greedy
-    cover still bounds it.  With first, the solve ends at the first cover of
-    at most limit it meets: the greedy cover when that is small enough, else
-    the first leaf, which is min_cover's witness when limit is the optimum.
-    Past budget nodes the walk gives up and the result is None.
+    limit, when given, is the optimum, proven on another route.  With first,
+    the solve ends at the first cover of that size it meets: the greedy
+    cover when that is optimal, else the first leaf, min_cover's witness.
+    A listing walk runs once with its floor and limit at the optimum and
+    stops at the (cap+1)-th optimum, so it lists what min_cover lists with
+    no proof walk.
     """
-    if budget is None:
-        budget = sys.maxsize  # an int, which compares faster than math.inf
     masks = set(c.edges)
     if not masks:
         return CoverResult(0, frozenset(), 0, (frozenset(),) if enumerate_all else None)
 
     greedy = mask_of(greedy_cover(c))
     witness, floor, nodes = greedy, 0, 0
-    top = greedy.bit_count() - 1
-    if first and limit is not None and limit > top:
+    if limit is None:
+        limit = greedy.bit_count() - 1
+    elif first and limit >= greedy.bit_count():
         return CoverResult(greedy.bit_count(), frozenset(bits(greedy)), 0)
-    limit = top if limit is None else min(limit, top)
+    else:
+        floor = limit
     optima: list[int] = []
     truncated = False
 
@@ -158,7 +158,8 @@ def _search(
     # Edge i is the i-th distinct mask by (size, mask).  hold[v] has the edges
     # that hold v, root[s] those of size s, skip[v] those missing v; apart[i],
     # built when i is first packed, those missing all of i.
-    edge = sorted(masks, key=lambda m: (m.bit_count(), m))
+    edge = sorted(masks)
+    edge.sort(key=int.bit_count)  # stable, so (size, mask) order
     hold = _hold(edge)
     root = [0] * (edge[-1].bit_count() + 1)
     for i, m in enumerate(edge):
@@ -172,8 +173,6 @@ def _search(
         them with s vertices outside the excluded ones, out."""
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
-            raise _Stop
         # Dropping the edges that the singletons hit makes no new singleton,
         # so one pass absorbs them all.
         single = size[1] & left
@@ -284,31 +283,29 @@ def _search(
                     break
         walk(left, size, out | 1 << v, selected, count)
 
-    def run() -> bool:
-        """One walk from the root; False when it passed the budget."""
+    def run() -> None:
         try:
             walk((1 << len(edge)) - 1, root, 0, 0, 0)
         except _Stop:
-            return nodes <= budget
-        return True
+            pass
 
-    if not run():
-        return None
+    run()
     if any(not m & witness for m in masks):
         raise AssertionError("solver returned a non-cover")
+    if floor and witness.bit_count() != floor:
+        raise AssertionError(f"the optimum given is {floor}, the walk's {witness.bit_count()}")
     if enumerate_all and not optima:
         # No leaf beat the greedy cover: list the optima by a walk pinned at
         # its size.
         floor = limit = witness.bit_count()
-        if not run():
-            return None
+        run()
     optima_out = tuple(frozenset(bits(m)) for m in sorted(optima)) if enumerate_all else None
     return CoverResult(witness.bit_count(), frozenset(bits(witness)), nodes, optima_out, truncated)
 
 
 def _frontier(
     edges: list[int], spare: list[int], order: list[int], limit: int, cap: int | None = None
-) -> tuple[int, list[int]] | None:
+) -> tuple[int, list[int] | None] | None:
     """Minimum cover of the edges, which may miss one spare edge, by a DP
     over a vertex order: (value, optima), or (limit + 1, []) when every cover
     is larger; None once the states pass STATE_CAP.
@@ -321,7 +318,7 @@ def _frontier(
     edge of the state is never taken: all its edges have started, so the
     cover without it misses the same edges, and no optimum holds it.  With
     cap, optima are the sorted masks of the link paths from the empty state
-    to an end, counted first: past cap the result is None.
+    to an end, counted first: past cap they are None, and the value stands.
     """
     firm = (1 << len(edges)) - 1  # the edges that must be hit
     edges = [*edges, *spare]
@@ -373,7 +370,7 @@ def _frontier(
                 back[p] = back.get(p, 0) + k
         paths = back
     if paths[0] > cap:
-        return None
+        return value, None
     tails = {s: [0] for s in ends}
     for i in range(len(order), 0, -1):
         (before, _), (now, links), bit = trail[i - 1], trail[i], 1 << order[i - 1]

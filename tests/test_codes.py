@@ -25,6 +25,7 @@ from odcodes.families import (
     double_star,
     fan,
     half_graph,
+    matching,
     named_graph,
     path_graph,
     random_od_admissible,
@@ -211,12 +212,24 @@ def walks(monkeypatch):
 
 
 @pytest.fixture
+def searches(monkeypatch):
+    """The clutters codes hands to cover._search, which still solves them."""
+    calls = []
+
+    def spy(clutter, *args, **kwargs):
+        calls.append(clutter)
+        return cover._search(clutter, *args, **kwargs)
+
+    monkeypatch.setattr(codes, "_search", spy)
+    return calls
+
+
+@pytest.fixture
 def forced(monkeypatch):
-    """gamma's narrow route on any graph: every BFS order counts as narrow,
-    the walk spends its budget at the root and the state cap is lifted, so
-    the frontier DP gives the value and the walk pinned at it the witness."""
+    """gamma's narrow route on any graph: every BFS order counts as narrow
+    and the state cap is lifted, so the frontier DP gives the value and the
+    walk pinned at it the witness."""
     monkeypatch.setattr(codes, "NARROW_WIDTH", math.inf)
-    monkeypatch.setattr(codes, "WALK_BUDGET", 0)
     monkeypatch.setattr(cover, "STATE_CAP", 1 << 20)
 
     def solve(g, kind):
@@ -244,11 +257,38 @@ def route_mix():
     return graphs
 
 
+def ladder(k):
+    """Two k-vertex paths joined by k rungs."""
+    rails = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    return Graph.from_edges(2 * k, rails + [(i, k + i) for i in range(k)])
+
+
+def caterpillar(n, most, rng):
+    """A spine path whose vertices carry at most `most` leaves each; every
+    vertex joins the latest spine vertex, as a leaf or as the next one."""
+    edges, spine, leaves = [], 0, 0
+    for v in range(1, n):
+        edges.append((spine, v))
+        if leaves < most and rng.random() < 0.5:
+            leaves += 1
+        else:
+            spine, leaves = v, 0
+    return Graph.from_edges(n, edges)
+
+
+def banded(n, p, rng):
+    """A random graph whose edges join vertices at most 3 apart."""
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, min(n, u + 4)) if rng.random() < p]
+    )
+
+
 class TestNarrowRoute:
-    """gamma leaves the walk on narrow graphs above the brute-force guard: the
-    value comes from the frontier DP, and the witness stays min_cover's.
-    gamma_all_optima lists the optima by the DP, the same ones min_cover
-    lists."""
+    """gamma takes the frontier DP on narrow graphs above the brute-force
+    guard: the value comes from the DP, and the witness, the first cover of
+    that size the pinned walk meets, stays min_cover's.  gamma_all_optima
+    lists the optima by the DP, or past cap by the pinned walk, the same ones
+    min_cover lists."""
 
     def test_dp_matches_brute_force(self, monkeypatch):
         monkeypatch.setattr(codes, "NARROW_WIDTH", math.inf)
@@ -313,7 +353,48 @@ class TestNarrowRoute:
         want = min_cover(build_clutter(g, CodeKind.OD), enumerate_all=True, cap=100)
         got = gamma_all_optima(g, CodeKind.OD, cap=100)
         assert got == (want.value, want.all_optima, True) and len(got[1]) == 100
-        assert len(walks) == 1
+        assert len(walks) == 0
+
+    @pytest.mark.parametrize("cap", [1, 2, 5, 100])
+    def test_capped_listing_is_min_covers(self, cap, monkeypatch):
+        def check(g, kind):
+            want = min_cover(build_clutter(g, kind), enumerate_all=True, cap=cap)
+            got = gamma_all_optima(g, kind, cap)
+            assert got == (want.value, want.all_optima, want.truncated), (g, kind)
+            return got[2]
+
+        truncated = 0
+        for n in (28, 40):
+            g = relabelled(cycle_graph(n), 1)
+            for kind in (CodeKind.OD, CodeKind.OTD, CodeKind.LD):
+                truncated += check(g, kind)
+        monkeypatch.setattr(codes, "BRUTE_FORCE_LIMIT", 0)
+        monkeypatch.setattr(codes, "NARROW_WIDTH", math.inf)
+        monkeypatch.setattr(cover, "STATE_CAP", 1 << 20)
+        monkeypatch.setattr(codes, "min_cover", None)  # only the pinned walk may run
+        for g in route_mix():
+            for kind in CodeKind:
+                if is_admissible(g, kind).ok:
+                    truncated += check(g, kind)
+        assert truncated >= 20
+
+    def test_cycle_60_lists_capped_od_optima_by_the_pinned_walk(self, walks):
+        value, optima, truncated = gamma_all_optima(relabelled(cycle_graph(60), 1), CodeKind.OD, 100)
+        assert (value, len(optima), truncated) == (40, 100, True)
+        assert not walks
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected_on_every_route(self, cap, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("a DP or a walk ran")
+
+        for name in ("_frontier", "_search", "min_cover"):
+            monkeypatch.setattr(codes, name, ran)
+        pool = json.loads(REFERENCES.read_text())["sparse-search"]["pool"]["sparse-r26a"]
+        dense = Graph.from_edges(pool["n"], [tuple(e) for e in pool["edges"]])
+        for g in (relabelled(cycle_graph(28), 1), dense, cycle_graph(12)):
+            with pytest.raises(ValueError, match=f"cap must be at least 1, got {cap}"):
+                gamma_all_optima(g, CodeKind.OD, cap)
 
     def test_listing_past_the_state_cap_is_the_walks(self, monkeypatch, walks):
         g = relabelled(cycle_graph(26), 1)
@@ -353,6 +434,46 @@ class TestNarrowRoute:
             g = relabelled(make(n), seed)
             for kind in (CodeKind.OD, CodeKind.OTD):
                 assert gamma(g, kind)[1] == min_cover(build_clutter(g, kind)).witness
+
+    @pytest.mark.parametrize(
+        "g,kinds",
+        [
+            *[
+                (relabelled(make(n), 1), (CodeKind.OD, CodeKind.OTD))
+                for make, n in [(cycle_graph, 32), (cycle_graph, 36), (path_graph, 36), (path_graph, 40)]
+            ],
+            (matching(16), (CodeKind.OD,)),
+            (matching(24), (CodeKind.OD,)),
+        ],
+        ids=["cycle32", "cycle36", "path36", "path40", "matching16", "matching24"],
+    )
+    def test_gamma_walks_once_pinned(self, g, kinds, walks, searches):
+        for kind in kinds:
+            want = min_cover(build_clutter(g, kind))
+            assert gamma(g, kind) == (want.value, want.witness)
+        assert (len(searches), len(walks)) == (len(kinds), 0)
+
+    def test_narrow_corpus_is_min_covers(self, walks):
+        # small narrow graphs, whose walks are short: the DP runs first on
+        # them too
+        rng = random.Random(47)
+        graphs = {
+            "ladder": [ladder(k) for k in range(11, 16)],
+            "caterpillar": [caterpillar(rng.randint(21, 30), 1 + i % 2, rng) for i in range(10)],
+            "banded": [banded(rng.randint(21, 30), rng.choice([0.5, 0.7]), rng) for _ in range(16)],
+        }
+        solved = dict.fromkeys(graphs, 0)
+        for family, members in graphs.items():
+            for g in members:
+                if codes._narrow_order(g) is None:
+                    continue
+                for kind in CodeKind:
+                    if is_admissible(g, kind).ok:
+                        want = min_cover(build_clutter(g, kind))
+                        assert gamma(g, kind) == (want.value, want.witness), (family, g, kind)
+                        solved[family] += 1
+        assert not walks
+        assert min(solved.values()) >= 25 and sum(solved.values()) >= 120, solved
 
 
 class TestBruteForce:

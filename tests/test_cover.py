@@ -337,14 +337,9 @@ class TestOneEnumerationWalk:
 
 
 class TestSearchEntry:
-    """min_cover is _search with its defaults; the private entry adds a node
-    budget and a finder of the first cover within a limit."""
-
-    def test_budget(self):
-        c = code_clutter("cycle32-OD")
-        full = min_cover(c)
-        assert _search(c, budget=full.nodes_explored) == full
-        assert _search(c, budget=full.nodes_explored - 1) is None
+    """min_cover is _search with its defaults; the private entry also takes
+    the optimum as proven, and then finds the first cover of that size or
+    lists min_cover's optima with no proof walk."""
 
     @pytest.mark.parametrize("case", list(CODE_CLUTTERS))
     def test_first_cover_at_the_optimum_is_the_witness(self, case):
@@ -360,11 +355,56 @@ class TestSearchEntry:
         found = _search(c, limit=13, first=True)
         assert (found.value, found.witness, found.nodes_explored) == (13, greedy_cover(c), 0)
 
+    def test_pinned_listing_is_min_covers(self):
+        rng = random.Random(103)
+        seen = {"truncated": 0, "greedy optimal": 0, "greedy not optimal": 0, "graphs": 0}
+        for case in range(400):
+            n = rng.randint(2, 12)
+            if case % 4:
+                sets = [
+                    set(rng.sample(range(n), rng.randint(1, min(5, n))))
+                    for _ in range(rng.randint(1, 24))
+                ]
+                c = clutter_of(n, *sets)
+            else:
+                g = random_od_admissible(n, rng.choice([0.3, 0.5]), rng)
+                c = build_clutter(g, rng.choice([CodeKind.OD, CodeKind.OTD, CodeKind.LD]))
+                seen["graphs"] += 1
+            value = min_cover(c).value
+            greedy_optimal = len(greedy_cover(c)) == value
+            seen["greedy optimal" if greedy_optimal else "greedy not optimal"] += 1
+            for cap in (1, 2, 5, 100):
+                want = min_cover(c, enumerate_all=True, cap=cap)
+                got = _search(c, True, cap, limit=value)
+                assert (got.value, got.witness, got.all_optima, got.truncated) == (
+                    want.value, want.witness, want.all_optima, want.truncated
+                ), (case, cap)
+                seen["truncated"] += got.truncated
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("cap,nodes", [(1, 21), (5, 35), (100_000, 13_771)])
+    def test_pinned_listing_proves_nothing_again(self, cap, nodes):
+        # cycle 32 OD: min_cover's listing visits 4,631, 4,643 and 13,773
+        # nodes; pinned at 21, the walk ends at the (cap+1)-th optimum.
+        c = code_clutter("cycle32-OD")
+        want = min_cover(c, enumerate_all=True, cap=cap)
+        got = _search(c, True, cap, limit=21)
+        assert (got.value, got.all_optima, got.truncated) == (21, want.all_optima, want.truncated)
+        assert got.nodes_explored == nodes
+
+    @pytest.mark.parametrize("enumerate_all,first", [(False, True), (True, False)])
+    def test_a_wrong_optimum_is_caught(self, enumerate_all, first):
+        c = code_clutter("path36-OTD")
+        value = min_cover(c).value
+        with pytest.raises(AssertionError, match="the optimum given is"):
+            _search(c, enumerate_all, limit=value - 1, first=first)
+
 
 class TestFrontier:
     """The DP over a vertex order gives the covering number, or limit + 1
     when every cover is larger, in any order; with spare edges a cover may
-    miss one of them, and with cap it lists every optimum."""
+    miss one of them, and with cap it lists every optimum, or past cap only
+    gives the value."""
 
     def test_random_clutters(self):
         rng = random.Random(61)
@@ -410,7 +450,7 @@ class TestFrontier:
             assert _frontier(*args) == (want[0], [])
             assert _frontier(*args, cap=10_000) == want
             if len(want[1]) > 1:
-                assert _frontier(*args, cap=len(want[1]) - 1) is None
+                assert _frontier(*args, cap=len(want[1]) - 1) == (want[0], None)
                 assert _frontier(*args, cap=len(want[1])) == want
         assert min(seen.values()) >= 20, seen
 
