@@ -25,7 +25,7 @@ from .clutters import (
     clutter_from_json,
     clutter_to_json,
 )
-from .codes import check_cover_code, check_relations, verify
+from .codes import _solve, check_cover_code, check_relations, verify
 from .cover import min_cover, qrose_clutter
 from .families import FAMILIES, FamilySpec, generate
 from .graphs import (
@@ -197,7 +197,7 @@ def _cover_fields(res, enumerate_all: bool) -> dict:
 def cmd_gamma(args):
     g = load_graph(_read(args.graph))
     kind = _kind(args.kind)
-    res = min_cover(build_clutter(g, kind), enumerate_all=args.enumerate, cap=args.cap)
+    res = _solve(g, kind, args.cap if args.enumerate else None)
     for code in (res.witness, *(res.all_optima or ())):
         check_cover_code(g, code, kind)
     obj = {"command": "gamma", "kind": kind.value, **_cover_fields(res, args.enumerate)}

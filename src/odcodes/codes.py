@@ -5,18 +5,15 @@ plus trace uniqueness), so it is usable on any graph.  gamma() goes through
 the clutter covering pipeline and re-verifies its witness; brute_force_gamma()
 scans subsets in size order and serves as the independent oracle.
 
-Above the brute-force guard, a graph with a narrow BFS order is solved by a
-frontier DP over it, and every walk after it is pinned at its value.
-gamma() takes the walk's first cover of that size, min_cover's witness.
-gamma_all_optima() lists the optima by the DP, or, with more of them than
-asked for, by the pinned walk, which lists min_cover's first cap.  A DP past
-its state cap hands the solve back to min_cover.
+gamma(), gamma_all_optima() and the CLI's gamma share one solve route,
+_solve(): above the brute-force guard, a narrow graph goes to a frontier DP
+first, and any other graph to min_cover, with min_cover's result either way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, islice
 
 from .clutters import Clutter, build_clutter, require_admissible
@@ -84,29 +81,49 @@ def check_cover_code(g: Graph, code, kind: CodeKind) -> None:
 
 
 def gamma(g: Graph, kind: CodeKind) -> tuple[int, frozenset[int]]:
-    """Minimum code size and one witness, via the clutter covering pipeline.
-
-    Above BRUTE_FORCE_LIMIT vertices a narrow graph may leave the walk (see
-    _narrow_solve); value and witness are those min_cover returns.
-    """
-    clutter = build_clutter(g, kind)  # raises on inadmissible graphs
-    result = _narrow_solve(g, kind, clutter) if g.n > BRUTE_FORCE_LIMIT else None
-    if result is None:
-        result = min_cover(clutter)
-    check_cover_code(g, result.witness, kind)
+    """Minimum code size and one witness, via the clutter covering pipeline."""
+    result = _solve(g, kind)
     return result.value, result.witness
 
 
-def _narrow_solve(g: Graph, kind: CodeKind, clutter: Clutter) -> CoverResult | None:
-    """Solve a graph with a narrow BFS order, or return None.
+def gamma_all_optima(
+    g: Graph, kind: CodeKind, cap: int = 10_000
+) -> tuple[int, tuple[frozenset[int], ...], bool]:
+    """Minimum code size with every optimal code (up to cap), plus truncation flag."""
+    result = _solve(g, kind, cap)
+    return result.value, result.all_optima, result.truncated
 
-    A frontier DP over the order gives the value, and the witness is the
-    first cover of that size the walk meets, which is min_cover's.  None when
-    the graph is not narrow or the DP passes its state cap.
+
+def _solve(g: Graph, kind: CodeKind, cap: int | None = None) -> CoverResult:
+    """min_cover's result on the kind's clutter, with the optima up to cap
+    unless cap is None.
+
+    Above BRUTE_FORCE_LIMIT, a graph with a narrow BFS order is solved by the
+    frontier DP over it, and every walk after it is pinned at its value: the
+    witness is the first cover of that size the walk meets, and past cap the
+    pinned listing walk lists the walk's first cap.  A graph that is not
+    narrow, or whose DP passes its state cap, goes to min_cover.
     """
-    order = _narrow_order(g)
-    found = _frontier(*_dp_edges(g, kind, clutter), order, g.n) if order else None
-    return None if found is None else _search(clutter, limit=found[0], first=True)
+    clutter = build_clutter(g, kind)  # raises on inadmissible graphs
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+    order = _narrow_order(g) if g.n > BRUTE_FORCE_LIMIT else None
+    found = _frontier(*_dp_edges(g, kind, clutter), order, cap) if order else None
+    if found is None and cap is None:
+        result = min_cover(clutter)
+    elif found is None:
+        result = min_cover(clutter, enumerate_all=True, cap=cap)
+    elif found[1] is None:
+        result = _search(clutter, True, cap, limit=found[0])
+    else:
+        result = _search(clutter, limit=found[0], first=True)
+        if cap is not None:
+            optima = tuple(frozenset(bits(m)) for m in found[1])
+            result = replace(result, all_optima=optima)
+    check_cover_code(g, result.witness, kind)
+    if cap is not None:
+        check_cover_code(g, result.all_optima[0], kind)
+    return result
 
 
 def _narrow_order(g: Graph) -> list[int] | None:
@@ -158,30 +175,6 @@ def _dp_edges(g: Graph, kind: CodeKind, clutter: Clutter) -> tuple[list[int], li
     if 0 not in g.adj:
         return list(hard), list(g.adj)
     return list(hard | set(g.adj) - {0}), []
-
-
-def gamma_all_optima(
-    g: Graph, kind: CodeKind, cap: int = 10_000
-) -> tuple[int, tuple[frozenset[int], ...], bool]:
-    """Minimum code size with every optimal code (up to cap), plus truncation flag.
-
-    Narrow graphs above BRUTE_FORCE_LIMIT list them by the frontier DP; past
-    cap, the walk pinned at the DP's value lists the walk's first cap.
-    """
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
-    clutter = build_clutter(g, kind)
-    order = _narrow_order(g) if g.n > BRUTE_FORCE_LIMIT else None
-    found = _frontier(*_dp_edges(g, kind, clutter), order, g.n, cap) if order else None
-    if found is None:
-        result = min_cover(clutter, enumerate_all=True, cap=cap)
-    elif found[1] is None:
-        result = _search(clutter, True, cap, limit=found[0])
-    else:
-        optima = tuple(frozenset(bits(m)) for m in found[1])
-        result = CoverResult(found[0], optima[0], 0, optima)
-    check_cover_code(g, result.all_optima[0], kind)
-    return result.value, result.all_optima, result.truncated
 
 
 def brute_force_gamma(g: Graph, kind: CodeKind) -> tuple[int, frozenset[int]]:

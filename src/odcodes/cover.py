@@ -304,25 +304,27 @@ def _search(
 
 
 def _frontier(
-    edges: list[int], spare: list[int], order: list[int], limit: int, cap: int | None = None
+    edges: list[int], spare: list[int], order: list[int], cap: int | None = None
 ) -> tuple[int, list[int] | None] | None:
-    """Minimum cover of the edges, which may miss one spare edge, by a DP
-    over a vertex order: (value, optima), or (limit + 1, []) when every cover
-    is larger; None once the states pass STATE_CAP.
+    """Minimum cover of the nonempty edges, which may miss one spare edge, by
+    a DP over a vertex order: (value, optima), or None once the states pass
+    STATE_CAP.
 
     An edge starts at its first vertex in the order and must be hit by its
     last, but for one spare edge, marked by a flag bit above the edge bits.
     A state is the set of started, unhit edges and the flag; it keeps the
-    fewest vertices taken to reach it, at most limit, and its links, the
-    states a step back that reach it with that many.  A vertex that hits no
-    edge of the state is never taken: all its edges have started, so the
-    cover without it misses the same edges, and no optimum holds it.  With
+    fewest vertices taken to reach it and its links, the states a step back
+    that reach it with that many.  A vertex that hits no edge of the state is
+    never taken: all its edges have started, so the cover without it misses
+    the same edges, and no optimum holds it.  Taking every other vertex hits
+    each edge at its first vertex, so an end state is always reached.  With
     cap, optima are the sorted masks of the link paths from the empty state
     to an end, counted first: past cap they are None, and the value stands.
     """
     firm = (1 << len(edges)) - 1  # the edges that must be hit
     edges = [*edges, *spare]
     flag = 1 << len(edges)
+    worse = len(order) + 1  # more than any count
     hold = _hold(edges) + [0] * len(order)
     start, due = [0] * len(order), [0] * len(order)
     step = {v: i for i, v in enumerate(order)}
@@ -339,14 +341,14 @@ def _frontier(
             late = state & due[i]
             if not (late & firm or late & (late - 1) or late and state & flag):
                 left = state ^ late | flag if late else state
-                known = after.get(left, limit + 1)
+                known = after.get(left, worse)
                 if count < known:
                     after[left], links[left] = count, [prev]
                 elif count == known:
                     links[left].append(prev)
-            if state & hold[v] and count < limit:
+            if state & hold[v]:
                 state &= ~hold[v]
-                known = after.get(state, limit + 1)
+                known = after.get(state, worse)
                 if count < known - 1:
                     after[state], links[state] = count + 1, [prev]
                 elif count == known - 1:
@@ -356,10 +358,10 @@ def _frontier(
         states = after
         if cap is not None:
             trail.append((states, links))
-    value = min(states.get(0, limit + 1), states.get(flag, limit + 1))
-    ends = [s for s in (0, flag) if states.get(s) == value]
-    if cap is None or not ends:
+    value = min(states.get(0, worse), states.get(flag, worse))
+    if cap is None:
         return value, []
+    ends = [s for s in (0, flag) if states.get(s) == value]
     # Walk the links back, first counting each state's paths on to an end,
     # then carrying their masks, its tails.
     paths = dict.fromkeys(ends, 1)

@@ -244,6 +244,13 @@ class TestGraphCommands:
         code, _, err = run(capsys, "gamma", str(path), "--kind", "OD")
         assert code == 1 and "open twins" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-2"])
+    def test_gamma_inadmissible_comes_before_the_cap_guard(self, capsys, tmp_path, cap):
+        path = tmp_path / "twins.txt"
+        path.write_text("2 0\n")
+        code, error, message = refusal(capsys, "gamma", str(path), "--enumerate", "--cap", cap)
+        assert (code, error) == (1, "inadmissible") and "open twins" in message
+
     def test_clutter_json_roundtrips_into_tau(self, capsys, p4_file, tmp_path):
         code, out, _ = run(capsys, "clutter", p4_file, "--kind", "OD", "--json")
         assert code == 0
@@ -335,17 +342,17 @@ class TestGraphCommands:
         assert code == 2 and out == "" and "cap must be at least 1" in err
 
     def test_gamma_enumerate_verifies_every_optimum(self, capsys, p4_file, monkeypatch):
-        from odcodes import cli
+        from odcodes import codes
         from odcodes.cover import CoverResult
 
-        real = cli.min_cover
+        real = codes.min_cover
 
         def with_bad_optimum(c, **kw):
             res = real(c, **kw)
             bad = frozenset({0, 1})
             return CoverResult(res.value, res.witness, 0, res.all_optima + (bad,), False)
 
-        monkeypatch.setattr(cli, "min_cover", with_bad_optimum)
+        monkeypatch.setattr(codes, "min_cover", with_bad_optimum)
         with pytest.raises(AssertionError, match="fails OD verification"):
             run(capsys, "gamma", p4_file, "--kind", "OD", "--enumerate")
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from odcodes import codes, cover
+from odcodes import cli, codes, cover
 from odcodes.clutters import (
     InadmissibleGraphError,
     build_clutter,
@@ -31,7 +31,7 @@ from odcodes.families import (
     random_od_admissible,
     thin_spider,
 )
-from odcodes.graphs import CodeKind, Graph, bits, disjoint_union, is_admissible
+from odcodes.graphs import CodeKind, Graph, bits, disjoint_union, graph_to_text, is_admissible
 from oracles import naive_gamma, naive_is_code
 
 from test_graphs import complete, gem, path, random_graph
@@ -136,11 +136,13 @@ class TestGamma:
         [
             lambda g: build_hypergraph(g, CodeKind.OD),
             lambda g: gamma(g, CodeKind.OD),
+            # admissibility is checked before the cap
+            lambda g: gamma_all_optima(g, CodeKind.OD, cap=0),
             lambda g: brute_force_gamma(g, CodeKind.OD),
             forced_vertices_direct,
             check_relations,
         ],
-        ids=["hypergraph", "gamma", "brute-force", "forced-direct", "relations"],
+        ids=["hypergraph", "gamma", "all-optima-cap-0", "brute-force", "forced-direct", "relations"],
     )
     def test_every_entry_point_refuses_with_one_message(self, refuse):
         with pytest.raises(InadmissibleGraphError) as exc:
@@ -226,16 +228,15 @@ def searches(monkeypatch):
 
 @pytest.fixture
 def forced(monkeypatch):
-    """gamma's narrow route on any graph: every BFS order counts as narrow
-    and the state cap is lifted, so the frontier DP gives the value and the
-    walk pinned at it the witness."""
+    """The narrow route on any graph: the guard is lowered, every BFS order
+    counts as narrow and the state cap is lifted, so the frontier DP gives
+    the value and the walk pinned at it the witness; min_cover is gone, so a
+    handback to it cannot pass."""
+    monkeypatch.setattr(codes, "BRUTE_FORCE_LIMIT", 0)
     monkeypatch.setattr(codes, "NARROW_WIDTH", math.inf)
     monkeypatch.setattr(cover, "STATE_CAP", 1 << 20)
-
-    def solve(g, kind):
-        return codes._narrow_solve(g, kind, build_clutter(g, kind))
-
-    return solve
+    monkeypatch.setattr(codes, "min_cover", None)
+    return codes._solve
 
 
 def route_mix():
@@ -283,6 +284,21 @@ def banded(n, p, rng):
     )
 
 
+def narrow_corpus():
+    """Ladders, caterpillars and banded random graphs with n 21-30 that have
+    a narrow BFS order, by family."""
+    rng = random.Random(47)
+    graphs = {
+        "ladder": [ladder(k) for k in range(11, 16)],
+        "caterpillar": [caterpillar(rng.randint(21, 30), 1 + i % 2, rng) for i in range(10)],
+        "banded": [banded(rng.randint(21, 30), rng.choice([0.5, 0.7]), rng) for _ in range(16)],
+    }
+    return {
+        family: [g for g in members if codes._narrow_order(g) is not None]
+        for family, members in graphs.items()
+    }
+
+
 class TestNarrowRoute:
     """gamma takes the frontier DP on narrow graphs above the brute-force
     guard: the value comes from the DP, and the witness, the first cover of
@@ -301,7 +317,7 @@ class TestNarrowRoute:
                 if not is_admissible(g, kind).ok:
                     continue
                 edges, spare = codes._dp_edges(g, kind, build_clutter(g, kind))
-                value = cover._frontier(edges, spare, order, g.n)[0]
+                value = cover._frontier(edges, spare, order)[0]
                 assert value == brute_force_gamma(g, kind)[0], (g, kind)
                 checked[kind] += 1
         assert min(checked.values()) >= 5
@@ -339,7 +355,7 @@ class TestNarrowRoute:
             for kind in (CodeKind.OD, CodeKind.OTD, CodeKind.LD):
                 clutter = build_clutter(g, kind)
                 walk = min_cover(clutter, enumerate_all=True)
-                dp = cover._frontier(*codes._dp_edges(g, kind, clutter), order, n, cap=10_000)
+                dp = cover._frontier(*codes._dp_edges(g, kind, clutter), order, cap=10_000)
                 assert (walk.value, walk.all_optima, walk.truncated) == (
                     dp[0],
                     tuple(frozenset(bits(m)) for m in dp[1]),
@@ -456,17 +472,10 @@ class TestNarrowRoute:
     def test_narrow_corpus_is_min_covers(self, walks):
         # small narrow graphs, whose walks are short: the DP runs first on
         # them too
-        rng = random.Random(47)
-        graphs = {
-            "ladder": [ladder(k) for k in range(11, 16)],
-            "caterpillar": [caterpillar(rng.randint(21, 30), 1 + i % 2, rng) for i in range(10)],
-            "banded": [banded(rng.randint(21, 30), rng.choice([0.5, 0.7]), rng) for _ in range(16)],
-        }
+        graphs = narrow_corpus()
         solved = dict.fromkeys(graphs, 0)
         for family, members in graphs.items():
             for g in members:
-                if codes._narrow_order(g) is None:
-                    continue
                 for kind in CodeKind:
                     if is_admissible(g, kind).ok:
                         want = min_cover(build_clutter(g, kind))
@@ -474,6 +483,66 @@ class TestNarrowRoute:
                         solved[family] += 1
         assert not walks
         assert min(solved.values()) >= 25 and sum(solved.values()) >= 120, solved
+
+
+GAMMA_FORMS = [(), ("--json",), ("--enumerate", "--cap", "2"), ("--enumerate", "--json")]
+
+
+class TestCliGamma:
+    """odcodes gamma takes the library's route, and prints what min_cover's
+    result renders to: every form, on narrow graphs above the guard with no
+    min_cover call, and on a dense graph with one."""
+
+    @staticmethod
+    def outputs(g, kind, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text(graph_to_text(g))
+        got = []
+        for flags in GAMMA_FORMS:
+            assert cli.main(["gamma", str(path), "--kind", kind.value, *flags]) == 0
+            got.append(capsys.readouterr().out)
+        return got
+
+    def walked_outputs(self, g, kind, tmp_path, capsys, monkeypatch):
+        clutter, results = build_clutter(g, kind), {}
+
+        def walked(g, kind, cap=None):
+            # text and --json render one result, so each walk runs once
+            if cap not in results:
+                results[cap] = min_cover(clutter) if cap is None else min_cover(clutter, True, cap)
+            return results[cap]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_solve", walked)
+            return self.outputs(g, kind, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "graphs",
+        [
+            [relabelled(cycle_graph(33), 1)],
+            [relabelled(cycle_graph(48), 1)],
+            [relabelled(path_graph(40), 1)],
+            [g for members in narrow_corpus().values() for g in members],
+        ],
+        ids=["cycle33", "cycle48", "path40", "narrow-corpus"],
+    )
+    def test_narrow_graphs_print_min_covers_result(
+        self, graphs, tmp_path, capsys, monkeypatch, walks
+    ):
+        monkeypatch.setattr(cli, "min_cover", None)  # no walk of the CLI's own
+        for g in graphs:
+            for kind in (CodeKind.OD, CodeKind.OTD, CodeKind.LD):
+                if is_admissible(g, kind).ok:
+                    want = self.walked_outputs(g, kind, tmp_path, capsys, monkeypatch)
+                    assert self.outputs(g, kind, tmp_path, capsys) == want, (g, kind)
+        assert not walks
+
+    def test_dense_graph_walks_once(self, tmp_path, capsys, monkeypatch, walks):
+        pool = json.loads(REFERENCES.read_text())["sparse-search"]["pool"]["sparse-r26a"]
+        g = Graph.from_edges(pool["n"], [tuple(e) for e in pool["edges"]])
+        want = self.walked_outputs(g, CodeKind.OD, tmp_path, capsys, monkeypatch)
+        assert self.outputs(g, CodeKind.OD, tmp_path, capsys) == want
+        assert len(walks) == len(GAMMA_FORMS)  # one min_cover call per run
 
 
 class TestBruteForce:

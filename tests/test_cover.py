@@ -401,10 +401,9 @@ class TestSearchEntry:
 
 
 class TestFrontier:
-    """The DP over a vertex order gives the covering number, or limit + 1
-    when every cover is larger, in any order; with spare edges a cover may
-    miss one of them, and with cap it lists every optimum, or past cap only
-    gives the value."""
+    """The DP over a vertex order gives the covering number in any order;
+    with spare edges a cover may miss one of them, and with cap it lists
+    every optimum, or past cap only gives the value."""
 
     def test_random_clutters(self):
         rng = random.Random(61)
@@ -415,16 +414,12 @@ class TestFrontier:
                 for _ in range(rng.randint(0, 12))
             ]
             tau = naive_min_cover(n, sets)[0]
-            limit = rng.randint(0, n)
             order = rng.sample(range(n), n)
-            assert _frontier([mask_of(e) for e in sets], [], order, limit) == (
-                min(tau, limit + 1),
-                [],
-            )
+            assert _frontier([mask_of(e) for e in sets], [], order) == (tau, [])
 
     def test_spare_edges_against_the_scan(self):
         rng = random.Random(67)
-        seen = {"no spare": 0, "spare is hard": 0, "listed": 0, "past limit": 0}
+        seen = {"no spare": 0, "spare is hard": 0, "several optima": 0}
         for _ in range(400):
             n = rng.randint(1, 9)
 
@@ -437,19 +432,13 @@ class TestFrontier:
                 spare.append(set(rng.choice(hard)))
                 seen["spare is hard"] += 1
             seen["no spare"] += not spare
-            found = naive_spare_covers(n, hard, spare)
-            limit = rng.randint(0, n)
+            want = naive_spare_covers(n, hard, spare)
             order = rng.sample(range(n), n)
-            args = [mask_of(e) for e in hard], [mask_of(e) for e in spare], order, limit
-            if found[0] > limit:
-                want = (limit + 1, [])
-                seen["past limit"] += 1
-            else:
-                want = found
-                seen["listed"] += 1
+            args = [mask_of(e) for e in hard], [mask_of(e) for e in spare], order
             assert _frontier(*args) == (want[0], [])
             assert _frontier(*args, cap=10_000) == want
             if len(want[1]) > 1:
+                seen["several optima"] += 1
                 assert _frontier(*args, cap=len(want[1]) - 1) == (want[0], None)
                 assert _frontier(*args, cap=len(want[1])) == want
         assert min(seen.values()) >= 20, seen
