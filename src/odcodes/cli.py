@@ -25,7 +25,7 @@ from .clutters import (
     clutter_from_json,
     clutter_to_json,
 )
-from .codes import _solve, check_cover_code, check_relations, verify
+from .codes import _solve, check_cover_codes, check_relations, verify
 from .cover import min_cover, qrose_clutter
 from .families import FAMILIES, FamilySpec, generate
 from .graphs import (
@@ -198,8 +198,7 @@ def cmd_gamma(args):
     g = load_graph(_read(args.graph))
     kind = _kind(args.kind)
     res = _solve(g, kind, args.cap if args.enumerate else None)
-    for code in (res.witness, *(res.all_optima or ())):
-        check_cover_code(g, code, kind)
+    check_cover_codes(g, (res.witness, *(res.all_optima or ())), kind)
     obj = {"command": "gamma", "kind": kind.value, **_cover_fields(res, args.enumerate)}
     lines = [f"gamma[{obj['kind']}] = {obj['value']}", "witness: " + _join(obj["witness"])]
     if args.enumerate:

@@ -80,6 +80,22 @@ def check_cover_code(g: Graph, code, kind: CodeKind) -> None:
         raise AssertionError(f"cover witness fails {kind.value} verification: {report}")
 
 
+def check_cover_codes(g: Graph, codes, kind: CodeKind) -> None:
+    """check_cover_code for many covers of one graph, on its masks built once.
+
+    Each code is tested straight on the definitions: it meets every dom set
+    and leaves distinct traces.  One that fails goes to check_cover_code,
+    whose message carries its verify report.
+    """
+    dom, sep = code_masks(g, kind)
+    locating = kind.separation == "locating"
+    for code in codes:
+        cmask = mask_of(code)
+        traces = [m & cmask for v, m in enumerate(sep) if not (locating and cmask >> v & 1)]
+        if not all(m & cmask for m in dom) or len(set(traces)) < len(traces):
+            check_cover_code(g, code, kind)
+
+
 def gamma(g: Graph, kind: CodeKind) -> tuple[int, frozenset[int]]:
     """Minimum code size and one witness, via the clutter covering pipeline."""
     result = _solve(g, kind)

@@ -358,24 +358,59 @@ def clause_universe(n_vars: int) -> list[frozenset[int]]:
 
 def _transform_tables(n_vars: int, universe: list[frozenset[int]]) -> list[list[int]]:
     """Universe-index permutation for every variable relabeling and polarity
-    flip (identity excluded)."""
+    flip (identity excluded): each relabeling table composed with each flip
+    table, one frozenset per clause and base table rather than per pair."""
     position = {c: i for i, c in enumerate(universe)}
-    tables = []
-    for perm in permutations(range(1, n_vars + 1)):
-        for flips in product((1, -1), repeat=n_vars):
-            if all(perm[v - 1] == v and flips[v - 1] == 1 for v in range(1, n_vars + 1)):
-                continue
 
-            def mapped(lit: int) -> int:
-                v = abs(lit)
-                sign = (1 if lit > 0 else -1) * flips[v - 1]
-                return sign * perm[v - 1]
+    def table(mapped) -> list[int]:
+        return [position[frozenset(map(mapped, c))] for c in universe]
 
-            tables.append([position[frozenset(mapped(l) for l in c)] for c in universe])
-    return tables
+    relabelings = [
+        table(lambda lit, p=p: p[abs(lit) - 1] if lit > 0 else -p[abs(lit) - 1])
+        for p in permutations(range(1, n_vars + 1))
+    ]
+    flips = [
+        table(lambda lit, s=s: lit * s[abs(lit) - 1]) for s in product((1, -1), repeat=n_vars)
+    ]
+    # both lists start at their identity, so the first composite is the identity
+    return [[f[i] for i in p] for p in relabelings for f in flips][1:]
 
 
-# Above 6 variables, enumerate_slsat's symmetry tables alone take gigabytes.
+def _lanes(tables: list[list[int]], size: int) -> tuple[list[int], int, int]:
+    """Pack tables over a universe of the given size into lanes, for _canonical.
+
+    Returns (cols, ones, guard).  Lane t of every int is a run of whole bytes
+    holding a bit per universe index and, above them, a guard bit; cols[i] has
+    the bit tables[t][i] in lane t, ones the low bit of every lane and guard
+    the guard bit.  Whole-byte lanes let a column be one bytes join.
+    """
+    width = size // 8 + 1
+    lane = [(1 << v).to_bytes(width, "little") for v in range(size)]
+    cols = [
+        int.from_bytes(b"".join(map(lane.__getitem__, col)), "little") for col in zip(*tables)
+    ]
+    ones = int.from_bytes(lane[0] * len(tables), "little")
+    return cols, ones, ones << size
+
+
+def _canonical(img: int, mask: int, ones: int, guard: int) -> bool:
+    """True when no table maps the index set mask to a lexicographically
+    smaller sorted list, img being the OR of cols[i] over mask's indices.
+
+    Lane t of img is mask's image under table t.  Two equal-size sets compare
+    as their sorted lists do by the lowest index where they differ, so each
+    lane of d = img ^ mask * ones | guard has its lowest bit at that index (at
+    the guard when they agree), d & ~(d - ones) isolates those bits, every
+    lane being nonzero so no borrow crosses lanes, and mask is canonical when
+    none of them lies in an image.
+    """
+    d = img ^ mask * ones | guard
+    return not d & ~(d - ones) & img
+
+
+# Above 6 variables the lanes alone would take about 12 GB.  At 6 they hold
+# 232 clauses x 46,079 tables x 240-bit lanes, about 320 MB, and
+# enumerate_slsat(6, 3) peaks at about 440 MB RSS.
 SAT_MAX_K = 6
 
 
@@ -390,15 +425,17 @@ def enumerate_slsat(max_vars: int, max_clauses: int):
     before it expands (orderly generation), since no minimal set extends a
     non-minimal one.
 
-    The search state is three ints: the clauses that may still join, and the
-    literals used once and twice, literal l being bit 2(|l| - 1) + (l < 0).
+    The search state is five ints: the clauses that may still join, the
+    literals used once and twice, literal l being bit 2(|l| - 1) + (l < 0),
+    the chosen clause indices as a mask, and their images under every
+    symmetry table packed into lanes, which one _canonical call tests at once.
     Above SAT_MAX_K variables it raises ValueError before building a table.
     """
     if max_vars > SAT_MAX_K:
         raise ValueError(f"max_vars is at most {SAT_MAX_K}, got {max_vars}")
     for n in range(1, max_vars + 1):
         universe = clause_universe(n)
-        tables = _transform_tables(n, universe)
+        cols, ones, guard = _lanes(_transform_tables(n, universe), len(universe))
         lits = [sum(1 << 2 * (abs(l) - 1) + (l < 0) for l in c) for c in universe]
         later = [
             sum(1 << j for j in range(i + 1, len(lits)) if (a & lits[j]).bit_count() <= 1)
@@ -406,24 +443,20 @@ def enumerate_slsat(max_vars: int, max_clauses: int):
         ]
         holding = [sum(1 << i for i, a in enumerate(lits) if a >> b & 1) for b in range(2 * n)]
         positives = sum(1 << 2 * v for v in range(n))
-        chosen: list[int] = []
-        results: list[tuple[int, ...]] = []
+        results: list[int] = []
 
-        def canonical() -> bool:  # chosen is sorted ascending
-            return all(sorted([table[i] for i in chosen]) >= chosen for table in tables)
-
-        def rec(allowed: int, once: int, twice: int) -> None:
+        def rec(allowed: int, once: int, twice: int, img: int, mask: int) -> None:
             used = once | twice  # folded onto the positive bits: the variables in use
             unused = n - ((used | used >> 1) & positives).bit_count()
             saturated = not once and not unused
-            left = max_clauses - len(chosen)
+            left = max_clauses - mask.bit_count()
             grows = left > 0 and once.bit_count() + 2 * unused <= 3 * left
             # Canonicity is hereditary: if a table g maps the prefix P below P, it maps
             # every S extending P below S (the j smallest of g(S) are <= those of g(P)).
-            if (saturated or grows and left >= 2) and not canonical():
+            if (saturated or grows and left >= 2) and not _canonical(img, mask, ones, guard):
                 return
             if saturated:
-                results.append(tuple(chosen))
+                results.append(mask)
             if not grows:
                 return
             for i in bits(allowed):
@@ -431,10 +464,8 @@ def enumerate_slsat(max_vars: int, max_clauses: int):
                 child = allowed & later[i]
                 for b in bits(reached):
                     child &= ~holding[b]
-                chosen.append(i)
-                rec(child, once ^ lits[i], twice | reached)
-                chosen.pop()
+                rec(child, once ^ lits[i], twice | reached, img | cols[i], mask | 1 << i)
 
-        rec((1 << len(universe)) - 1, 0, 0)
-        for idxs in results:
-            yield LsatInstance(n, tuple(universe[i] for i in idxs))
+        rec((1 << len(universe)) - 1, 0, 0, 0, 0)
+        for mask in results:
+            yield LsatInstance(n, tuple(universe[i] for i in bits(mask)))

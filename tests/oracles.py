@@ -5,7 +5,7 @@ sets, deliberately sharing no code path with the library internals, so the
 fast bitmask implementations are checked against a second route.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 
 def naive_is_code(g, code, kind) -> bool:
@@ -321,18 +321,38 @@ def reference_canonical(idx, tables):
     return True
 
 
+def reference_transform_tables(n_vars, universe):
+    """The symmetry tables as the library built them before it composed
+    them: one pass per (relabeling, flip) pair, mapping each clause's
+    literals and looking the image up by frozenset; identity excluded."""
+    position = {c: i for i, c in enumerate(universe)}
+    tables = []
+    for perm in permutations(range(1, n_vars + 1)):
+        for flips in product((1, -1), repeat=n_vars):
+            if all(perm[v - 1] == v and flips[v - 1] == 1 for v in range(1, n_vars + 1)):
+                continue
+
+            def mapped(lit):
+                v = abs(lit)
+                sign = (1 if lit > 0 else -1) * flips[v - 1]
+                return sign * perm[v - 1]
+
+            tables.append([position[frozenset(mapped(l) for l in c)] for c in universe])
+    return tables
+
+
 def reference_enumerate_slsat(max_vars, max_clauses):
     """The SLSAT enumerator that predates the int search state, kept verbatim
-    but for its canonicity test, factored out as reference_canonical: a
-    literal-count dict, a pairwise share matrix and per-node rescans of both,
-    testing canonicity only at saturated leaves.  It shares clause_universe
-    and _transform_tables with the library, which the int-state rewrite left
-    as they were."""
-    from odcodes.sat_reduction import LsatInstance, _transform_tables, clause_universe
+    but for its canonicity test, factored out as reference_canonical, and its
+    tables, built by reference_transform_tables: a literal-count dict, a
+    pairwise share matrix and per-node rescans of both, testing canonicity
+    only at saturated leaves by sorting each table's image.  It shares only
+    clause_universe and LsatInstance with the library."""
+    from odcodes.sat_reduction import LsatInstance, clause_universe
 
     for n in range(1, max_vars + 1):
         universe = clause_universe(n)
-        tables = _transform_tables(n, universe)
+        tables = reference_transform_tables(n, universe)
         share_ok = [[len(a & b) <= 1 for b in universe] for a in universe]
         counts: dict[int, int] = {}
         chosen: list[int] = []

@@ -356,6 +356,29 @@ class TestGraphCommands:
         with pytest.raises(AssertionError, match="fails OD verification"):
             run(capsys, "gamma", p4_file, "--kind", "OD", "--enumerate")
 
+    def test_gamma_enumerate_refuses_a_non_code_planted_among_the_optima(
+        self, capsys, p4_file, monkeypatch
+    ):
+        # the check tests every optimum on masks built once; a failure still
+        # reports the planted code's full verify report
+        from odcodes import cli
+        from odcodes.codes import _solve, verify
+        from odcodes.cover import CoverResult
+        from odcodes.families import path_graph
+        from odcodes.graphs import CodeKind
+
+        def with_planted(g, kind, cap):
+            res = _solve(g, kind, cap)
+            optima = (res.all_optima[0], frozenset({0, 1}), *res.all_optima[1:])
+            return CoverResult(res.value, res.witness, 0, optima, False)
+
+        monkeypatch.setattr(cli, "_solve", with_planted)
+        report = verify(path_graph(4), {0, 1}, CodeKind.OD)
+        message = f"cover witness fails OD verification: {report}"
+        with pytest.raises(AssertionError) as raised:
+            run(capsys, "gamma", p4_file, "--kind", "OD", "--enumerate")
+        assert str(raised.value) == message
+
     def test_verify_exit_codes(self, capsys, p4_file):
         assert run(capsys, "verify", p4_file, "--kind", "OD", "--code", "0,1,3")[0] == 0
         code, out, _ = run(capsys, "verify", p4_file, "--kind", "OD", "--code", "0,1")

@@ -14,6 +14,7 @@ from odcodes.clutters import (
 )
 from odcodes.codes import (
     brute_force_gamma,
+    check_cover_codes,
     check_relations,
     gamma,
     gamma_all_optima,
@@ -98,6 +99,25 @@ class TestVerify:
                     if adm.ok:
                         assert valid == all(m & cmask for m in edges)
         assert isolated >= 10 and twins >= 10
+
+    def test_batch_check_passes_exactly_the_codes(self):
+        # check_cover_codes tests every code on masks built once; it must pass
+        # each valid code, locating kinds' code vertices included, and raise
+        # on each invalid one with that code's verify report
+        rng = random.Random(211)
+        graphs = [random_graph(rng.randint(1, 6), rng.choice([0.3, 0.6]), rng) for _ in range(15)]
+        for g in graphs:
+            for kind in CodeKind:
+                subsets = [[v for v in range(g.n) if m >> v & 1] for m in range(1 << g.n)]
+                valid = [c for c in subsets if naive_is_code(g, c, kind)]
+                check_cover_codes(g, valid, kind)
+                for code in subsets:
+                    if not naive_is_code(g, code, kind):
+                        report = verify(g, code, kind)
+                        message = f"cover witness fails {kind.value} verification: {report}"
+                        with pytest.raises(AssertionError) as raised:
+                            check_cover_codes(g, [code], kind)
+                        assert str(raised.value) == message
 
     def test_out_of_range_code_rejected(self):
         import pytest as _pytest

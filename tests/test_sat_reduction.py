@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from itertools import combinations
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from odcodes.graphs import CodeKind, girth, is_bipartite, max_degree
 from odcodes.sat_reduction import (
     LsatFormatError,
     LsatInstance,
+    _canonical,
+    _lanes,
     _transform_tables,
     assignment_to_code,
     auxiliary_graph,
@@ -26,7 +29,12 @@ from odcodes.sat_reduction import (
     parse_lsat,
     saturate,
 )
-from oracles import reference_canonical, reference_enumerate_slsat, reference_saturate
+from oracles import (
+    reference_canonical,
+    reference_enumerate_slsat,
+    reference_saturate,
+    reference_transform_tables,
+)
 
 UNSAT_2VAR = LsatInstance(2, (frozenset({1}), frozenset({-1, 2}), frozenset({-1, -2})))
 
@@ -323,7 +331,7 @@ class TestEnumerator:
             if inst.n_vars not in by_n:
                 universe = clause_universe(inst.n_vars)
                 position = {c: i for i, c in enumerate(universe)}
-                by_n[inst.n_vars] = position, _transform_tables(inst.n_vars, universe)
+                by_n[inst.n_vars] = position, reference_transform_tables(inst.n_vars, universe)
             position, tables = by_n[inst.n_vars]
             idx = sorted(position[c] for c in inst.clauses)
             for k in range(1, len(idx) + 1):
@@ -363,6 +371,45 @@ class TestEnumerator:
                     assert len(code & t_mask) >= 2 * len(triples) - slack
                 checked += 1
         assert checked
+
+
+class TestSymmetryTables:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_composed_tables_match_the_pairwise_loop(self, n):
+        universe = clause_universe(n)
+        tables = [tuple(t) for t in _transform_tables(n, universe)]
+        assert len(tables) == factorial(n) * 2**n - 1
+        assert len(set(tables)) == len(tables)
+        assert tuple(range(len(universe))) not in tables
+        assert set(tables) == {tuple(t) for t in reference_transform_tables(n, universe)}
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_lane_check_agrees_with_sorting_each_image(self, n):
+        # n = 1 has one table, the flip, which swaps the clauses (1) and (-1)
+        universe = clause_universe(n)
+        tables = reference_transform_tables(n, universe)
+        cols, ones, guard = _lanes(tables, len(universe))
+        if len(universe) <= 8:
+            samples = [
+                list(idx)
+                for k in range(1, len(universe) + 1)
+                for idx in combinations(range(len(universe)), k)
+            ]
+        else:
+            rng = random.Random(n)
+            samples = [
+                sorted(rng.sample(range(len(universe)), rng.randint(1, 10))) for _ in range(400)
+            ]
+        verdicts = set()
+        for idx in samples:
+            img = mask = 0
+            for i in idx:
+                img |= cols[i]
+                mask |= 1 << i
+            verdict = _canonical(img, mask, ones, guard)
+            assert verdict == reference_canonical(idx, tables), idx
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestEquivalenceSampled:
