@@ -146,6 +146,8 @@ def _parse_params(raw: str | None) -> dict:
             raise UsageError(f"malformed parameter {item!r}, expected key=value")
         key, value = item.split("=", 1)
         key = key.strip()
+        if key in params:
+            raise UsageError(f"parameter {key} given twice")
         if key in ("k", "n"):
             params[key] = _parsed(f"parameter {key}", "an integer", value, _integer)
         elif key == "sizes":

@@ -115,27 +115,23 @@ def _solve(g: Graph, kind: CodeKind, cap: int | None = None) -> CoverResult:
     unless cap is None.
 
     Above BRUTE_FORCE_LIMIT, a graph with a narrow BFS order is solved by the
-    frontier DP over it, and every walk after it is pinned at its value: the
-    witness is the first cover of that size the walk meets, and past cap the
-    pinned listing walk lists the walk's first cap.  A graph that is not
-    narrow, or whose DP passes its state cap, goes to min_cover.
+    frontier DP over it, and one walk pinned at its value follows: it finds
+    the witness, the first cover of that size the walk meets, and it lists
+    the walk's first cap optima too when the DP did not list them.  A graph
+    that is not narrow, or whose DP passes its state cap, goes to min_cover.
     """
     clutter = build_clutter(g, kind)  # raises on inadmissible graphs
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     order = _narrow_order(g) if g.n > BRUTE_FORCE_LIMIT else None
     found = _frontier(*_dp_edges(g, kind, clutter), order, cap) if order else None
-    if found is None and cap is None:
-        result = min_cover(clutter)
-    elif found is None:
-        result = min_cover(clutter, enumerate_all=True, cap=cap)
-    elif found[1] is None:
-        result = _search(clutter, True, cap, limit=found[0])
+    if found is None:
+        result = min_cover(clutter, enumerate_all=cap is not None, cap=cap)
     else:
-        result = _search(clutter, limit=found[0], first=True)
-        if cap is not None:
-            optima = tuple(frozenset(bits(m)) for m in found[1])
-            result = replace(result, all_optima=optima)
+        value, optima = found
+        result = _search(clutter, cap is not None and optima is None, cap, limit=value)
+        if optima is not None:
+            result = replace(result, all_optima=tuple(frozenset(bits(m)) for m in optima))
     check_cover_code(g, result.witness, kind)
     if cap is not None:
         check_cover_code(g, result.all_optima[0], kind)

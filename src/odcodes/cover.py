@@ -17,14 +17,15 @@ leaves edges that one vertex hits.
 The walk prunes at a limit and hands each surviving leaf to one rule.  A
 leaf smaller than the witness becomes the witness and restarts the list of
 optima; the value pass then prunes at one below it, a listing walk at its
-size.  Any other leaf joins the list while fewer than cap are held.  Past
-cap, a leaf at the floor, the size already proven optimal, ends the walk,
-and any other marks the list truncated and drops the limit back to strict
-improvement.  To list every optimum, one walk runs with floor 0: it is the
-value pass until its first leaf below the greedy cover, and from there it
-gathers every leaf of the least size in walk order.  Only when no leaf beats
-the greedy cover does a second walk run, pinned at the greedy size (its
-floor and its limit), and it stops at the (cap+1)-th optimum.  Everything is
+size.  Any other leaf joins the list while fewer than cap are held; past
+cap, it marks the list truncated and drops the limit back to strict
+improvement.  A leaf at the floor, the size already proven optimal, ends a
+walk that will list no more: a value walk at once, a listing walk past cap.
+To list every optimum, one walk runs with floor 0: it is the value pass
+until its first leaf below the greedy cover, and from there it gathers every
+leaf of the least size in walk order.  Only when no leaf beats the greedy
+cover does a second walk run, pinned at the greedy size (its floor and its
+limit), and it stops at the (cap+1)-th optimum.  Everything is
 deterministic, so repeated solves yield identical witnesses and node counts.
 
 min_cover runs the walk through _search, which can also take the optimum
@@ -33,7 +34,8 @@ limit moved, the walk pinned at the optimum meets min_cover's optima in
 min_cover's order: its first leaf is min_cover's witness, and its first cap
 leaves are min_cover's list.  _frontier is a second exact route, a DP over a
 vertex order, cheap when every edge spans few places of the order, which
-takes spare edges and can list every optimum.
+takes spare edges and lists every optimum up to a cap; the optima it does
+not list are None.
 """
 
 from __future__ import annotations
@@ -91,9 +93,8 @@ def greedy_cover(c: Clutter) -> frozenset[int]:
 
 
 class _Stop(Exception):
-    """Ends a walk early: at the first leaf in first mode, or at the
-    (cap+1)-th leaf of the floor size once the optimum is proven, which
-    truncates the list."""
+    """Ends a walk at a leaf of the floor size, the proven optimum: a value
+    walk's first, or a listing walk's (cap+1)-th, which truncates the list."""
 
 
 def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> CoverResult:
@@ -111,16 +112,16 @@ def _search(
     enumerate_all: bool = False,
     cap: int = 10_000,
     limit: int | None = None,
-    first: bool = False,
 ) -> CoverResult:
     """The walk behind min_cover, which calls it with the defaults.
 
-    limit, when given, is the optimum, proven on another route.  With first,
-    the solve ends at the first cover of that size it meets: the greedy
-    cover when that is optimal, else the first leaf, min_cover's witness.
-    A listing walk runs once with its floor and limit at the optimum and
-    stops at the (cap+1)-th optimum, so it lists what min_cover lists with
-    no proof walk.
+    limit, when given, is the optimum, proven on another route, and the
+    walk's floor.  A value solve then ends at the first cover of that size
+    it meets: the greedy cover when that is optimal, else the first leaf,
+    min_cover's witness.  A listing walk runs once and stops at the
+    (cap+1)-th optimum, so it lists what min_cover lists with no proof walk.
+    Every leaf of a value walk is a new witness, so only a listing walk
+    reads cap.
     """
     masks = set(c.edges)
     if not masks:
@@ -130,7 +131,7 @@ def _search(
     witness, floor, nodes = greedy, 0, 0
     if limit is None:
         limit = greedy.bit_count() - 1
-    elif first and limit >= greedy.bit_count():
+    elif not enumerate_all and limit >= greedy.bit_count():
         return CoverResult(greedy.bit_count(), frozenset(bits(greedy)), 0)
     else:
         floor = limit
@@ -139,21 +140,19 @@ def _search(
 
     def leaf(selected: int, count: int) -> None:
         # A smaller leaf restarts the list, and a listing walk then prunes at
-        # its size.  Past cap, a leaf at the proven floor ends the walk; any
-        # other drops the limit back to strict improvement.
+        # its size.  Past cap, a leaf drops the limit back to strict
+        # improvement.  A leaf at the proven floor ends a walk that will list
+        # no more: a value walk at once, a listing walk past cap.
         nonlocal witness, limit, truncated
         if count < witness.bit_count():
             witness, limit, truncated = selected, count if enumerate_all else count - 1, False
             optima[:] = [selected]
-            if first:
-                raise _Stop
         elif len(optima) < cap:
             optima.append(selected)
-        elif count == floor:
-            truncated = True
-            raise _Stop
         else:
             truncated, limit = True, count - 1
+        if count == floor and (truncated or not enumerate_all):
+            raise _Stop
 
     # Edge i is the i-th distinct mask by (size, mask).  hold[v] has the edges
     # that hold v, root[s] those of size s, skip[v] those missing v; apart[i],
@@ -299,6 +298,7 @@ def _search(
         # its size.
         floor = limit = witness.bit_count()
         run()
+    del walk  # it refers to itself; freed here, its tables need no gc pass
     optima_out = tuple(frozenset(bits(m)) for m in sorted(optima)) if enumerate_all else None
     return CoverResult(witness.bit_count(), frozenset(bits(witness)), nodes, optima_out, truncated)
 
@@ -319,7 +319,7 @@ def _frontier(
     the same edges, and no optimum holds it.  Taking every other vertex hits
     each edge at its first vertex, so an end state is always reached.  With
     cap, optima are the sorted masks of the link paths from the empty state
-    to an end, counted first: past cap they are None, and the value stands.
+    to an end, counted first; without cap, or past it, they are None.
     """
     firm = (1 << len(edges)) - 1  # the edges that must be hit
     edges = [*edges, *spare]
@@ -360,7 +360,7 @@ def _frontier(
             trail.append((states, links))
     value = min(states.get(0, worse), states.get(flag, worse))
     if cap is None:
-        return value, []
+        return value, None
     ends = [s for s in (0, flag) if states.get(s) == value]
     # Walk the links back, first counting each state's paths on to an end,
     # then carrying their masks, its tails.

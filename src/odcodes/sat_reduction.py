@@ -467,5 +467,6 @@ def enumerate_slsat(max_vars: int, max_clauses: int):
                 rec(child, once ^ lits[i], twice | reached, img | cols[i], mask | 1 << i)
 
         rec((1 << len(universe)) - 1, 0, 0, 0, 0)
+        del rec  # it refers to itself; freed here, its tables need no gc pass
         for mask in results:
             yield LsatInstance(n, tuple(universe[i] for i in bits(mask)))

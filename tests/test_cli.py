@@ -92,6 +92,10 @@ def lsat_file(tmp_path):
             ("polyhedron", "--family", "thin-spider", "--k", "4", "--sizes", "2_0+2"),
             "--sizes expects integers joined by '+', e.g. 2+2+3, got '2_0+2'",
         ),
+        (
+            ("generate", "--family", "cycle", "--params", "n=4,n=5"),
+            "parameter n given twice",
+        ),
     ],
     ids=[
         "chords",
@@ -106,6 +110,7 @@ def lsat_file(tmp_path):
         "params-sizes-underscore",
         "chords-underscore",
         "polyhedron-sizes-underscore",
+        "params-twice",
     ],
 )
 def test_malformed_value_names_parameter_and_form(capsys, p4_file, argv, message):

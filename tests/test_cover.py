@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -345,14 +346,14 @@ class TestSearchEntry:
     def test_first_cover_at_the_optimum_is_the_witness(self, case):
         c = code_clutter(case)
         full = min_cover(c)
-        found = _search(c, limit=full.value, first=True)
+        found = _search(c, limit=full.value)
         assert (found.value, found.witness) == (full.value, full.witness)
         assert found.nodes_explored < full.nodes_explored
 
     def test_first_takes_the_greedy_cover_within_the_limit(self):
         # cycle 32 LD: the greedy cover is optimal, so no walk runs
         c = build_clutter(cycle(32), CodeKind.LD)
-        found = _search(c, limit=13, first=True)
+        found = _search(c, limit=13)
         assert (found.value, found.witness, found.nodes_explored) == (13, greedy_cover(c), 0)
 
     def test_pinned_listing_is_min_covers(self):
@@ -392,12 +393,35 @@ class TestSearchEntry:
         assert (got.value, got.all_optima, got.truncated) == (21, want.all_optima, want.truncated)
         assert got.nodes_explored == nodes
 
-    @pytest.mark.parametrize("enumerate_all,first", [(False, True), (True, False)])
-    def test_a_wrong_optimum_is_caught(self, enumerate_all, first):
+    @pytest.mark.parametrize("enumerate_all", [False, True])
+    def test_a_wrong_optimum_is_caught(self, enumerate_all):
         c = code_clutter("path36-OTD")
         value = min_cover(c).value
         with pytest.raises(AssertionError, match="the optimum given is"):
-            _search(c, enumerate_all, limit=value - 1, first=first)
+            _search(c, enumerate_all, limit=value - 1)
+
+    def test_a_solve_leaves_nothing_for_the_cyclic_collector(self):
+        # the walk refers to itself, so its tables are freed only if the
+        # solve breaks that cycle; cycle 32 LD's greedy cover is optimal, so
+        # its listing walks twice
+        od, ld = build_clutter(cycle(30), CodeKind.OD), build_clutter(cycle(32), CodeKind.LD)
+        value = min_cover(od).value
+        solves = {
+            "value": lambda: min_cover(od),
+            "capped listing": lambda: min_cover(od, True, cap=3),
+            "full listing": lambda: min_cover(od, True),
+            "listing, greedy optimal": lambda: min_cover(ld, True),
+            "pinned value": lambda: _search(od, limit=value),
+            "pinned listing": lambda: _search(od, True, 3, limit=value),
+        }
+        gc.collect()
+        gc.disable()
+        try:
+            for mode, solve in solves.items():
+                solve()
+                assert gc.collect() == 0, mode
+        finally:
+            gc.enable()
 
 
 class TestFrontier:
@@ -415,7 +439,7 @@ class TestFrontier:
             ]
             tau = naive_min_cover(n, sets)[0]
             order = rng.sample(range(n), n)
-            assert _frontier([mask_of(e) for e in sets], [], order) == (tau, [])
+            assert _frontier([mask_of(e) for e in sets], [], order) == (tau, None)
 
     def test_spare_edges_against_the_scan(self):
         rng = random.Random(67)
@@ -435,7 +459,7 @@ class TestFrontier:
             want = naive_spare_covers(n, hard, spare)
             order = rng.sample(range(n), n)
             args = [mask_of(e) for e in hard], [mask_of(e) for e in spare], order
-            assert _frontier(*args) == (want[0], [])
+            assert _frontier(*args) == (want[0], None)
             assert _frontier(*args, cap=10_000) == want
             if len(want[1]) > 1:
                 seen["several optima"] += 1

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import subprocess
@@ -322,6 +323,17 @@ class TestEnumerator:
         text = "".join(format_lsat(inst) for inst in instances)
         assert len(instances) == count
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_a_sweep_leaves_nothing_for_the_cyclic_collector(self):
+        # the search refers to itself, so its symmetry lanes are freed only
+        # if the sweep breaks that cycle
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(list(enumerate_slsat(3, 4))) > 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_every_prefix_of_a_representative_is_canonical(self):
         # the early cut rests on this: a representative's lowest k clause
