@@ -188,20 +188,31 @@ def cmd_clutter(args):
     return 0, obj, "\n".join(lines)
 
 
-def _cover_fields(res, enumerate_all: bool) -> dict:
+def _cover_fields(res) -> dict:
     fields = {"value": res.value, "witness": sorted(res.witness)}
-    if enumerate_all:
+    if res.all_optima is not None:
         fields["optima"] = [sorted(w) for w in res.all_optima]
         fields["truncated"] = res.truncated
     return fields
 
 
+def _cap(args) -> int | None:
+    """The most optima to list: --cap, 10,000 by default, with --enumerate;
+    None without it, where --cap is refused."""
+    if args.enumerate:
+        return 10_000 if args.cap is None else args.cap
+    if args.cap is not None:
+        raise UsageError("--cap needs --enumerate")
+    return None
+
+
 def cmd_gamma(args):
+    cap = _cap(args)
     g = load_graph(_read(args.graph))
     kind = _kind(args.kind)
-    res = _solve(g, kind, args.cap if args.enumerate else None)
+    res = _solve(g, kind, cap)
     check_cover_codes(g, (res.witness, *(res.all_optima or ())), kind)
-    obj = {"command": "gamma", "kind": kind.value, **_cover_fields(res, args.enumerate)}
+    obj = {"command": "gamma", "kind": kind.value, **_cover_fields(res)}
     lines = [f"gamma[{obj['kind']}] = {obj['value']}", "witness: " + _join(obj["witness"])]
     if args.enumerate:
         lines.append(f"optima ({len(obj['optima'])}{', truncated' if obj['truncated'] else ''}):")
@@ -292,14 +303,15 @@ def cmd_sat_roundtrip(args):
 
 
 def cmd_tau(args):
+    cap = _cap(args)
     try:
         obj = json.loads(_read(args.clutter))
     except json.JSONDecodeError as exc:
         raise ClutterFormatError(f"invalid JSON: {exc}") from None
     c = clutter_from_json(obj)
-    res = min_cover(c, enumerate_all=args.enumerate, cap=args.cap)
+    res = min_cover(c, enumerate_all=args.enumerate, cap=cap)
     obj = {"command": "tau", "nodes_explored": res.nodes_explored}
-    obj.update(_cover_fields(res, args.enumerate))
+    obj.update(_cover_fields(res))
     text = f"tau = {obj['value']}\nwitness: {_join(obj['witness'])}"
     if args.enumerate:
         text += f"\noptima: {len(obj['optima'])}" + (" (truncated)" if obj["truncated"] else "")
@@ -369,7 +381,7 @@ def _section_kwargs(name: str, args) -> dict:
         return {"max_n": min(args.max_k, 10)}
     if name == "sat":
         return {"max_vars": 3 if args.max_k is None else args.max_k}
-    if name == "bounds":
+    if name == "bounds" and args.seed is not None:
         return {"seed": args.seed}
     return {}
 
@@ -383,6 +395,11 @@ def cmd_paper_report(args):
         raise UsageError(
             f"unknown section {args.section!r}; pick from {', '.join(reports.REPORT_SECTIONS)} or all"
         )
+    if args.section != "all":
+        for dest, readers in (("max_k", ("families", "qrose", "sat")), ("seed", ("bounds",))):
+            if getattr(args, dest) is not None and args.section not in readers:
+                flag = "--" + dest.replace("_", "-")
+                raise UsageError(f"{flag} is not valid with section {args.section}")
     if "sat" in names and (args.max_k or 0) > SAT_MAX_K:
         raise UsageError(f"--max-k for the sat section is at most {SAT_MAX_K}, got {args.max_k}")
     obj = {"command": "paper-report", "ok": True, "sections": []}
@@ -437,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--kind", default="OD")
     p.add_argument("--enumerate", action="store_true", help="list all optimal codes")
-    p.add_argument("--cap", type=_integer, default=10_000)
+    p.add_argument("--cap", type=_integer, help="most optima to list (default 10000)")
     add_json(p)
     p.set_defaults(fn=cmd_gamma)
 
@@ -468,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tau", help="minimum cover of a clutter JSON file")
     p.add_argument("clutter")
     p.add_argument("--enumerate", action="store_true")
-    p.add_argument("--cap", type=_integer, default=10_000)
+    p.add_argument("--cap", type=_integer, help="most optima to list (default 10000)")
     add_json(p)
     p.set_defaults(fn=cmd_tau)
 
@@ -487,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paper-report", help="recompute the published result tables")
     p.add_argument("section", help=f"one of {', '.join(reports.REPORT_SECTIONS)} or all")
     p.add_argument("--max-k", type=_integer, help="size cap for families/qrose/sat sections")
-    p.add_argument("--seed", type=_integer, default=reports.DEFAULT_SEED)
+    p.add_argument("--seed", type=_integer, help="random seed for the bounds section")
     p.add_argument("--verbose", action="store_true", help="print passing rows too")
     add_json(p)
     p.set_defaults(fn=cmd_paper_report)

@@ -115,10 +115,11 @@ def _solve(g: Graph, kind: CodeKind, cap: int | None = None) -> CoverResult:
     unless cap is None.
 
     Above BRUTE_FORCE_LIMIT, a graph with a narrow BFS order is solved by the
-    frontier DP over it, and one walk pinned at its value follows: it finds
-    the witness, the first cover of that size the walk meets, and it lists
-    the walk's first cap optima too when the DP did not list them.  A graph
-    that is not narrow, or whose DP passes its state cap, goes to min_cover.
+    frontier DP over it, which lists the optima up to cap in one pass back
+    along its links, and one walk pinned at its value follows: it finds the
+    witness, the first cover of that size the walk meets, and it lists the
+    walk's first cap optima too when the DP did not list them.  A graph that
+    is not narrow, or whose DP passes its state cap, goes to min_cover.
     """
     clutter = build_clutter(g, kind)  # raises on inadmissible graphs
     if cap is not None and cap < 1:
@@ -129,7 +130,7 @@ def _solve(g: Graph, kind: CodeKind, cap: int | None = None) -> CoverResult:
         result = min_cover(clutter, enumerate_all=cap is not None, cap=cap)
     else:
         value, optima = found
-        result = _search(clutter, cap is not None and optima is None, cap, limit=value)
+        result = _search(clutter, cap if optima is None else None, limit=value)
         if optima is not None:
             result = replace(result, all_optima=tuple(frozenset(bits(m)) for m in optima))
     check_cover_code(g, result.witness, kind)
@@ -231,7 +232,7 @@ def check_relations(g: Graph) -> tuple[RelationCheck, ...]:
             f"gamma_OTD={otd}, gamma_OD={od}",
         )
     else:
-        add("otd_sandwich", None, "graph has an isolated vertex")
+        add("otd_sandwich", None, "graph has an isolated vertex" if isolated else "graph is empty")
 
     if len(isolated) == 1 and g.n >= 2:
         rest = induced_subgraph(g, [v for v in range(g.n) if v != isolated[0]])
@@ -242,7 +243,13 @@ def check_relations(g: Graph) -> tuple[RelationCheck, ...]:
             f"gamma_OD={od}, gamma_OTD(without isolated)={otd_rest}",
         )
     else:
-        add("isolated_shift", None, "graph does not have exactly one isolated vertex")
+        add(
+            "isolated_shift",
+            None,
+            "graph has no vertex besides its isolated one"
+            if len(isolated) == 1
+            else "graph does not have exactly one isolated vertex",
+        )
 
     ld, _ = gamma(g, CodeKind.LD)
     add("ld_lower", ld <= od, f"gamma_LD={ld}, gamma_OD={od}")
@@ -251,7 +258,7 @@ def check_relations(g: Graph) -> tuple[RelationCheck, ...]:
         ltd, _ = gamma(g, CodeKind.LTD)
         add("ltd_lower", ltd - 1 <= od, f"gamma_LTD={ltd}, gamma_OD={od}")
     else:
-        add("ltd_lower", None, "graph has an isolated vertex")
+        add("ltd_lower", None, "graph has an isolated vertex" if isolated else "graph is empty")
 
     if not isolated and g.n >= 2:
         lo = math.ceil(math.log2(g.n))

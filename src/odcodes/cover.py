@@ -28,14 +28,15 @@ cover does a second walk run, pinned at the greedy size (its floor and its
 limit), and it stops at the (cap+1)-th optimum.  Everything is
 deterministic, so repeated solves yield identical witnesses and node counts.
 
-min_cover runs the walk through _search, which can also take the optimum
-as proven.  Since the leaves at or below a limit do not depend on how the
-limit moved, the walk pinned at the optimum meets min_cover's optima in
-min_cover's order: its first leaf is min_cover's witness, and its first cap
-leaves are min_cover's list.  _frontier is a second exact route, a DP over a
-vertex order, cheap when every edge spans few places of the order, which
-takes spare edges and lists every optimum up to a cap; the optima it does
-not list are None.
+min_cover runs the walk through _search, whose cap alone says whether it
+lists (None is a value walk), and which can also take the optimum as proven.
+Since the leaves at or below a limit do not depend on how the limit moved,
+the walk pinned at the optimum meets min_cover's optima in min_cover's
+order: its first leaf is min_cover's witness, and its first cap leaves are
+min_cover's list.  _frontier is a second exact route, a DP over a vertex
+order, cheap when every edge spans few places of the order, which takes
+spare edges and lists every optimum up to a cap in one pass back along its
+links; the optima it does not list are None.
 """
 
 from __future__ import annotations
@@ -104,16 +105,12 @@ def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> Cov
     """
     if enumerate_all and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    return _search(c, enumerate_all, cap)
+    return _search(c, cap if enumerate_all else None)
 
 
-def _search(
-    c: Clutter,
-    enumerate_all: bool = False,
-    cap: int = 10_000,
-    limit: int | None = None,
-) -> CoverResult:
-    """The walk behind min_cover, which calls it with the defaults.
+def _search(c: Clutter, cap: int | None = None, limit: int | None = None) -> CoverResult:
+    """The walk behind min_cover: a value walk when cap is None, else one
+    that lists the optima up to cap.
 
     limit, when given, is the optimum, proven on another route, and the
     walk's floor.  A value solve then ends at the first cover of that size
@@ -125,13 +122,13 @@ def _search(
     """
     masks = set(c.edges)
     if not masks:
-        return CoverResult(0, frozenset(), 0, (frozenset(),) if enumerate_all else None)
+        return CoverResult(0, frozenset(), 0, None if cap is None else (frozenset(),))
 
     greedy = mask_of(greedy_cover(c))
     witness, floor, nodes = greedy, 0, 0
     if limit is None:
         limit = greedy.bit_count() - 1
-    elif not enumerate_all and limit >= greedy.bit_count():
+    elif cap is None and limit >= greedy.bit_count():
         return CoverResult(greedy.bit_count(), frozenset(bits(greedy)), 0)
     else:
         floor = limit
@@ -145,13 +142,13 @@ def _search(
         # no more: a value walk at once, a listing walk past cap.
         nonlocal witness, limit, truncated
         if count < witness.bit_count():
-            witness, limit, truncated = selected, count if enumerate_all else count - 1, False
+            witness, limit, truncated = selected, count - 1 if cap is None else count, False
             optima[:] = [selected]
         elif len(optima) < cap:
             optima.append(selected)
         else:
             truncated, limit = True, count - 1
-        if count == floor and (truncated or not enumerate_all):
+        if count == floor and (truncated or cap is None):
             raise _Stop
 
     # Edge i is the i-th distinct mask by (size, mask).  hold[v] has the edges
@@ -293,13 +290,13 @@ def _search(
         raise AssertionError("solver returned a non-cover")
     if floor and witness.bit_count() != floor:
         raise AssertionError(f"the optimum given is {floor}, the walk's {witness.bit_count()}")
-    if enumerate_all and not optima:
+    if cap is not None and not optima:
         # No leaf beat the greedy cover: list the optima by a walk pinned at
         # its size.
         floor = limit = witness.bit_count()
         run()
     del walk  # it refers to itself; freed here, its tables need no gc pass
-    optima_out = tuple(frozenset(bits(m)) for m in sorted(optima)) if enumerate_all else None
+    optima_out = None if cap is None else tuple(frozenset(bits(m)) for m in sorted(optima))
     return CoverResult(witness.bit_count(), frozenset(bits(witness)), nodes, optima_out, truncated)
 
 
@@ -319,7 +316,9 @@ def _frontier(
     the same edges, and no optimum holds it.  Taking every other vertex hits
     each edge at its first vertex, so an end state is always reached.  With
     cap, optima are the sorted masks of the link paths from the empty state
-    to an end, counted first; without cap, or past it, they are None.
+    to an end, built in one pass back along the links that gives up as soon
+    as a step holds more than cap of their tails; without cap, or past it,
+    they are None.
     """
     firm = (1 << len(edges)) - 1  # the edges that must be hit
     edges = [*edges, *spare]
@@ -361,24 +360,20 @@ def _frontier(
     value = min(states.get(0, worse), states.get(flag, worse))
     if cap is None:
         return value, None
-    ends = [s for s in (0, flag) if states.get(s) == value]
-    # Walk the links back, first counting each state's paths on to an end,
-    # then carrying their masks, its tails.
-    paths = dict.fromkeys(ends, 1)
-    for _, links in trail[:0:-1]:
-        back: dict[int, int] = {}
-        for s, k in paths.items():
-            for p in links[s]:
-                back[p] = back.get(p, 0) + k
-        paths = back
-    if paths[0] > cap:
-        return value, None
-    tails = {s: [0] for s in ends}
+    # Walk the links back once, carrying each state's tails, the masks of its
+    # link paths on to an end.  Every state has a min-count link path from
+    # the empty state, so the tails held at a step never outnumber the
+    # optima, and at the empty state they are the optima.
+    tails = {s: [0] for s in (0, flag) if states.get(s) == value}
     for i in range(len(order), 0, -1):
         (before, _), (now, links), bit = trail[i - 1], trail[i], 1 << order[i - 1]
         heads: dict[int, list[int]] = {}
+        held = 0
         for s, masks in tails.items():
             for p in links[s]:
+                held += len(masks)
+                if held > cap:
+                    return value, None
                 grown = [m | bit for m in masks] if now[s] > before[p] else masks
                 heads.setdefault(p, []).extend(grown)
         tails = heads

@@ -187,6 +187,43 @@ def test_empty_polyhedron_sizes_is_refused(capsys):
     assert refusal(capsys, *argv) == (2, "usage", message)
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("gamma", "{graph}", "--cap", "0"), "--cap needs --enumerate"),
+        (("gamma", "{graph}", "--cap", "5"), "--cap needs --enumerate"),
+        (("tau", "{clutter}", "--cap", "-3"), "--cap needs --enumerate"),
+        (("paper-report", "p4", "--max-k", "3"), "--max-k is not valid with section p4"),
+        (("paper-report", "bounds", "--max-k", "3"), "--max-k is not valid with section bounds"),
+        (("paper-report", "families", "--seed", "1"), "--seed is not valid with section families"),
+        (("paper-report", "oracle", "--seed", "1"), "--seed is not valid with section oracle"),
+    ],
+    ids=[
+        "gamma-cap-zero",
+        "gamma-cap",
+        "tau-cap-negative",
+        "p4-max-k",
+        "bounds-max-k",
+        "families-seed",
+        "oracle-seed",
+    ],
+)
+def test_option_the_command_does_not_read_is_refused(
+    capsys, monkeypatch, p4_file, tmp_path, argv, message
+):
+    from odcodes import reports
+
+    def must_not_run(**kwargs):
+        raise AssertionError("a section ran")
+
+    for name in reports.REPORT_SECTIONS:
+        monkeypatch.setitem(reports.REPORT_SECTIONS, name, must_not_run)
+    clutter = tmp_path / "c.json"
+    clutter.write_text('{"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}')
+    argv = [a.format(graph=p4_file, clutter=clutter) for a in argv]
+    assert refusal(capsys, *argv) == (2, "usage", message)
+
+
 class TestGenerate:
     def test_text_output_with_roles(self, capsys):
         code, out, _ = run(capsys, "generate", "--family", "half-graph", "--params", "k=2")
@@ -721,6 +758,35 @@ class TestPaperReport:
         monkeypatch.setitem(reports.REPORT_SECTIONS, "sat", sat)
         assert run(capsys, "paper-report", "sat", "--max-k", "6")[0] == 0
         assert calls == [{"max_vars": 6}]
+
+    def test_each_section_gets_only_the_options_given(self, capsys, monkeypatch):
+        # bounds without --seed falls back on its own default seed; all
+        # reads both options
+        from odcodes import reports
+
+        calls = {}
+        row = reports.ReportRow("row", "1", "1", True)
+
+        def recorder(name):
+            def section(**kwargs):
+                calls[name] = kwargs
+                return reports.Report(name, (row,))
+
+            return section
+
+        for name in reports.REPORT_SECTIONS:
+            monkeypatch.setitem(reports.REPORT_SECTIONS, name, recorder(name))
+        assert run(capsys, "paper-report", "bounds")[0] == 0
+        assert calls == {"bounds": {}}
+        calls.clear()
+        assert run(capsys, "paper-report", "all", "--max-k", "2", "--seed", "5")[0] == 0
+        assert {name: kw for name, kw in calls.items() if kw} == {
+            "families": {"max_n": 2},
+            "qrose": {"max_n": 2},
+            "sat": {"max_vars": 2},
+            "bounds": {"seed": 5},
+        }
+        assert set(calls) == set(reports.REPORT_SECTIONS)
 
 
 class TestDeterminism:

@@ -616,6 +616,26 @@ class TestRelations:
         assert checks["ltd_lower"].status == "not-applicable"
         assert checks["order_bounds"].status == "not-applicable"
 
+    def test_tiny_graphs_name_the_condition_that_fails(self):
+        # the empty graph has no isolated vertex; K1 has exactly one, and no
+        # other vertex is left once it is removed
+        details = {
+            n: {c.name: (c.status, c.detail) for c in check_relations(Graph.from_edges(n, []))}
+            for n in (0, 1)
+        }
+        skip = "not-applicable"
+        assert details[0]["otd_sandwich"] == details[0]["ltd_lower"] == (skip, "graph is empty")
+        assert details[0]["isolated_shift"] == (
+            skip, "graph does not have exactly one isolated vertex"
+        )
+        assert details[1]["otd_sandwich"] == details[1]["ltd_lower"] == (
+            skip, "graph has an isolated vertex"
+        )
+        assert details[1]["isolated_shift"] == (
+            skip, "graph has no vertex besides its isolated one"
+        )
+        assert details[0]["ld_lower"][0] == details[1]["ld_lower"][0] == "pass"
+
     def test_random_suite_all_pass(self):
         rng = random.Random(107)
         for _ in range(25):

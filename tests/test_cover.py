@@ -376,7 +376,7 @@ class TestSearchEntry:
             seen["greedy optimal" if greedy_optimal else "greedy not optimal"] += 1
             for cap in (1, 2, 5, 100):
                 want = min_cover(c, enumerate_all=True, cap=cap)
-                got = _search(c, True, cap, limit=value)
+                got = _search(c, cap, limit=value)
                 assert (got.value, got.witness, got.all_optima, got.truncated) == (
                     want.value, want.witness, want.all_optima, want.truncated
                 ), (case, cap)
@@ -389,7 +389,7 @@ class TestSearchEntry:
         # nodes; pinned at 21, the walk ends at the (cap+1)-th optimum.
         c = code_clutter("cycle32-OD")
         want = min_cover(c, enumerate_all=True, cap=cap)
-        got = _search(c, True, cap, limit=21)
+        got = _search(c, cap, limit=21)
         assert (got.value, got.all_optima, got.truncated) == (21, want.all_optima, want.truncated)
         assert got.nodes_explored == nodes
 
@@ -398,7 +398,7 @@ class TestSearchEntry:
         c = code_clutter("path36-OTD")
         value = min_cover(c).value
         with pytest.raises(AssertionError, match="the optimum given is"):
-            _search(c, enumerate_all, limit=value - 1)
+            _search(c, 10_000 if enumerate_all else None, limit=value - 1)
 
     def test_a_solve_leaves_nothing_for_the_cyclic_collector(self):
         # the walk refers to itself, so its tables are freed only if the
@@ -412,7 +412,7 @@ class TestSearchEntry:
             "full listing": lambda: min_cover(od, True),
             "listing, greedy optimal": lambda: min_cover(ld, True),
             "pinned value": lambda: _search(od, limit=value),
-            "pinned listing": lambda: _search(od, True, 3, limit=value),
+            "pinned listing": lambda: _search(od, 3, limit=value),
         }
         gc.collect()
         gc.disable()
