@@ -25,7 +25,7 @@ from .clutters import (
     clutter_from_json,
     clutter_to_json,
 )
-from .codes import _solve, check_cover_codes, check_relations, verify
+from .codes import DEFAULT_CAP, _solve, check_cover_codes, check_relations, verify
 from .cover import min_cover, qrose_clutter
 from .families import FAMILIES, FamilySpec, generate
 from .graphs import (
@@ -197,10 +197,10 @@ def _cover_fields(res) -> dict:
 
 
 def _cap(args) -> int | None:
-    """The most optima to list: --cap, 10,000 by default, with --enumerate;
-    None without it, where --cap is refused."""
+    """The most optima to list: --cap, DEFAULT_CAP by default, with
+    --enumerate; None without it, where --cap is refused."""
     if args.enumerate:
-        return 10_000 if args.cap is None else args.cap
+        return DEFAULT_CAP if args.cap is None else args.cap
     if args.cap is not None:
         raise UsageError("--cap needs --enumerate")
     return None
@@ -214,7 +214,7 @@ def cmd_gamma(args):
     check_cover_codes(g, (res.witness, *(res.all_optima or ())), kind)
     obj = {"command": "gamma", "kind": kind.value, **_cover_fields(res)}
     lines = [f"gamma[{obj['kind']}] = {obj['value']}", "witness: " + _join(obj["witness"])]
-    if args.enumerate:
+    if "optima" in obj:
         lines.append(f"optima ({len(obj['optima'])}{', truncated' if obj['truncated'] else ''}):")
         lines += ["  " + _join(w) for w in obj["optima"]]
     return 0, obj, "\n".join(lines)
@@ -309,11 +309,10 @@ def cmd_tau(args):
     except json.JSONDecodeError as exc:
         raise ClutterFormatError(f"invalid JSON: {exc}") from None
     c = clutter_from_json(obj)
-    res = min_cover(c, enumerate_all=args.enumerate, cap=cap)
-    obj = {"command": "tau", "nodes_explored": res.nodes_explored}
-    obj.update(_cover_fields(res))
+    res = min_cover(c, cap)
+    obj = {"command": "tau", "nodes_explored": res.nodes_explored, **_cover_fields(res)}
     text = f"tau = {obj['value']}\nwitness: {_join(obj['witness'])}"
-    if args.enumerate:
+    if "optima" in obj:
         text += f"\noptima: {len(obj['optima'])}" + (" (truncated)" if obj["truncated"] else "")
     return 0, obj, text
 
@@ -374,16 +373,20 @@ def cmd_polyhedron(args):
     return (0 if all(checks.values()) else 1), obj, "\n".join(lines)
 
 
+# the option each paper-report section reads, and the keywords its value (None if unset) gives
+SECTION_OPTIONS = {
+    "families": ("max_k", lambda k: {} if k is None else {"max_n": k}),
+    "qrose": ("max_k", lambda k: {} if k is None else {"max_n": min(k, 10)}),
+    "sat": ("max_k", lambda k: {"max_vars": 3 if k is None else k}),
+    "bounds": ("seed", lambda seed: {} if seed is None else {"seed": seed}),
+}
+
+
 def _section_kwargs(name: str, args) -> dict:
-    if name == "families" and args.max_k is not None:
-        return {"max_n": args.max_k}
-    if name == "qrose" and args.max_k is not None:
-        return {"max_n": min(args.max_k, 10)}
-    if name == "sat":
-        return {"max_vars": 3 if args.max_k is None else args.max_k}
-    if name == "bounds" and args.seed is not None:
-        return {"seed": args.seed}
-    return {}
+    if name not in SECTION_OPTIONS:
+        return {}
+    dest, kwargs = SECTION_OPTIONS[name]
+    return kwargs(getattr(args, dest))
 
 
 def cmd_paper_report(args):
@@ -396,8 +399,9 @@ def cmd_paper_report(args):
             f"unknown section {args.section!r}; pick from {', '.join(reports.REPORT_SECTIONS)} or all"
         )
     if args.section != "all":
-        for dest, readers in (("max_k", ("families", "qrose", "sat")), ("seed", ("bounds",))):
-            if getattr(args, dest) is not None and args.section not in readers:
+        read = SECTION_OPTIONS.get(args.section, (None,))[0]
+        for dest in ("max_k", "seed"):
+            if getattr(args, dest) is not None and dest != read:
                 flag = "--" + dest.replace("_", "-")
                 raise UsageError(f"{flag} is not valid with section {args.section}")
     if "sat" in names and (args.max_k or 0) > SAT_MAX_K:
@@ -454,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--kind", default="OD")
     p.add_argument("--enumerate", action="store_true", help="list all optimal codes")
-    p.add_argument("--cap", type=_integer, help="most optima to list (default 10000)")
+    p.add_argument("--cap", type=_integer, help=f"most optima to list (default {DEFAULT_CAP})")
     add_json(p)
     p.set_defaults(fn=cmd_gamma)
 
@@ -485,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tau", help="minimum cover of a clutter JSON file")
     p.add_argument("clutter")
     p.add_argument("--enumerate", action="store_true")
-    p.add_argument("--cap", type=_integer, help="most optima to list (default 10000)")
+    p.add_argument("--cap", type=_integer, help=f"most optima to list (default {DEFAULT_CAP})")
     add_json(p)
     p.set_defaults(fn=cmd_tau)
 

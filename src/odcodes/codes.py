@@ -22,6 +22,7 @@ from .graphs import CodeKind, Graph, bits, code_masks, induced_subgraph, mask_of
 
 MAX_VIOLATIONS = 100  # cap per violation list in a report
 BRUTE_FORCE_LIMIT = 20
+DEFAULT_CAP = 10_000  # the most optima a listing holds unless told otherwise
 NARROW_WIDTH = 4  # the widest span of a graph edge in a narrow BFS order
 
 
@@ -103,7 +104,7 @@ def gamma(g: Graph, kind: CodeKind) -> tuple[int, frozenset[int]]:
 
 
 def gamma_all_optima(
-    g: Graph, kind: CodeKind, cap: int = 10_000
+    g: Graph, kind: CodeKind, cap: int = DEFAULT_CAP
 ) -> tuple[int, tuple[frozenset[int], ...], bool]:
     """Minimum code size with every optimal code (up to cap), plus truncation flag."""
     result = _solve(g, kind, cap)
@@ -127,7 +128,7 @@ def _solve(g: Graph, kind: CodeKind, cap: int | None = None) -> CoverResult:
     order = _narrow_order(g) if g.n > BRUTE_FORCE_LIMIT else None
     found = _frontier(*_dp_edges(g, kind, clutter), order, cap) if order else None
     if found is None:
-        result = min_cover(clutter, enumerate_all=cap is not None, cap=cap)
+        result = min_cover(clutter, cap=cap)
     else:
         value, optima = found
         result = _search(clutter, cap if optima is None else None, limit=value)
@@ -224,15 +225,14 @@ def check_relations(g: Graph) -> tuple[RelationCheck, ...]:
         status = "not-applicable" if ok is None else ("pass" if ok else "fail")
         checks.append(RelationCheck(name, status, detail))
 
-    if not isolated and g.n >= 1:
-        otd, _ = gamma(g, CodeKind.OTD)
-        add(
-            "otd_sandwich",
-            otd - 1 <= od <= otd,
-            f"gamma_OTD={otd}, gamma_OD={od}",
-        )
-    else:
-        add("otd_sandwich", None, "graph has an isolated vertex" if isolated else "graph is empty")
+    def add_total(name: str, kind: CodeKind, holds) -> None:
+        if isolated or not g.n:
+            add(name, None, "graph has an isolated vertex" if isolated else "graph is empty")
+        else:
+            value, _ = gamma(g, kind)
+            add(name, holds(value), f"gamma_{kind.value}={value}, gamma_OD={od}")
+
+    add_total("otd_sandwich", CodeKind.OTD, lambda otd: otd - 1 <= od <= otd)
 
     if len(isolated) == 1 and g.n >= 2:
         rest = induced_subgraph(g, [v for v in range(g.n) if v != isolated[0]])
@@ -254,11 +254,7 @@ def check_relations(g: Graph) -> tuple[RelationCheck, ...]:
     ld, _ = gamma(g, CodeKind.LD)
     add("ld_lower", ld <= od, f"gamma_LD={ld}, gamma_OD={od}")
 
-    if not isolated and g.n >= 1:
-        ltd, _ = gamma(g, CodeKind.LTD)
-        add("ltd_lower", ltd - 1 <= od, f"gamma_LTD={ltd}, gamma_OD={od}")
-    else:
-        add("ltd_lower", None, "graph has an isolated vertex" if isolated else "graph is empty")
+    add_total("ltd_lower", CodeKind.LTD, lambda ltd: ltd - 1 <= od)
 
     if not isolated and g.n >= 2:
         lo = math.ceil(math.log2(g.n))

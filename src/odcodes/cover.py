@@ -28,8 +28,8 @@ cover does a second walk run, pinned at the greedy size (its floor and its
 limit), and it stops at the (cap+1)-th optimum.  Everything is
 deterministic, so repeated solves yield identical witnesses and node counts.
 
-min_cover runs the walk through _search, whose cap alone says whether it
-lists (None is a value walk), and which can also take the optimum as proven.
+min_cover and _search take one switch, cap: None is a value walk, and an
+int lists the optima up to cap.  _search can also take the optimum as proven.
 Since the leaves at or below a limit do not depend on how the limit moved,
 the walk pinned at the optimum meets min_cover's optima in min_cover's
 order: its first leaf is min_cover's witness, and its first cap leaves are
@@ -98,14 +98,14 @@ class _Stop(Exception):
     walk's first, or a listing walk's (cap+1)-th, which truncates the list."""
 
 
-def min_cover(c: Clutter, enumerate_all: bool = False, cap: int = 10_000) -> CoverResult:
-    """Exact minimum cover; with enumerate_all, every optimum up to cap.
+def min_cover(c: Clutter, cap: int | None = None) -> CoverResult:
+    """Exact minimum cover; with cap, every optimum up to cap as well.
 
     nodes_explored counts the nodes of every walk the solve ran.
     """
-    if enumerate_all and cap < 1:
+    if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    return _search(c, cap if enumerate_all else None)
+    return _search(c, cap)
 
 
 def _search(c: Clutter, cap: int | None = None, limit: int | None = None) -> CoverResult:

@@ -126,8 +126,8 @@ def report_table1() -> Report:
 # -- criterion 3: family formulas ------------------------------------------------------
 
 
-def _partitions(max_total: int, min_parts: int, min_part: int = 2):
-    """Sorted part tuples with every part >= min_part and sum <= max_total."""
+def _partitions(max_total: int, min_parts: int):
+    """Sorted part tuples with every part >= 2 and sum <= max_total."""
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], low: int, total: int) -> None:
@@ -138,7 +138,7 @@ def _partitions(max_total: int, min_parts: int, min_part: int = 2):
             rec(prefix, part, total + part)
             prefix.pop()
 
-    rec([], min_part, 0)
+    rec([], 2, 0)
     return out
 
 

@@ -144,14 +144,16 @@ def _reference_greedy(masks):
     return chosen
 
 
-def reference_min_cover(c, enumerate_all=False, cap=10_000):
+def reference_min_cover(c, cap=None):
     """The list-based branch and bound that predates the packed-edge search.
 
     Kept verbatim in behaviour (same greedy incumbent, same absorb / sort /
     packing bound / branch order, same node counting) so the library's search
-    can be required to walk exactly the same tree.  Returns the tuple
+    can be required to walk exactly the same tree; it lists the optima up to
+    cap unless cap is None.  Returns the tuple
     (value, witness, nodes_explored, all_optima, truncated).
     """
+    enumerate_all = cap is not None
 
     def members(mask):
         return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)

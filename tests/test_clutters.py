@@ -14,6 +14,7 @@ from odcodes.clutters import (
     forced_vertices_direct,
     reduce_hypergraph,
 )
+from odcodes.codes import DEFAULT_CAP
 from odcodes.cover import min_cover
 from odcodes.graphs import CodeKind, Graph, bits, is_admissible, mask_of
 from oracles import naive_gamma, reference_reduce_hypergraph
@@ -288,7 +289,7 @@ class TestTauPreservation:
             if not is_admissible(g, CodeKind.OD).ok:
                 continue
             c = build_clutter(g, CodeKind.OD)
-            res = min_cover(c, enumerate_all=True)
+            res = min_cover(c, cap=DEFAULT_CAP)
             for opt in res.all_optima:
                 assert c.f1 <= opt
                 assert not (c.v0 & opt)

@@ -13,6 +13,7 @@ from odcodes.clutters import (
     forced_vertices_direct,
 )
 from odcodes.codes import (
+    DEFAULT_CAP,
     brute_force_gamma,
     check_cover_codes,
     check_relations,
@@ -360,7 +361,7 @@ class TestNarrowRoute:
             for kind in CodeKind:
                 if not is_admissible(g, kind).ok:
                     continue
-                want = min_cover(build_clutter(g, kind), enumerate_all=True)
+                want = min_cover(build_clutter(g, kind), cap=DEFAULT_CAP)
                 got = gamma_all_optima(g, kind)
                 assert got == (want.value, want.all_optima, want.truncated), (g, kind)
                 listed += len(got[1])
@@ -374,7 +375,7 @@ class TestNarrowRoute:
             order = codes._narrow_order(g)
             for kind in (CodeKind.OD, CodeKind.OTD, CodeKind.LD):
                 clutter = build_clutter(g, kind)
-                walk = min_cover(clutter, enumerate_all=True)
+                walk = min_cover(clutter, cap=DEFAULT_CAP)
                 dp = cover._frontier(*codes._dp_edges(g, kind, clutter), order, cap=10_000)
                 assert (walk.value, walk.all_optima, walk.truncated) == (
                     dp[0],
@@ -386,7 +387,7 @@ class TestNarrowRoute:
         g = relabelled(cycle_graph(28), 1)
         assert len(gamma_all_optima(g, CodeKind.OD)[1]) == 2_800
         assert not walks
-        want = min_cover(build_clutter(g, CodeKind.OD), enumerate_all=True, cap=100)
+        want = min_cover(build_clutter(g, CodeKind.OD), cap=100)
         got = gamma_all_optima(g, CodeKind.OD, cap=100)
         assert got == (want.value, want.all_optima, True) and len(got[1]) == 100
         assert len(walks) == 0
@@ -394,7 +395,7 @@ class TestNarrowRoute:
     @pytest.mark.parametrize("cap", [1, 2, 5, 100])
     def test_capped_listing_is_min_covers(self, cap, monkeypatch):
         def check(g, kind):
-            want = min_cover(build_clutter(g, kind), enumerate_all=True, cap=cap)
+            want = min_cover(build_clutter(g, kind), cap=cap)
             got = gamma_all_optima(g, kind, cap)
             assert got == (want.value, want.all_optima, want.truncated), (g, kind)
             return got[2]
@@ -434,7 +435,7 @@ class TestNarrowRoute:
 
     def test_listing_past_the_state_cap_is_the_walks(self, monkeypatch, walks):
         g = relabelled(cycle_graph(26), 1)
-        want = min_cover(build_clutter(g, CodeKind.OD), enumerate_all=True)
+        want = min_cover(build_clutter(g, CodeKind.OD), cap=DEFAULT_CAP)
         monkeypatch.setattr(cover, "STATE_CAP", 1)
         assert gamma_all_optima(g, CodeKind.OD) == (want.value, want.all_optima, want.truncated)
         assert len(walks) == 1
@@ -529,7 +530,7 @@ class TestCliGamma:
         def walked(g, kind, cap=None):
             # text and --json render one result, so each walk runs once
             if cap not in results:
-                results[cap] = min_cover(clutter) if cap is None else min_cover(clutter, True, cap)
+                results[cap] = min_cover(clutter, cap=cap)
             return results[cap]
 
         with monkeypatch.context() as patch:

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from odcodes.clutters import Clutter, build_clutter, clutter_from_json, reduce_hypergraph
+from odcodes.codes import DEFAULT_CAP
 from odcodes.cover import (
     CoverResult,
     _frontier,
@@ -101,13 +102,13 @@ class TestMinCover:
         assert min_cover(build_clutter(thick_spider(4), CodeKind.OD)).value == 5
 
     def test_empty(self):
-        res = min_cover(clutter_of(3), enumerate_all=True)
+        res = min_cover(clutter_of(3), cap=DEFAULT_CAP)
         assert res == CoverResult(0, frozenset(), 0, (frozenset(),))
 
-    @pytest.mark.parametrize("enumerate_all", [False, True])
-    def test_empty_edge_rejected(self, enumerate_all):
+    @pytest.mark.parametrize("cap", [None, DEFAULT_CAP])
+    def test_empty_edge_rejected(self, cap):
         with pytest.raises(ValueError, match="^clutter has an empty edge$"):
-            min_cover(clutter_of(2, set(), {0, 1}), enumerate_all=enumerate_all)
+            min_cover(clutter_of(2, set(), {0, 1}), cap=cap)
 
     def test_witness_is_cover_of_claimed_size(self):
         rng = random.Random(67)
@@ -140,15 +141,15 @@ class TestMinCover:
 
     def test_deterministic(self):
         c = build_clutter(complete(6), CodeKind.OD)
-        a = min_cover(c, enumerate_all=True)
-        b = min_cover(c, enumerate_all=True)
+        a = min_cover(c, cap=DEFAULT_CAP)
+        b = min_cover(c, cap=DEFAULT_CAP)
         assert a == b
 
 
 class TestEnumeration:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_clique_optima_are_all_n_minus_1_subsets(self, n):
-        res = min_cover(build_clutter(complete(n), CodeKind.OD), enumerate_all=True)
+        res = min_cover(build_clutter(complete(n), CodeKind.OD), cap=DEFAULT_CAP)
         assert len(res.all_optima) == n
         full = frozenset(range(n))
         assert set(res.all_optima) == {full - {v} for v in full}
@@ -161,7 +162,7 @@ class TestEnumeration:
                 set(rng.sample(range(n), rng.randint(1, min(3, n))))
                 for _ in range(rng.randint(1, 8))
             ]
-            res = min_cover(clutter_of(n, *sets), enumerate_all=True)
+            res = min_cover(clutter_of(n, *sets), cap=DEFAULT_CAP)
             assert len(set(res.all_optima)) == len(res.all_optima)
             for opt in res.all_optima:
                 assert len(opt) == res.value
@@ -176,17 +177,19 @@ class TestEnumeration:
             assert count == len(res.all_optima)
 
     def test_cap_truncates(self):
-        res = min_cover(build_clutter(complete(6), CodeKind.OD), enumerate_all=True, cap=3)
+        c = build_clutter(complete(6), CodeKind.OD)
+        res = min_cover(c, cap=3)
         assert res.truncated and len(res.all_optima) == 3
+        assert min_cover(c, 3) == res  # the cap is the second positional argument
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_below_one_rejected(self, cap):
         c = clutter_of(3, {0, 1}, {1, 2})
         with pytest.raises(ValueError, match="cap must be at least 1"):
-            min_cover(c, enumerate_all=True, cap=cap)
+            min_cover(c, cap=cap)
         with pytest.raises(ValueError, match="cap must be at least 1"):
-            min_cover(Clutter(3, (), ()), enumerate_all=True, cap=cap)
-        assert min_cover(c, cap=cap).value == 1  # the cap only bounds enumeration
+            min_cover(Clutter(3, (), ()), cap=cap)
+        assert min_cover(c).value == 1  # the value walk reads no cap
 
 
 class TestEnumerationProperties:
@@ -202,7 +205,7 @@ class TestEnumerationProperties:
             n = data.draw(st.integers(1, 10))
             masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=16))
             sets = [set(bits(m)) for m in masks]
-            res = min_cover(clutter_of(n, *sets), enumerate_all=True)
+            res = min_cover(clutter_of(n, *sets), cap=DEFAULT_CAP)
             smallest = [x for x in all_covers(n, sets) if x.bit_count() == res.value]
             assert not res.truncated
             assert [mask_of(opt) for opt in res.all_optima] == smallest
@@ -251,7 +254,7 @@ class TestSameResultsAsReference:
                 ]
                 c = clutter_of(n, *sets)
                 against_reference(c)
-                against_reference(c, enumerate_all=True, cap=rng.choice([1, 2, 5, 10_000]))
+                against_reference(c, cap=rng.choice([1, 2, 5, 10_000]))
 
     @pytest.mark.parametrize("case", list(CODE_CLUTTERS))
     def test_code_clutters(self, case):
@@ -265,7 +268,7 @@ class TestSameResultsAsReference:
     def test_budget_one_root_is_settled_in_one_node(self):
         # One edge and a greedy cover of one vertex: each pass ends at the
         # root, the enumeration handing on all three vertices of the edge.
-        res, reference_nodes = against_reference(clutter_of(3, {0, 1, 2}), enumerate_all=True)
+        res, reference_nodes = against_reference(clutter_of(3, {0, 1, 2}), cap=DEFAULT_CAP)
         assert (res.nodes_explored, reference_nodes) == (2, 6)
 
     def test_budget_two_root_without_a_finishing_pair_is_pruned(self):
@@ -277,7 +280,7 @@ class TestSameResultsAsReference:
 
     def test_truncated_enumeration(self):
         c = build_clutter(complete(6), CodeKind.OD)
-        res, _ = against_reference(c, enumerate_all=True, cap=3)
+        res, _ = against_reference(c, cap=3)
         assert res.truncated
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 4])
@@ -285,7 +288,7 @@ class TestSameResultsAsReference:
         # K6's OD clutter is every pair, so each optimum's last vertex comes
         # from a budget-one node, and those leaves are handed on lowest first.
         c = build_clutter(complete(6), CodeKind.OD)
-        res, _ = against_reference(c, enumerate_all=True, cap=cap)
+        res, _ = against_reference(c, cap=cap)
         full = frozenset(range(6))
         assert res.truncated
         assert res.all_optima == tuple(full - {v} for v in range(5, 5 - cap, -1))
@@ -298,7 +301,7 @@ class TestSameResultsAsReference:
             15, {9, 13}, {8, 14, 6}, {0, 11, 12}, {10, 4, 5, 7}, {9, 10, 4, 7}, {0, 9, 3, 6},
             {3, 14}, {2, 3, 13}, {8, 1, 11, 13}, {0, 9, 2}, {1, 4},
         )
-        res, _ = against_reference(c, enumerate_all=True, cap=1)
+        res, _ = against_reference(c, cap=1)
         assert (res.value, len(res.all_optima), res.truncated) == (4, 1, False)
 
 
@@ -308,7 +311,7 @@ class TestOneEnumerationWalk:
     def test_greedy_not_optimal_saves_the_second_walk(self):
         # cycle 32 OD: greedy takes 23 vertices, the optimum is 21; the two
         # walks of the value-then-enumerate search visited 18,402 nodes.
-        res = min_cover(build_clutter(cycle(32), CodeKind.OD), enumerate_all=True, cap=100_000)
+        res = min_cover(build_clutter(cycle(32), CodeKind.OD), cap=100_000)
         assert (res.value, len(res.all_optima)) == (21, 352)
         assert res.nodes_explored < 18_402
 
@@ -316,14 +319,14 @@ class TestOneEnumerationWalk:
         # With cap = 1 the second optimum truncates the list, and from there
         # the walk prunes as the value pass does and visits the same nodes.
         c = build_clutter(cycle(32), CodeKind.OD)
-        res = min_cover(c, enumerate_all=True, cap=1)
+        res = min_cover(c, cap=1)
         assert res.truncated
         assert res.nodes_explored == min_cover(c).nodes_explored == 4_631
 
     def test_greedy_optimal_keeps_the_pinned_walk(self):
         # cycle 32 LD: greedy takes 13 vertices, which is optimal, so the
         # optima come from a second walk pinned at 13.
-        res = min_cover(build_clutter(cycle(32), CodeKind.LD), enumerate_all=True, cap=100_000)
+        res = min_cover(build_clutter(cycle(32), CodeKind.LD), cap=100_000)
         assert (res.value, len(res.all_optima), res.nodes_explored) == (13, 32, 7_002)
 
     @pytest.mark.parametrize(
@@ -332,7 +335,7 @@ class TestOneEnumerationWalk:
     def test_pinned_walk_stops_at_the_optimum_past_cap(self, cap, optima, truncated, nodes):
         # In the walk pinned at the proven optimum, the (cap+1)-th optimum
         # ends the walk; dropping the limit there would visit more nodes.
-        res = min_cover(build_clutter(cycle(32), CodeKind.LD), enumerate_all=True, cap=cap)
+        res = min_cover(build_clutter(cycle(32), CodeKind.LD), cap=cap)
         assert (res.value, len(res.all_optima), res.truncated) == (13, optima, truncated)
         assert res.nodes_explored == nodes
 
@@ -375,7 +378,7 @@ class TestSearchEntry:
             greedy_optimal = len(greedy_cover(c)) == value
             seen["greedy optimal" if greedy_optimal else "greedy not optimal"] += 1
             for cap in (1, 2, 5, 100):
-                want = min_cover(c, enumerate_all=True, cap=cap)
+                want = min_cover(c, cap=cap)
                 got = _search(c, cap, limit=value)
                 assert (got.value, got.witness, got.all_optima, got.truncated) == (
                     want.value, want.witness, want.all_optima, want.truncated
@@ -388,17 +391,17 @@ class TestSearchEntry:
         # cycle 32 OD: min_cover's listing visits 4,631, 4,643 and 13,773
         # nodes; pinned at 21, the walk ends at the (cap+1)-th optimum.
         c = code_clutter("cycle32-OD")
-        want = min_cover(c, enumerate_all=True, cap=cap)
+        want = min_cover(c, cap=cap)
         got = _search(c, cap, limit=21)
         assert (got.value, got.all_optima, got.truncated) == (21, want.all_optima, want.truncated)
         assert got.nodes_explored == nodes
 
-    @pytest.mark.parametrize("enumerate_all", [False, True])
-    def test_a_wrong_optimum_is_caught(self, enumerate_all):
+    @pytest.mark.parametrize("cap", [None, DEFAULT_CAP])
+    def test_a_wrong_optimum_is_caught(self, cap):
         c = code_clutter("path36-OTD")
         value = min_cover(c).value
         with pytest.raises(AssertionError, match="the optimum given is"):
-            _search(c, 10_000 if enumerate_all else None, limit=value - 1)
+            _search(c, cap, limit=value - 1)
 
     def test_a_solve_leaves_nothing_for_the_cyclic_collector(self):
         # the walk refers to itself, so its tables are freed only if the
@@ -408,9 +411,9 @@ class TestSearchEntry:
         value = min_cover(od).value
         solves = {
             "value": lambda: min_cover(od),
-            "capped listing": lambda: min_cover(od, True, cap=3),
-            "full listing": lambda: min_cover(od, True),
-            "listing, greedy optimal": lambda: min_cover(ld, True),
+            "capped listing": lambda: min_cover(od, cap=3),
+            "full listing": lambda: min_cover(od, cap=DEFAULT_CAP),
+            "listing, greedy optimal": lambda: min_cover(ld, cap=DEFAULT_CAP),
             "pinned value": lambda: _search(od, limit=value),
             "pinned listing": lambda: _search(od, 3, limit=value),
         }
@@ -497,7 +500,7 @@ class TestBareJsonClutters:
     def test_min_cover_same_as_reference(self):
         for c in self.corpus():
             against_reference(c)
-            against_reference(c, enumerate_all=True)
+            against_reference(c, cap=DEFAULT_CAP)
 
 
 # SHA-256 of the rows that test_results_beyond_the_reference_are_pinned
@@ -515,7 +518,7 @@ def test_results_beyond_the_reference_are_pinned():
                 rows.append([family, n, kind.name, res.value, sorted(res.witness)])
     for n in (24, 28, 30):
         for kind in (CodeKind.OD, CodeKind.LD):
-            res = min_cover(build_clutter(cycle(n), kind), enumerate_all=True, cap=100_000)
+            res = min_cover(build_clutter(cycle(n), kind), cap=100_000)
             optima = [sorted(s) for s in res.all_optima]
             rows.append(["cycle-all", n, kind.name, res.value, len(optima), optima])
     digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
