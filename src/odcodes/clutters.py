@@ -106,13 +106,10 @@ def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
     separation or domination edge would otherwise appear).
     """
     require_admissible(g, kind)
-    dom, sep = code_masks(g, kind)
+    dom, sep, own = code_masks(g, kind)
     tag = "N[{}]" if kind.domination == "closed" else "N({})"
     masks = list(dom)
     sources = [tag.format(v) for v in range(g.n)]
-    # a locating pair is only constrained while both lie outside the code,
-    # so membership of u or v discharges it
-    own = [1 << v if kind.separation == "locating" else 0 for v in range(g.n)]
     for u in range(g.n):
         su, ou, ahead = sep[u], own[u], range(u + 1, g.n)
         masks += [su ^ sep[v] | ou | own[v] for v in ahead]
@@ -225,6 +222,8 @@ def clutter_from_json(obj: dict) -> Clutter:
         for v in verts:
             if not _is_int(v) or not 0 <= v < n:
                 raise ClutterFormatError(f"edge vertex {v!r} is not an integer in 0 <= v < {n}")
+            if mask >> v & 1:
+                raise ClutterFormatError(f"clutter edge {verts!r} lists vertex {v} twice")
             mask |= 1 << v
         if mask == 0:
             raise ClutterFormatError("empty edge in clutter JSON")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations, islice
 
 from .clutters import Clutter, build_clutter, require_admissible
-from .cover import CoverResult, _frontier, _search, min_cover
+from .cover import CoverResult, _check_cap, _frontier, _search, min_cover
 from .graphs import CodeKind, Graph, bits, code_masks, induced_subgraph, mask_of
 
 MAX_VIOLATIONS = 100  # cap per violation list in a report
@@ -48,17 +48,13 @@ def verify(g: Graph, code, kind: CodeKind) -> VerificationReport:
         if not 0 <= v < g.n:
             raise ValueError(f"code vertex {v} out of range for n={g.n}")
     cmask = mask_of(code)
-    dom, sep = code_masks(g, kind)
+    dom, sep, own = code_masks(g, kind)
     undominated = [v for v, m in enumerate(dom) if not m & cmask][:MAX_VIOLATIONS]
 
-    trace = [m & cmask for m in sep]
-    if kind.separation == "locating":
-        pool = [v for v in range(g.n) if not cmask >> v & 1]
-    else:
-        pool = range(g.n)
     groups: dict[int, list[int]] = {}
-    for v in pool:
-        groups.setdefault(trace[v], []).append(v)
+    for v, (m, o) in enumerate(zip(sep, own)):
+        if not o & cmask:
+            groups.setdefault(m & cmask, []).append(v)
     pairs = (
         (u, v, frozenset(bits(t)))
         for t, members in sorted(groups.items(), key=lambda kv: kv[1])
@@ -88,11 +84,10 @@ def check_cover_codes(g: Graph, codes, kind: CodeKind) -> None:
     and leaves distinct traces.  One that fails goes to check_cover_code,
     whose message carries its verify report.
     """
-    dom, sep = code_masks(g, kind)
-    locating = kind.separation == "locating"
+    dom, sep, own = code_masks(g, kind)
     for code in codes:
         cmask = mask_of(code)
-        traces = [m & cmask for v, m in enumerate(sep) if not (locating and cmask >> v & 1)]
+        traces = [m & cmask for m, o in zip(sep, own) if not o & cmask]
         if not all(m & cmask for m in dom) or len(set(traces)) < len(traces):
             check_cover_code(g, code, kind)
 
@@ -123,8 +118,7 @@ def _solve(g: Graph, kind: CodeKind, cap: int | None = None) -> CoverResult:
     is not narrow, or whose DP passes its state cap, goes to min_cover.
     """
     clutter = build_clutter(g, kind)  # raises on inadmissible graphs
-    if cap is not None and cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
+    _check_cap(cap)
     order = _narrow_order(g) if g.n > BRUTE_FORCE_LIMIT else None
     found = _frontier(*_dp_edges(g, kind, clutter), order, cap) if order else None
     if found is None:

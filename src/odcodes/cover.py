@@ -103,9 +103,14 @@ def min_cover(c: Clutter, cap: int | None = None) -> CoverResult:
 
     nodes_explored counts the nodes of every walk the solve ran.
     """
+    _check_cap(cap)
+    return _search(c, cap)
+
+
+def _check_cap(cap: int | None) -> None:
+    """Refuse a listing cap below 1."""
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    return _search(c, cap)
 
 
 def _search(c: Clutter, cap: int | None = None, limit: int | None = None) -> CoverResult:
@@ -380,16 +385,20 @@ def _frontier(
     return value, sorted(tails[0])
 
 
-def tau_q_rose(n: int, q: int) -> int:
-    """Covering number of the complete q-rose of order n: n - q + 1."""
+def _check_qrose(n: int, q: int) -> None:
+    """Refuse the order and q of a complete q-rose unless 2 <= q < n."""
     if not 2 <= q < n:
         raise ValueError("q-rose needs 2 <= q < n")
+
+
+def tau_q_rose(n: int, q: int) -> int:
+    """Covering number of the complete q-rose of order n: n - q + 1."""
+    _check_qrose(n, q)
     return n - q + 1
 
 
 def qrose_clutter(n: int, q: int) -> Clutter:
     """The complete q-rose materialized: every q-subset of {0..n-1}."""
-    if not 2 <= q < n:
-        raise ValueError("q-rose needs 2 <= q < n")
+    _check_qrose(n, q)
     subs = list(combinations(range(n), q))
     return Clutter(n, tuple(map(mask_of, subs)), tuple((f"rose{list(sub)}",) for sub in subs))

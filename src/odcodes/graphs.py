@@ -187,25 +187,27 @@ class Admissibility:
         return self.ok
 
 
-def code_masks(g: Graph, kind: CodeKind) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-vertex bitmasks (dom, sep) of a kind: a code meets every dom[v],
-    and its traces on the sep[v] tell apart every two vertices (for locating
-    kinds, every two outside the code).  The one map from a kind to closed
-    or open neighborhoods."""
+def code_masks(g: Graph, kind: CodeKind) -> tuple[tuple[int, ...], ...]:
+    """Per-vertex bitmasks (dom, sep, own) of a kind: a code meets every
+    dom[v], and it meets sep[u] ^ sep[v] | own[u] | own[v] for every two
+    vertices u, v.  own[v] is v's bit for locating kinds, which separate only
+    the pairs outside the code, and 0 otherwise.  The one map from a kind to
+    its rules."""
     closed = tuple(m | (1 << v) for v, m in enumerate(g.adj))
     dom = closed if kind.domination == "closed" else g.adj
     sep = closed if kind.separation == "closed-sep" else g.adj
-    return dom, sep
+    own = tuple(1 << v for v in range(g.n)) if kind.separation == "locating" else (0,) * g.n
+    return dom, sep, own
 
 
 def is_admissible(g: Graph, kind: CodeKind) -> Admissibility:
     """Existence test for a kind: no empty edge in its code hypergraph, so no
-    empty dom[v] (an isolated vertex under total domination) and, unless the
-    kind is locating, no two equal sep sets (twins)."""
-    dom, sep = code_masks(g, kind)
+    empty dom[v] (an isolated vertex under total domination) and no twins,
+    two vertices with equal sep sets and no own bit."""
+    dom, sep, own = code_masks(g, kind)
     groups: dict[int, list[int]] = {}
-    if kind.separation != "locating":
-        for v, m in enumerate(sep):
+    for v, m in enumerate(sep):
+        if not own[v]:
             groups.setdefault(m, []).append(v)
     twins = tuple(sorted(pair for vs in groups.values() for pair in combinations(vs, 2)))
     isolated = tuple(v for v, m in enumerate(dom) if not m)

@@ -20,6 +20,7 @@ from functools import cache
 from itertools import combinations
 
 from .clutters import Clutter, _clutter_order, build_clutter
+from .cover import _check_qrose
 from .families import FamilySpec, generate, role_sequence
 from .graphs import CodeKind, Graph, bits
 
@@ -89,8 +90,7 @@ def _rank_family(vertices, q: int, source: str):
 def qrose_system(n: int, q: int) -> ConstraintSystem:
     """Defining system of the complete q-rose polyhedron: x(V') >= |V'|-q+1
     for every subset of at least q of the n ground vertices."""
-    if not 2 <= q < n:
-        raise ValueError("q-rose needs 2 <= q < n")
+    _check_qrose(n, q)
     return ConstraintSystem(n, (), tuple(_rank_family(range(n), q, "rose rank")))
 
 

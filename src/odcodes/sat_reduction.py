@@ -133,7 +133,12 @@ def parse_lsat(text: str) -> LsatInstance:
     current: list[int] = []
     for t in tokens:
         if t == 0:
-            clauses.append(frozenset(current))
+            clause = frozenset(current)
+            if len(clause) < len(current):
+                lit = next(l for l, k in Counter(current).items() if k > 1)
+                text = " ".join(map(str, current))
+                raise LsatFormatError(f"clause ({text}) repeats literal {lit}")
+            clauses.append(clause)
             current = []
         else:
             current.append(t)
@@ -198,16 +203,16 @@ def brute_force_sat(inst: LsatInstance) -> dict[int, bool] | None:
 
 @dataclass(frozen=True)
 class GadgetGraph:
-    """Reduction output: per variable a 3-path v1-v2-v3 hung on the literal
-    vertices w1/w2 (present when the literal occurs), per clause a 3-path
-    u1-u2-u3, and u1 joined to the w-vertex of every literal in the clause."""
+    """Reduction output: per variable x a 3-path v1-v2-v3 hung on the literal
+    vertices w1/w2 (present when x or -x occurs), per clause a 3-path
+    u1-u2-u3, and u1 joined to the w-vertex of every literal in the clause.
+
+    Each vertex's role is its label in the graph: "w1:x3", "v2:x3" or
+    "u1:c2" for variable 3 and clause 2, both counted from 1.
+    """
 
     graph: Graph
     instance: LsatInstance
-    w_pos: tuple[int | None, ...]  # by variable, 0-based
-    w_neg: tuple[int | None, ...]
-    v_triples: tuple[tuple[int, int, int], ...]
-    u_triples: tuple[tuple[int, int, int], ...]
 
 
 def build_gadget(inst: LsatInstance) -> GadgetGraph:
@@ -227,51 +232,29 @@ def build_gadget(inst: LsatInstance) -> GadgetGraph:
             )
     labels: dict[int, str] = {}
     edges: list[tuple[int, int]] = []
-    w_pos: list[int | None] = []
-    w_neg: list[int | None] = []
-    v_triples: list[tuple[int, int, int]] = []
+    w: dict[int, int] = {}  # literal -> its w-vertex
 
     def fresh(label: str) -> int:
         labels[len(labels)] = label
         return len(labels) - 1
 
     for x in range(1, inst.n_vars + 1):
-        wp = fresh(f"w1:x{x}") if x in counts else None
-        wn = fresh(f"w2:x{x}") if -x in counts else None
-        v1 = fresh(f"v1:x{x}")
-        v2 = fresh(f"v2:x{x}")
-        v3 = fresh(f"v3:x{x}")
-        if wp is not None:
-            edges.append((wp, v1))
-        if wn is not None:
-            edges.append((wn, v1))
+        for lit, role in ((x, "w1"), (-x, "w2")):
+            if lit in counts:
+                w[lit] = fresh(f"{role}:x{x}")
+        v1, v2, v3 = (fresh(f"v{i}:x{x}") for i in (1, 2, 3))
+        edges += [(w[lit], v1) for lit in (x, -x) if lit in counts]
         edges += [(v1, v2), (v2, v3)]
-        w_pos.append(wp)
-        w_neg.append(wn)
-        v_triples.append((v1, v2, v3))
 
-    u_triples: list[tuple[int, int, int]] = []
     for j, clause in enumerate(inst.clauses, 1):
-        u1 = fresh(f"u1:c{j}")
-        u2 = fresh(f"u2:c{j}")
-        u3 = fresh(f"u3:c{j}")
+        u1, u2, u3 = (fresh(f"u{i}:c{j}") for i in (1, 2, 3))
         edges += [(u1, u2), (u2, u3)]
-        for lit in sorted(clause, key=_lit_key):
-            w = w_pos[abs(lit) - 1] if lit > 0 else w_neg[abs(lit) - 1]
-            edges.append((w, u1))
-        u_triples.append((u1, u2, u3))
+        edges += [(w[lit], u1) for lit in sorted(clause, key=_lit_key)]
 
     graph = Graph.from_edges(len(labels), edges, labels)
     if graph.n != 3 * inst.n_clauses + 3 * inst.n_vars + len(counts):
         raise AssertionError(f"gadget has {graph.n} vertices, off its layout")
-    return GadgetGraph(
-        graph,
-        inst,
-        tuple(w_pos),
-        tuple(w_neg),
-        tuple(v_triples),
-        tuple(u_triples),
-    )
+    return GadgetGraph(graph, inst)
 
 
 def expected_od_size(gg: GadgetGraph) -> int:
@@ -292,18 +275,13 @@ def assignment_to_code(gg: GadgetGraph, assignment: dict[int, bool], total: bool
     """
     if not gg.instance.evaluate(assignment):
         raise ValueError("assignment does not satisfy the instance")
-    code = {v1 for v1, _, _ in gg.v_triples[1:]} | {v2 for _, v2, _ in gg.v_triples}
-    code |= {u for u1, u2, _ in gg.u_triples for u in (u1, u2)}
-    for x in range(1, gg.instance.n_vars + 1):
-        wp, wn = gg.w_pos[x - 1], gg.w_neg[x - 1]
-        if wp is not None and wn is not None:
-            code.add(wp if assignment[x] else wn)
-        elif wp is not None:
-            code.add(wp)
-        else:
-            code.add(wn)
-    if total:
-        code.add(gg.v_triples[0][0])
+    role = {label: v for v, label in gg.graph.labels.items()}
+    xs = range(1, gg.instance.n_vars + 1)
+    code = {role[f"v1:x{x}"] for x in xs if x > 1 or total} | {role[f"v2:x{x}"] for x in xs}
+    code |= {role[f"u{i}:c{j}"] for j in range(1, gg.instance.n_clauses + 1) for i in (1, 2)}
+    for x in xs:
+        ws = [role[r] for r in (f"w1:x{x}", f"w2:x{x}") if r in role]
+        code.add(ws[0] if len(ws) == 1 else ws[not assignment[x]])
     expected = expected_otd_size(gg) if total else expected_od_size(gg)
     if len(code) != expected:
         raise AssertionError(f"witness code has {len(code)} vertices, expected {expected}")
@@ -313,16 +291,15 @@ def assignment_to_code(gg: GadgetGraph, assignment: dict[int, bool], total: bool
 def code_to_assignment(gg: GadgetGraph, code) -> dict[int, bool]:
     """Read an assignment off a code that holds exactly one w-vertex per
     variable; raises when some variable has zero or two of them selected."""
-    code = set(code)
+    chosen = {gg.graph.labels.get(v) for v in code}
     assignment: dict[int, bool] = {}
     for x in range(1, gg.instance.n_vars + 1):
-        wp, wn = gg.w_pos[x - 1], gg.w_neg[x - 1]
-        present = [w for w in (wp, wn) if w is not None and w in code]
+        present = [r for r in ("w1", "w2") if f"{r}:x{x}" in chosen]
         if len(present) != 1:
             raise ValueError(
                 f"variable x{x} has {len(present)} of its w-vertices in the code, need exactly 1"
             )
-        assignment[x] = present[0] == wp
+        assignment[x] = present == ["w1"]
     return assignment
 
 

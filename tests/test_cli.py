@@ -455,6 +455,12 @@ class TestGraphCommands:
         ("reduce-sat", "p lsat 1 1\n1 a 0\n", "line 2: non-integer token"),
         ("reduce-sat", "c no header\n", "missing 'p lsat' header"),
         ("reduce-sat", "p lsat -1 0\n", "header counts must be non-negative"),
+        ("reduce-sat", "p lsat 2 2\n1 1 2 0\n-1 0\n", "clause (1 1 2) repeats literal 1"),
+        (
+            "tau",
+            '{"n": 3, "edges": [[0, 0, 1], [1, 2]]}',
+            "clutter edge [0, 0, 1] lists vertex 0 twice",
+        ),
     ],
     ids=[
         "graph-three-fields",
@@ -466,6 +472,8 @@ class TestGraphCommands:
         "lsat-non-integer-token",
         "lsat-no-header",
         "lsat-negative-header",
+        "lsat-repeated-literal",
+        "clutter-repeated-vertex",
     ],
 )
 def test_malformed_file_is_a_format_error(capsys, tmp_path, command, text, message):

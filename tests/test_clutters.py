@@ -5,6 +5,7 @@ import pytest
 
 from odcodes.clutters import (
     Clutter,
+    ClutterFormatError,
     Hypergraph,
     InadmissibleGraphError,
     build_clutter,
@@ -389,6 +390,14 @@ class TestClutterJson:
         assert small.edges == tuple(mask_of(edges[i]) for i in order)
         assert small.sources == tuple((f"e{i}",) for i in order)
         assert (large.edges, large.sources) == (small.edges, small.sources)
+
+    def test_vertex_listed_twice_rejected(self):
+        for edges in ([[0, 0, 1], [1, 2]], [{"vertices": [2, 1, 2], "sources": ["e"]}]):
+            with pytest.raises(ClutterFormatError, match="lists vertex (0|2) twice"):
+                clutter_from_json({"n": 3, "edges": edges})
+        # a repeated or nested edge is still the bare form's to give
+        c = clutter_from_json({"n": 3, "edges": [[0, 1], [0, 1], [0, 1, 2]]})
+        assert c.edges == (mask_of([0, 1]),) * 2 + (mask_of([0, 1, 2]),)
 
     def test_bad_edge_rejected(self):
         with pytest.raises(ValueError):

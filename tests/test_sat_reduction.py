@@ -71,6 +71,8 @@ class TestParse:
             ("p lsat 12 1\n1_0 0\n", "^line 2: non-integer token$"),
             ("p lsat 2 1\n+1 0\n", "^line 2: non-integer token$"),
             ("p lsat 2 1\n1 --2 0\n", "^line 2: non-integer token$"),
+            ("p lsat 2 2\n1 1 2 0\n-1 0\n", r"^clause \(1 1 2\) repeats literal 1$"),
+            ("p lsat 3 1\n-2 3\n-2 0\n", r"^clause \(-2 3 -2\) repeats literal -2$"),
         ],
     )
     def test_rejections_named(self, text, needle):
@@ -165,10 +167,11 @@ class TestGadget:
 
     def test_w_vertices_follow_occurrence(self):
         gg = gadget_of({1}, n_vars=1)
+        role = {label: v for v, label in gg.graph.labels.items()}
         # saturation leaves literal 1 and helper 2 positive only
-        assert gg.w_pos[0] is not None and gg.w_neg[0] is None
-        assert gg.w_pos[1] is not None and gg.w_neg[1] is None
-        v1 = gg.v_triples[0][0]
+        assert "w1:x1" in role and "w2:x1" not in role
+        assert "w1:x2" in role and "w2:x2" not in role
+        v1 = role["v1:x1"]
         assert gg.graph.degree(v1) == 2
 
     def test_structure(self):
@@ -180,16 +183,9 @@ class TestGadget:
     def test_partition_classes_are_stable_sets(self):
         gg = gadget_of({1, -2}, {-1, 2}, n_vars=2)
         g = gg.graph
-        side1 = set()
-        side2 = set()
-        for u1, u2, u3 in gg.u_triples:
-            side1 |= {u1, u3}
-            side2 |= {u2}
-        for v1, v2, v3 in gg.v_triples:
-            side1 |= {v1, v3}
-            side2 |= {v2}
-        side2 |= {w for w in gg.w_pos if w is not None}
-        side2 |= {w for w in gg.w_neg if w is not None}
+        # a role label is "<part><1-3>:<variable or clause>"
+        side1 = {v for v, label in g.labels.items() if label[:2] in ("u1", "u3", "v1", "v3")}
+        side2 = {v for v, label in g.labels.items() if label[:2] in ("u2", "v2", "w1", "w2")}
         assert side1 | side2 == set(range(g.n))
         for side in (side1, side2):
             assert not any(g.has_edge(a, b) for a in side for b in side if a < b)
@@ -373,14 +369,15 @@ class TestEnumerator:
             if brute_force_sat(inst) is None:
                 continue
             gg = build_gadget(inst)
-            triples = gg.v_triples + gg.u_triples
-            t_mask = set()
-            for t in triples:
-                t_mask |= set(t)
+            # the vertices of the v- and u-paths, by their variable or clause
+            labels = gg.graph.labels
+            path_of = {v: label.split(":")[1] for v, label in labels.items() if label[0] in "uv"}
+            t_mask = set(path_of)
+            paths = set(path_of.values())
             for kind, slack in ((CodeKind.OD, 1), (CodeKind.OTD, 0)):
                 _, optima, _ = gamma_all_optima(gg.graph, kind, cap=500)
                 for code in optima:
-                    assert len(code & t_mask) >= 2 * len(triples) - slack
+                    assert len(code & t_mask) >= 2 * len(paths) - slack
                 checked += 1
         assert checked
 
