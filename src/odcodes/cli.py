@@ -317,38 +317,36 @@ def cmd_tau(args):
     return 0, obj, text
 
 
-def _polyhedron_flags(args) -> None:
-    """Refuse a flag that the chosen family, or --graph, does not read."""
-    if args.family == "qrose":
-        context, allowed = "--family qrose", ("n", "q")
-    elif args.family != "generic":
-        context, allowed = f"--family {args.family}", ("k", "n", "sizes")
-    elif args.graph is not None:
-        context, allowed = "--graph", ("graph",)
-    else:
-        context, allowed = "--family generic", ("k", "n", "sizes", "generic_family")
-    for dest in ("k", "n", "q", "sizes", "generic_family", "graph"):
-        if getattr(args, dest) is not None and dest not in allowed:
+def _refuse_unread(args, options, read, context: str) -> None:
+    """Refuse the first of options, in their order, that is set and that
+    context does not read."""
+    for dest in options:
+        if getattr(args, dest) is not None and dest not in read:
             raise UsageError(f"--{dest.replace('_', '-')} is not valid with {context}")
 
 
 def cmd_polyhedron(args):
-    _polyhedron_flags(args)
+    options = ("k", "n", "q", "sizes", "generic_family", "graph")
     if args.family == "qrose":
+        _refuse_unread(args, options, ("n", "q"), "--family qrose")
         if args.n is None or args.q is None:
             raise UsageError("qrose needs --n and --q")
         sys_ = qrose_system(args.n, args.q)
         clutter = qrose_clutter(args.n, args.q)
         label = f"qrose n={args.n} q={args.q}"
     else:
-        if args.graph is not None:
+        if args.family == "generic" and args.graph is not None:
+            _refuse_unread(args, options, ("graph",), "--graph")
             g = load_graph(_read(args.graph))
             label = f"generic {args.graph}"
         else:
+            generic = args.family == "generic"
+            read = ("k", "n", "sizes", "generic_family") if generic else ("k", "n", "sizes")
+            _refuse_unread(args, options, read, f"--family {args.family}")
             params = {key: v for key, v in (("k", args.k), ("n", args.n)) if v is not None}
             if args.sizes is not None:
                 params["sizes"] = _sizes(args.sizes, "--sizes")
-            spec_family = args.generic_family if args.family == "generic" else args.family
+            spec_family = args.generic_family if generic else args.family
             if spec_family is None:
                 raise UsageError("--family generic needs --generic-family or --graph")
             g = generate(FamilySpec(spec_family, **params))
@@ -382,13 +380,6 @@ SECTION_OPTIONS = {
 }
 
 
-def _section_kwargs(name: str, args) -> dict:
-    if name not in SECTION_OPTIONS:
-        return {}
-    dest, kwargs = SECTION_OPTIONS[name]
-    return kwargs(getattr(args, dest))
-
-
 def cmd_paper_report(args):
     if args.section == "all":
         names = list(reports.REPORT_SECTIONS)
@@ -399,11 +390,8 @@ def cmd_paper_report(args):
             f"unknown section {args.section!r}; pick from {', '.join(reports.REPORT_SECTIONS)} or all"
         )
     if args.section != "all":
-        read = SECTION_OPTIONS.get(args.section, (None,))[0]
-        for dest in ("max_k", "seed"):
-            if getattr(args, dest) is not None and dest != read:
-                flag = "--" + dest.replace("_", "-")
-                raise UsageError(f"{flag} is not valid with section {args.section}")
+        read, _ = SECTION_OPTIONS.get(args.section, (None, None))
+        _refuse_unread(args, ("max_k", "seed"), (read,), f"section {args.section}")
     if "sat" in names and (args.max_k or 0) > SAT_MAX_K:
         raise UsageError(f"--max-k for the sat section is at most {SAT_MAX_K}, got {args.max_k}")
     obj = {"command": "paper-report", "ok": True, "sections": []}
@@ -411,7 +399,8 @@ def cmd_paper_report(args):
     def sections():
         for name in names:
             start = perf_counter()
-            rep = reports.REPORT_SECTIONS[name](**_section_kwargs(name, args))
+            dest, keywords = SECTION_OPTIONS.get(name, (None, lambda _: {}))
+            rep = reports.REPORT_SECTIONS[name](**keywords(vars(args).get(dest)))
             elapsed = perf_counter() - start
             section = {"title": rep.title, "ok": rep.ok, "rows": [asdict(r) for r in rep.rows]}
             obj["sections"].append(section)
@@ -439,19 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
     p = sub.add_parser("generate", help="emit a family member in graph text format")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--params", help="k=4 | n=6 | sizes=2+2+3 | chords=1-3+2-4 | name=gem")
-    add_json(p)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("clutter", help="build and reduce the code hypergraph of a graph")
     p.add_argument("graph")
     p.add_argument("--kind", default="OD")
-    add_json(p)
     p.set_defaults(fn=cmd_clutter)
 
     p = sub.add_parser("gamma", help="exact minimum code size of a graph")
@@ -459,38 +443,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="OD")
     p.add_argument("--enumerate", action="store_true", help="list all optimal codes")
     p.add_argument("--cap", type=_integer, help=f"most optima to list (default {DEFAULT_CAP})")
-    add_json(p)
     p.set_defaults(fn=cmd_gamma)
 
     p = sub.add_parser("verify", help="check a candidate code")
     p.add_argument("graph")
     p.add_argument("--kind", default="OD")
     p.add_argument("--code", required=True, help="comma-separated vertex list")
-    add_json(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("relations", help="inter-number inequalities on one graph")
     p.add_argument("graph")
-    add_json(p)
     p.set_defaults(fn=cmd_relations)
 
     p = sub.add_parser("reduce-sat", help="saturate a linear SAT formula and build its gadget graph")
     p.add_argument("formula")
     p.add_argument("--emit-graph", metavar="PATH")
     p.add_argument("--emit-roles", metavar="PATH")
-    add_json(p)
     p.set_defaults(fn=cmd_reduce_sat)
 
     p = sub.add_parser("sat-roundtrip", help="full equivalence check on one formula")
     p.add_argument("formula")
-    add_json(p)
     p.set_defaults(fn=cmd_sat_roundtrip)
 
     p = sub.add_parser("tau", help="minimum cover of a clutter JSON file")
     p.add_argument("clutter")
     p.add_argument("--enumerate", action="store_true")
     p.add_argument("--cap", type=_integer, help=f"most optima to list (default {DEFAULT_CAP})")
-    add_json(p)
     p.set_defaults(fn=cmd_tau)
 
     p = sub.add_parser("polyhedron", help="emit and check a family constraint system")
@@ -502,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generic-family", help="family used to build the graph for --family generic")
     p.add_argument("--graph", help="graph file for --family generic")
     p.add_argument("--check", default="all", choices=("validity", "tightness", "hull", "all"))
-    add_json(p)
     p.set_defaults(fn=cmd_polyhedron)
 
     p = sub.add_parser("paper-report", help="recompute the published result tables")
@@ -510,9 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=_integer, help="size cap for families/qrose/sat sections")
     p.add_argument("--seed", type=_integer, help="random seed for the bounds section")
     p.add_argument("--verbose", action="store_true", help="print passing rows too")
-    add_json(p)
     p.set_defaults(fn=cmd_paper_report)
 
+    for p in sub.choices.values():  # last, so that --json ends each option list
+        p.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 

@@ -18,9 +18,8 @@ from itertools import combinations, islice
 
 from .clutters import Clutter, build_clutter, require_admissible
 from .cover import CoverResult, _check_cap, _frontier, _search, min_cover
-from .graphs import CodeKind, Graph, bits, code_masks, induced_subgraph, mask_of
+from .graphs import MAX_VIOLATIONS, CodeKind, Graph, bits, code_masks, induced_subgraph, mask_of
 
-MAX_VIOLATIONS = 100  # cap per violation list in a report
 BRUTE_FORCE_LIMIT = 20
 DEFAULT_CAP = 10_000  # the most optima a listing holds unless told otherwise
 NARROW_WIDTH = 4  # the widest span of a graph edge in a narrow BFS order

@@ -8,13 +8,16 @@ symmetric differences and subset tests stay single int operations.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
+
+MAX_VIOLATIONS = 100  # the most entries a violation list in a report holds
 
 
 class GraphFormatError(ValueError):
@@ -180,7 +183,7 @@ class Admissibility:
     kind: CodeKind
     ok: bool
     reason: str = ""
-    twin_pairs: tuple[tuple[int, int], ...] = ()
+    twin_pairs: tuple[tuple[int, int], ...] = ()  # the lowest MAX_VIOLATIONS
     isolated: tuple[int, ...] = ()
 
     def __bool__(self) -> bool:
@@ -203,18 +206,24 @@ def code_masks(g: Graph, kind: CodeKind) -> tuple[tuple[int, ...], ...]:
 def is_admissible(g: Graph, kind: CodeKind) -> Admissibility:
     """Existence test for a kind: no empty edge in its code hypergraph, so no
     empty dom[v] (an isolated vertex under total domination) and no twins,
-    two vertices with equal sep sets and no own bit."""
+    two vertices with equal sep sets and no own bit.  The twin pairs are
+    listed lowest first, at most MAX_VIOLATIONS of them, without building the
+    rest; the reason then gives their total."""
     dom, sep, own = code_masks(g, kind)
     groups: dict[int, list[int]] = {}
     for v, m in enumerate(sep):
         if not own[v]:
             groups.setdefault(m, []).append(v)
-    twins = tuple(sorted(pair for vs in groups.values() for pair in combinations(vs, 2)))
+    classes = [vs for vs in groups.values() if len(vs) > 1]
+    pairs = heapq.merge(*(combinations(vs, 2) for vs in classes))
+    twins = tuple(islice(pairs, MAX_VIOLATIONS))
     isolated = tuple(v for v, m in enumerate(dom) if not m)
     reasons = []
     if twins:
         flavor = "open" if kind.separation == "open-sep" else "closed"
-        reasons.append(f"{flavor} twins: {list(twins)}")
+        total = sum(math.comb(len(vs), 2) for vs in classes)
+        cut = f" (the lowest {len(twins)} of {total} pairs)" if total > len(twins) else ""
+        reasons.append(f"{flavor} twins: {list(twins)}{cut}")
     if isolated:
         reasons.append(f"isolated vertices: {list(isolated)}")
     return Admissibility(

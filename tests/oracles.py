@@ -407,17 +407,40 @@ def _reference_covers(sys, c):
     return [x for x in range(1 << c.n) if all(x & m for m in masks)]
 
 
+def reference_first_violation(sys):
+    """The point test of the system, counted on vertex sets and not on the
+    library's masks: a function from a 0/1 point (an int) to the first
+    equation (as its vertex) or inequality it breaks, or None."""
+    supports = [
+        (con, {v for v in range(sys.n) if con.mask >> v & 1}) for con in sys.inequalities
+    ]
+
+    def first_violation(x):
+        point = {v for v in range(sys.n) if x >> v & 1}
+        for v in sys.equalities:
+            if v not in point:
+                return v
+        for con, support in supports:
+            if len(point & support) < con.rhs:
+                return con
+        return None
+
+    return first_violation
+
+
 def reference_check_validity(sys, c):
     """The 2^n scan that predates the minimal-cover checks: the smallest
     cover as an int that breaks the system, with the constraint it breaks."""
     from odcodes.polyhedra import RankConstraint, ValidityReport
 
+    first_violation = reference_first_violation(sys)
     for x in _reference_covers(sys, c):
-        broken = sys.first_violation(x)
+        broken = first_violation(x)
         if broken is None:
             continue
         if isinstance(broken, RankConstraint):
-            wording = f"x({sorted(broken.support)}) >= {broken.rhs}"
+            support = [v for v in range(c.n) if broken.mask >> v & 1]
+            wording = f"x({support}) >= {broken.rhs}"
         else:
             wording = f"x_{broken} = 1"
         members = frozenset(v for v in range(c.n) if x >> v & 1)
@@ -451,9 +474,10 @@ def reference_integer_hull_equiv(sys, c):
     from odcodes.polyhedra import HullReport
 
     covers = set(_reference_covers(sys, c))
+    first_violation = reference_first_violation(sys)
     for x in range(1 << c.n):
         is_cover = x in covers
-        if is_cover != sys.satisfied_by(x):
+        if is_cover != (first_violation(x) is None):
             direction = "cover-outside-system" if is_cover else "system-point-not-cover"
             return HullReport(False, frozenset(v for v in range(c.n) if x >> v & 1), direction)
     return HullReport(True)
@@ -462,4 +486,5 @@ def reference_integer_hull_equiv(sys, c):
 def minimum_over_system(sys):
     """Smallest 1-count of a 0/1 point satisfying the system, by full scan.
     The all-ones point always does, as every rhs is at most its support size."""
-    return min(x.bit_count() for x in range(1 << sys.n) if sys.satisfied_by(x))
+    first_violation = reference_first_violation(sys)
+    return min(x.bit_count() for x in range(1 << sys.n) if first_violation(x) is None)

@@ -26,6 +26,30 @@ def refusal(capsys, *argv):
     return code, error["code"], error["message"]
 
 
+SUBCOMMANDS = (
+    "generate",
+    "clutter",
+    "gamma",
+    "verify",
+    "relations",
+    "reduce-sat",
+    "sat-roundtrip",
+    "tau",
+    "polyhedron",
+    "paper-report",
+)
+
+
+def test_every_subcommand_takes_json_as_its_last_option(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and "{" + ",".join(SUBCOMMANDS) + "}" in out
+    for name in SUBCOMMANDS:
+        code, out, _ = run(capsys, name, "--help")
+        options = out.split("options:\n")[1].splitlines()
+        flags = [line.split()[0] for line in options if line.startswith("  -")]
+        assert code == 0 and flags[-1] == "--json", name
+
+
 @pytest.fixture
 def p4_file(tmp_path):
     path = tmp_path / "p4.txt"
@@ -185,6 +209,24 @@ def test_empty_polyhedron_sizes_is_refused(capsys):
     argv = ("polyhedron", "--family", "clique", "--n", "4", "--sizes", "")
     message = "--sizes expects integers joined by '+', e.g. 2+2+3, got ''"
     assert refusal(capsys, *argv) == (2, "usage", message)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ("--family", "qrose", "--n", "40", "--q", "2"),
+            "the rose rank family has 1099511627735 inequalities, over 262144",
+        ),
+        (
+            ("--family", "clique", "--n", "40"),
+            "the clique rank family has 1099511627735 inequalities, over 262144",
+        ),
+    ],
+    ids=["qrose-40", "clique-40"],
+)
+def test_polyhedron_past_the_rank_family_bound_is_refused(capsys, argv, message):
+    assert refusal(capsys, "polyhedron", *argv) == (2, "usage", message)
 
 
 @pytest.mark.parametrize(

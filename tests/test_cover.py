@@ -182,6 +182,20 @@ class TestEnumeration:
         assert res.truncated and len(res.all_optima) == 3
         assert min_cover(c, 3) == res  # the cap is the second positional argument
 
+    def test_listing_keeps_the_value_walks_witness(self):
+        # the full listing's value and witness are the value walk's, so a
+        # reference for both can come from the one listing walk
+        rng = random.Random(131)
+        for _ in range(300):
+            n = rng.randint(1, 14)
+            sets = [
+                set(rng.sample(range(n), rng.randint(1, min(5, n))))
+                for _ in range(rng.randint(0, 24))
+            ]
+            c = clutter_of(n, *sets)
+            value, listed = min_cover(c), min_cover(c, cap=DEFAULT_CAP)
+            assert (listed.value, listed.witness) == (value.value, value.witness)
+
     @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_below_one_rejected(self, cap):
         c = clutter_of(3, {0, 1}, {1, 2})

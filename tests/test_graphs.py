@@ -5,6 +5,7 @@ import random
 import pytest
 
 from odcodes.graphs import (
+    MAX_VIOLATIONS,
     CodeKind,
     Graph,
     GraphFormatError,
@@ -144,6 +145,23 @@ class TestTwins:
         # two triangles sharing vertex 2: each triangle's outer pair collapses
         bowtie = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
         assert is_admissible(bowtie, CodeKind.ID).twin_pairs == ((0, 1), (3, 4))
+
+    def test_big_star_lists_the_lowest_pairs(self):
+        # 2,000 leaves are 1,999,000 twin pairs; only the lowest are built
+        g = Graph.from_edges(2001, [(0, v) for v in range(1, 2001)])
+        rep = is_admissible(g, CodeKind.OD)
+        assert rep.twin_pairs == tuple((1, v) for v in range(2, MAX_VIOLATIONS + 2))
+        assert not rep.ok and rep.reason.endswith(f"(the lowest {MAX_VIOLATIONS} of 1999000 pairs)")
+        assert len(rep.reason) < 2_000
+
+    def test_twin_classes_merge_in_pair_order(self):
+        # K_{20,20} with the sides interleaved: two classes of 190 pairs each
+        g = Graph.from_edges(40, [(u, v) for u in range(0, 40, 2) for v in range(1, 40, 2)])
+        every = sorted((u, v) for u in range(40) for v in range(u + 1, 40) if (u - v) % 2 == 0)
+        rep = is_admissible(g, CodeKind.OD)
+        listed = every[:MAX_VIOLATIONS]
+        assert rep.twin_pairs == tuple(listed)
+        assert rep.reason == f"open twins: {listed} (the lowest {len(listed)} of 380 pairs)"
 
 
 class TestAdmissibility:

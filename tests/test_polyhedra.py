@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from odcodes import polyhedra
 from odcodes.clutters import Clutter, build_clutter
 from odcodes.codes import gamma
 from odcodes.cover import qrose_clutter, tau_q_rose
@@ -35,6 +36,7 @@ from oracles import (
     minimum_over_system,
     reference_check_tightness,
     reference_check_validity,
+    reference_first_violation,
     reference_integer_hull_equiv,
 )
 
@@ -59,6 +61,22 @@ class TestQRoseSystem:
     def test_range_rejected(self):
         with pytest.raises(ValueError):
             qrose_system(2, 2)
+
+    def test_rank_family_bound(self, monkeypatch):
+        # counted before any inequality is built: 2^40 - 41 would never finish
+        with pytest.raises(ValueError, match="the rose rank family has 1099511627735 inequalities"):
+            qrose_system(40, 2)
+        with pytest.raises(ValueError, match="the clique rank family has 524268 inequalities"):
+            od_polyhedron_system(clique(19), "clique")
+        assert tau_q_rose(40, 2) == 39  # the covering number itself stays unbounded
+        monkeypatch.setattr(polyhedra, "RANK_FAMILY_MAX", 11)  # qrose 4, 2: 6 + 4 + 1
+        assert len(qrose_system(4, 2).inequalities) == 11
+        with pytest.raises(ValueError, match="has 26 inequalities, over 11"):
+            qrose_system(5, 2)
+
+    def test_largest_system_in_the_repo_is_under_the_bound(self):
+        # clique 14, which the benchmark's all-covers workload builds
+        assert od_polyhedron_system(clique(14), "clique").size() == (0, 16_369)
 
     def test_hull_equiv_against_materialized_rose(self):
         for n in range(3, 8):
@@ -332,8 +350,8 @@ class TestAboveEnumerationLimit:
         point = sum(1 << v for v in cover)
         assert all(point & m for m in clutter.edges)
         # the cover keeps the original system and breaks only the bumped inequality
-        assert sys.satisfied_by(point) and len(cover & c.support) == c.rhs
-        assert ConstraintSystem(sys.n, sys.equalities, sys.inequalities[1:]).satisfied_by(point)
+        assert reference_first_violation(sys)(point) is None and len(cover & c.support) == c.rhs
+        assert reference_first_violation(bad)(point) == bumped
 
     def test_hull_check_answers(self, g, hint):
         sys = od_polyhedron_system(g, hint)
@@ -401,7 +419,7 @@ def assert_matches_reference(sys, clutter):
     if not hull.ok:
         point = sum(1 << v for v in hull.witness)
         is_cover = point in set(covers)
-        assert is_cover != sys.satisfied_by(point)
+        assert is_cover != (reference_first_violation(sys)(point) is None)
         assert hull.direction == ("cover-outside-system" if is_cover else "system-point-not-cover")
 
 
