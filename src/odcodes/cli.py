@@ -378,6 +378,9 @@ SECTION_OPTIONS = {
     "sat": ("max_k", lambda k: {"max_vars": 3 if k is None else k}),
     "bounds": ("seed", lambda seed: {} if seed is None else {"seed": seed}),
 }
+# the largest --max-k the sat and families sections take; a larger one is
+# refused before any section runs (qrose caps its own at 10)
+MAX_K_BOUNDS = {"sat": SAT_MAX_K, "families": reports.FAMILIES_MAX_N}
 
 
 def cmd_paper_report(args):
@@ -392,8 +395,9 @@ def cmd_paper_report(args):
     if args.section != "all":
         read, _ = SECTION_OPTIONS.get(args.section, (None, None))
         _refuse_unread(args, ("max_k", "seed"), (read,), f"section {args.section}")
-    if "sat" in names and (args.max_k or 0) > SAT_MAX_K:
-        raise UsageError(f"--max-k for the sat section is at most {SAT_MAX_K}, got {args.max_k}")
+    for name, bound in MAX_K_BOUNDS.items():
+        if name in names and (args.max_k or 0) > bound:
+            raise UsageError(f"--max-k for the {name} section is at most {bound}, got {args.max_k}")
     obj = {"command": "paper-report", "ok": True, "sections": []}
 
     def sections():

@@ -9,15 +9,24 @@ tightness (every inequality is achieved with equality by some cover), and
 hull equivalence (the system's 0/1 points are exactly the covers).  Both the
 system's 0/1 points and the covers are up-sets, so by blocker duality the
 checks need only the clutter's minimal covers and its maximal non-covers
-V - e, never all 2^n points.  Fractional geometry, dimension arguments, and
-facet proofs are deliberately out of reach of this module.
+V - e, never all 2^n points.
+
+The point test folds each slack class.  On a 0/1 point, x(S) >= |S| - d says
+the point misses at most d vertices of S; so for S inside T the inequality on
+T implies the one on S at the same slack d, and a point meets the system iff
+it meets each class's inclusion-maximal supports.  A rank family
+x(V') >= |V'| - q + 1 over V' inside U is one class and folds to U alone.
+
+Fractional geometry, dimension arguments, and facet proofs are deliberately
+out of reach of this module.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 
 from .clutters import Clutter, _clutter_order, build_clutter
@@ -46,7 +55,11 @@ class RankConstraint:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Equations x_v = 1, rank inequalities, implicit x >= 0 over n variables."""
+    """Equations x_v = 1, rank inequalities, implicit x >= 0 over n variables.
+
+    The 0/1 point test reads only the inequalities with an inclusion-maximal
+    support in their slack class |S| - rhs: a point missing at most d
+    vertices of T misses at most d of any S inside T."""
 
     n: int
     equalities: tuple[int, ...]
@@ -60,19 +73,43 @@ class ConstraintSystem:
             if c.mask >> self.n:
                 raise ValueError("inequality support out of range")
 
+    @cached_property
+    def _maximal(self) -> tuple[tuple[int, int], ...]:
+        """The (mask, rhs) pairs whose support no other support of the same
+        slack strictly holds: each class, largest first, keeps a mask unless
+        a kept, strictly larger one holds it."""
+        classes = defaultdict(lambda: defaultdict(set))  # slack -> size -> masks
+        for c in self.inequalities:
+            size = c.mask.bit_count()
+            classes[size - c.rhs][size].add(c.mask)
+        out = []
+        for slack, by_size in classes.items():
+            kept: list[int] = []
+            for size in sorted(by_size, reverse=True):
+                group = by_size[size]
+                for k in kept:
+                    group = {m for m in group if m & k != m}
+                kept += group
+            out += [(m, m.bit_count() - slack) for m in kept]
+        return tuple(out)
+
+    def satisfied_by(self, point_mask: int) -> bool:
+        return all(point_mask >> v & 1 for v in self.equalities) and all(
+            (point_mask & m).bit_count() >= rhs for m, rhs in self._maximal
+        )
+
     def first_violation(self, point_mask: int) -> int | RankConstraint | None:
         """The first equation (as its vertex) or inequality the 0/1 point
-        breaks, or None."""
+        breaks, or None.  Only a failing point scans the whole system."""
+        if self.satisfied_by(point_mask):
+            return None
         for v in self.equalities:
             if not point_mask >> v & 1:
                 return v
         for c in self.inequalities:
             if (point_mask & c.mask).bit_count() < c.rhs:
                 return c
-        return None
-
-    def satisfied_by(self, point_mask: int) -> bool:
-        return self.first_violation(point_mask) is None
+        raise AssertionError("the folded inequalities break a point the system keeps")
 
     def size(self) -> tuple[int, int]:
         return len(self.equalities), len(self.inequalities)
@@ -305,8 +342,10 @@ def check_tightness(sys: ConstraintSystem, c: Clutter) -> TightnessReport:
         raise ValueError("system and clutter sizes differ")
     covers, found, never = _minimal_covers(c), [], []
     for con in sys.inequalities:
-        x = next((x for x in covers if (x & con.mask).bit_count() <= con.rhs), None)
-        if x is None:
+        for x in covers:
+            if (x & con.mask).bit_count() <= con.rhs:
+                break
+        else:
             never.append(con)
             continue
         rest = lack = con.mask & ~x

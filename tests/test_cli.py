@@ -809,6 +809,36 @@ class TestPaperReport:
         assert run(capsys, "paper-report", "sat", "--max-k", "6")[0] == 0
         assert calls == [{"max_vars": 6}]
 
+    @pytest.mark.parametrize("max_k", ["31", "200"])
+    def test_families_max_k_above_thirty_is_refused_before_any_section_runs(
+        self, capsys, monkeypatch, max_k
+    ):
+        # at 200 the partition listing alone grows until memory runs out
+        from odcodes import reports
+
+        def must_not_run(**kwargs):
+            raise AssertionError("a section ran")
+
+        for name in reports.REPORT_SECTIONS:
+            monkeypatch.setitem(reports.REPORT_SECTIONS, name, must_not_run)
+        code, error, message = refusal(capsys, "paper-report", "families", "--max-k", max_k)
+        assert (code, error) == (2, "usage")
+        assert message == f"--max-k for the families section is at most 30, got {max_k}"
+
+    def test_families_max_k_thirty_is_accepted(self, capsys, monkeypatch):
+        from odcodes import reports
+
+        calls = []
+        row = reports.ReportRow("row", "1", "1", True)
+
+        def families(**kwargs):
+            calls.append(kwargs)
+            return reports.Report("families", (row,))
+
+        monkeypatch.setitem(reports.REPORT_SECTIONS, "families", families)
+        assert run(capsys, "paper-report", "families", "--max-k", "30")[0] == 0
+        assert calls == [{"max_n": 30}]
+
     def test_each_section_gets_only_the_options_given(self, capsys, monkeypatch):
         # bounds without --seed falls back on its own default seed; all
         # reads both options

@@ -144,6 +144,21 @@ class TestOpenCTwins:
 
 
 class TestSpecsAndPredictions:
+    def test_family_specs_bound(self, monkeypatch):
+        from odcodes import reports
+
+        assert reports.FAMILIES_MAX_N == 30
+        assert len(reports.family_specs(30)) == 13_965  # the largest accepted
+
+        def no_partitions(*args):
+            raise AssertionError("partitions listed")
+
+        monkeypatch.setattr(reports, "_partitions", no_partitions)
+        with pytest.raises(ValueError, match="max_n at most 30, got 31"):
+            reports.family_specs(31)
+        with pytest.raises(ValueError, match="max_n at most 30, got 200"):
+            reports.report_families(200)
+
     def test_generate_dispatch(self):
         assert generate(FamilySpec("clique", n=4)).n == 4
         assert generate(FamilySpec("half-graph", k=2)).n == 4

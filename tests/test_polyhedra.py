@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -485,3 +487,131 @@ class TestAgainstReferenceScan:
             assert_matches_reference(ConstraintSystem(n, tuple(sorted(equalities)), tuple(ineqs)), clutter)
 
         check()
+
+
+def fold_case(rng, n):
+    """A random system for the folded point test: chains of nested supports
+    at one slack |S| - rhs, now and then the same mask at a second rhs,
+    slack-0 inequalities (rhs = |S|), forced equalities, and the whole list
+    shuffled, so an inequality often comes before its superset."""
+    ineqs = []
+    for _ in range(rng.randint(1, 4)):
+        top = rng.getrandbits(n) | 1 << rng.randrange(n)
+        slack = rng.choice((0, rng.randrange(top.bit_count())))
+        for _ in range(rng.randint(0, 3)):
+            sub = top & rng.getrandbits(n)
+            if sub.bit_count() > slack:
+                ineqs.append(RankConstraint(sub, sub.bit_count() - slack))
+        ineqs.append(RankConstraint(top, top.bit_count() - slack))
+        if rng.random() < 0.4:
+            ineqs.append(RankConstraint(top, rng.randint(1, top.bit_count())))
+    rng.shuffle(ineqs)
+    equalities = {rng.randrange(n) for _ in range(rng.choice((0, 0, 1, 2)))}
+    return ConstraintSystem(n, tuple(sorted(equalities)), tuple(ineqs))
+
+
+def fold_disagreements(sys):
+    """The 0/1 points at which satisfied_by or first_violation differ from
+    the reference scan over every inequality."""
+    reference = reference_first_violation(sys)
+    out = []
+    for x in range(1 << sys.n):
+        want = reference(x)
+        try:
+            got = sys.first_violation(x)
+        except AssertionError:
+            got = AssertionError
+        if got != want or sys.satisfied_by(x) != (want is None):
+            out.append(x)
+    return out
+
+
+class TestFoldedPointTest:
+    """The point test reads each slack class's maximal supports only."""
+
+    def corpus(self):
+        rng = random.Random(32)
+        return [fold_case(rng, rng.randint(1, 10)) for _ in range(120)]
+
+    def test_every_point_matches_the_reference_scan(self):
+        for sys in self.corpus():
+            assert fold_disagreements(sys) == [], sys
+
+    def test_corpus_reaches_every_shape(self):
+        shapes = set()
+        for sys in self.corpus():
+            ineqs = sys.inequalities
+            slack = {(c.mask, c.rhs): c.mask.bit_count() - c.rhs for c in ineqs}
+            if any(
+                slack[a.mask, a.rhs] == slack[b.mask, b.rhs] and a.mask & b.mask == a.mask != b.mask
+                for a in ineqs
+                for b in ineqs
+            ):
+                shapes.add("nested supports at one slack")
+            if len({c.mask for c in ineqs}) < len(set(slack)):
+                shapes.add("one mask at two rhs")
+            if 0 in slack.values():
+                shapes.add("slack 0")
+            if sys.equalities:
+                shapes.add("forced equalities")
+            reference = reference_first_violation(sys)
+            for x in range(1 << sys.n):
+                broken = reference(x)
+                if isinstance(broken, RankConstraint) and (broken.mask, broken.rhs) not in sys._maximal:
+                    shapes.add("first violation dropped by the fold")
+                    break
+        assert shapes == {
+            "nested supports at one slack",
+            "one mask at two rhs",
+            "slack 0",
+            "forced equalities",
+            "first violation dropped by the fold",
+        }
+
+    def test_rank_family_folds_to_its_top(self):
+        sys = od_polyhedron_system(clique(14), "clique")
+        assert len(sys.inequalities) == 16_369 and sys._maximal == (((1 << 14) - 1, 13),)
+        generic = od_polyhedron_system(sunlet(6), "generic")
+        assert sorted(generic._maximal) == sorted((c.mask, c.rhs) for c in generic.inequalities)
+
+    def test_fold_changes_no_field(self):
+        sys = od_polyhedron_system(clique(5), "clique")
+        before = (repr(sys), sys.size(), hash(sys))
+        assert sys.satisfied_by(0b11110) and not sys.satisfied_by(0b11100)
+        assert (repr(sys), sys.size(), hash(sys)) == before
+        assert sys == od_polyhedron_system(clique(5), "clique")
+
+    def test_dropping_one_kept_pair_is_caught(self, monkeypatch):
+        # planted fault: the fold loses its first kept (mask, rhs) pair
+        fold = ConstraintSystem.__dict__["_maximal"].func
+        monkeypatch.setattr(ConstraintSystem, "_maximal", property(lambda sys: fold(sys)[1:]))
+        corpus = self.corpus()
+        caught = [sys for sys in corpus if fold_disagreements(sys)]
+        assert len(caught) > len(corpus) // 2
+
+
+def _checks_digest(sys, clutter):
+    validity = check_validity(sys, clutter)
+    hull = integer_hull_equiv(sys, clutter)
+    tight = check_tightness(sys, clutter)
+    obj = {
+        "validity": [validity.ok, validity.exhaustive, validity.counterexample],
+        "hull": [hull.ok, sorted(hull.witness) if hull.witness else None, hull.direction],
+        "tightness": [
+            tight.ok,
+            len(tight.never_tight),
+            [[sorted(con.support), con.rhs, sorted(w)] for con, w in tight.witnesses],
+        ],
+    }
+    return len(tight.witnesses), hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def test_largest_benchmark_system_pinned():
+    # clique 14 is the all-covers workload's largest system; the digest was
+    # recorded before the point test folded the rank family
+    g = clique(14)
+    sys, clutter = od_polyhedron_system(g, "clique"), build_clutter(g, CodeKind.OD)
+    assert _checks_digest(sys, clutter) == (
+        16_369,
+        "d46fb4717dc39eff6c3fc6ade5b4c4d7ecc11508ecf03434b72491cae1018d79",
+    )
