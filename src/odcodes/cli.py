@@ -45,7 +45,6 @@ from .polyhedra import (
     qrose_system,
 )
 from .sat_reduction import (
-    SAT_MAX_K,
     LsatFormatError,
     build_gadget,
     expected_od_size,
@@ -371,16 +370,14 @@ def cmd_polyhedron(args):
     return (0 if all(checks.values()) else 1), obj, "\n".join(lines)
 
 
-# the option each paper-report section reads, and the keywords its value (None if unset) gives
+# the option each paper-report section reads, and the keyword it feeds when
+# given; unset, the section runs at its own default
 SECTION_OPTIONS = {
-    "families": ("max_k", lambda k: {} if k is None else {"max_n": k}),
-    "qrose": ("max_k", lambda k: {} if k is None else {"max_n": min(k, 10)}),
-    "sat": ("max_k", lambda k: {"max_vars": 3 if k is None else k}),
-    "bounds": ("seed", lambda seed: {} if seed is None else {"seed": seed}),
+    "families": ("max_k", "max_n"),
+    "qrose": ("max_k", "max_n"),
+    "sat": ("max_k", "max_vars"),
+    "bounds": ("seed", "seed"),
 }
-# the largest --max-k the sat and families sections take; a larger one is
-# refused before any section runs (qrose caps its own at 10)
-MAX_K_BOUNDS = {"sat": SAT_MAX_K, "families": reports.FAMILIES_MAX_N}
 
 
 def cmd_paper_report(args):
@@ -395,7 +392,7 @@ def cmd_paper_report(args):
     if args.section != "all":
         read, _ = SECTION_OPTIONS.get(args.section, (None, None))
         _refuse_unread(args, ("max_k", "seed"), (read,), f"section {args.section}")
-    for name, bound in MAX_K_BOUNDS.items():
+    for name, bound in reports.SECTION_BOUNDS.items():
         if name in names and (args.max_k or 0) > bound:
             raise UsageError(f"--max-k for the {name} section is at most {bound}, got {args.max_k}")
     obj = {"command": "paper-report", "ok": True, "sections": []}
@@ -403,8 +400,9 @@ def cmd_paper_report(args):
     def sections():
         for name in names:
             start = perf_counter()
-            dest, keywords = SECTION_OPTIONS.get(name, (None, lambda _: {}))
-            rep = reports.REPORT_SECTIONS[name](**keywords(vars(args).get(dest)))
+            dest, keyword = SECTION_OPTIONS.get(name, (None, None))
+            value = vars(args).get(dest)
+            rep = reports.REPORT_SECTIONS[name](**({} if value is None else {keyword: value}))
             elapsed = perf_counter() - start
             section = {"title": rep.title, "ok": rep.ok, "rows": [asdict(r) for r in rep.rows]}
             obj["sections"].append(section)

@@ -50,13 +50,14 @@ def verify(g: Graph, code, kind: CodeKind) -> VerificationReport:
     dom, sep, own = code_masks(g, kind)
     undominated = [v for v, m in enumerate(dom) if not m & cmask][:MAX_VIOLATIONS]
 
+    # filled in vertex order, so the groups come ordered by their lowest member
     groups: dict[int, list[int]] = {}
     for v, (m, o) in enumerate(zip(sep, own)):
         if not o & cmask:
             groups.setdefault(m & cmask, []).append(v)
     pairs = (
         (u, v, frozenset(bits(t)))
-        for t, members in sorted(groups.items(), key=lambda kv: kv[1])
+        for t, members in groups.items()
         for u, v in combinations(members, 2)
     )
     unseparated = tuple(islice(pairs, MAX_VIOLATIONS))

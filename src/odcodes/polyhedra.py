@@ -268,8 +268,8 @@ def od_polyhedron_system(g: Graph, hint: str) -> ConstraintSystem:
 
 @dataclass(frozen=True)
 class ValidityReport:
+    exhaustive = True  # a class constant, not a field: the checks are exact at every n
     ok: bool
-    exhaustive: bool  # always True: the checks are exact at every n
     counterexample: tuple[frozenset[int], str] | None = None  # (cover, constraint)
 
 
@@ -328,8 +328,8 @@ def check_validity(sys: ConstraintSystem, c: Clutter) -> ValidityReport:
             wording = f"x({sorted(broken.support)}) >= {broken.rhs}"
         else:
             wording = f"x_{broken} = 1"
-        return ValidityReport(False, True, (frozenset(bits(x)), wording))
-    return ValidityReport(True, True)
+        return ValidityReport(False, (frozenset(bits(x)), wording))
+    return ValidityReport(True)
 
 
 def check_tightness(sys: ConstraintSystem, c: Clutter) -> TightnessReport:

@@ -3,6 +3,10 @@
 Each report_* function recomputes one family of claims from scratch and
 returns the per-row outcomes, so the same tables back both the command line
 ``paper-report`` command and the acceptance tests.
+
+A sized section's default size is the one in its function's signature, and
+its largest size is its entry in SECTION_BOUNDS; the function itself raises
+ValueError above that entry, before it builds anything.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .graphs import (
 )
 from .polyhedra import check_tightness, check_validity, integer_hull_equiv, od_polyhedron_system
 from .sat_reduction import (
+    SAT_MAX_K,
     GadgetGraph,
     assignment_to_code,
     auxiliary_graph,
@@ -149,7 +154,7 @@ def _partitions(max_total: int, min_parts: int):
 FAMILIES_MAX_N = 30
 
 
-def family_specs(max_n: int = 18) -> list[FamilySpec]:
+def family_specs(max_n: int) -> list[FamilySpec]:
     """Every family member the families section checks, up to max_n vertices.
     Above FAMILIES_MAX_N it raises ValueError before listing any partition."""
     if max_n > FAMILIES_MAX_N:
@@ -257,8 +262,9 @@ def report_clutter_shapes() -> Report:
 # -- criterion 5: randomized bounds and relations --------------------------------------
 
 
-def report_bounds_random(samples: int = 200, seed: int = DEFAULT_SEED) -> Report:
+def report_bounds_random(seed: int = DEFAULT_SEED) -> Report:
     rows = _Rows()
+    samples = 200
     rng = random.Random(seed)
     log_ok = upper_ok = gap_ok = ld_ok = ltd_ok = remark_ok = 0
     for i in range(samples):
@@ -321,7 +327,7 @@ def check_sat_instance(gg: GadgetGraph) -> SatCheck:
     return SatCheck(model, od, otd, on_target, codes_ok, decoded, inst.evaluate(decoded))
 
 
-def report_sat_equivalence(max_vars: int = 4, max_clauses: int = 6) -> Report:
+def report_sat_equivalence(max_vars: int = 3, max_clauses: int = 6) -> Report:
     rows = _Rows()
     total = sat_count = 0
     for inst in enumerate_slsat(max_vars, max_clauses):
@@ -352,7 +358,17 @@ def report_sat_equivalence(max_vars: int = 4, max_clauses: int = 6) -> Report:
 # -- criterion 7: q-rose covering numbers -------------------------------------------------
 
 
+# The largest max_n the qrose section takes.  Its time grows about x3-4 per
+# vertex: 0.01 s at 10, 0.55-0.8 s at 15, 4.1-6.5 s at 17, 43-67 s at 19 and
+# 160 s at 20 (2 vCPUs, Python 3.11).
+QROSE_MAX_N = 10
+
+
 def report_qrose(max_n: int = 8) -> Report:
+    """tau of every complete q-rose of order n <= max_n against n - q + 1.
+    Above QROSE_MAX_N it raises ValueError before building any clutter."""
+    if max_n > QROSE_MAX_N:
+        raise ValueError(f"report_qrose takes max_n at most {QROSE_MAX_N}, got {max_n}")
     rows = _Rows()
     for n in range(3, max_n + 1):
         for q in range(2, n):
@@ -473,3 +489,7 @@ REPORT_SECTIONS = {
     "polyhedra": report_polyhedra,
     "oracle": report_oracle_equivalence,
 }
+
+# The largest value each sized section takes, smallest first, so that a
+# refusal of `all` names the tightest bound.
+SECTION_BOUNDS = {"sat": SAT_MAX_K, "qrose": QROSE_MAX_N, "families": FAMILIES_MAX_N}

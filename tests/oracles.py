@@ -8,15 +8,12 @@ fast bitmask implementations are checked against a second route.
 from itertools import combinations, permutations, product
 
 
-def naive_is_code(g, code, kind) -> bool:
-    """Definition-level X-code check using plain sets."""
+def _naive_sets(g, code, kind):
+    """(domination sets, vertices to separate, their traces on the code)."""
     code = set(code)
     nopen = {v: {u for u in range(g.n) if g.has_edge(v, u)} for v in range(g.n)}
     nclosed = {v: nopen[v] | {v} for v in range(g.n)}
     dom = nclosed if kind.domination == "closed" else nopen
-    for v in range(g.n):
-        if not dom[v] & code:
-            return False
     sep = kind.separation
     if sep == "open-sep":
         pool = list(range(g.n))
@@ -27,10 +24,24 @@ def naive_is_code(g, code, kind) -> bool:
     else:
         pool = [v for v in range(g.n) if v not in code]
         trace = {v: frozenset(nopen[v] & code) for v in pool}
-    for u, v in combinations(pool, 2):
-        if trace[u] == trace[v]:
-            return False
-    return True
+    return dom, pool, trace
+
+
+def naive_is_code(g, code, kind) -> bool:
+    """Definition-level X-code check using plain sets."""
+    dom, pool, trace = _naive_sets(g, code, kind)
+    if any(not dom[v] & set(code) for v in range(g.n)):
+        return False
+    return all(trace[u] != trace[v] for u, v in combinations(pool, 2))
+
+
+def naive_unseparated(g, code, kind):
+    """Every pair left unseparated with its shared trace, in verify's order:
+    by the lowest vertex sharing the pair's trace, then by the pair."""
+    _, pool, trace = _naive_sets(g, code, kind)
+    pairs = [(u, v) for u, v in combinations(pool, 2) if trace[u] == trace[v]]
+    first = {t: min(w for w in pool if trace[w] == t) for t in trace.values()}
+    return [(u, v, trace[u]) for u, v in sorted(pairs, key=lambda p: (first[trace[p[0]]], p))]
 
 
 def naive_gamma(g, kind):
@@ -444,8 +455,8 @@ def reference_check_validity(sys, c):
         else:
             wording = f"x_{broken} = 1"
         members = frozenset(v for v in range(c.n) if x >> v & 1)
-        return ValidityReport(False, True, (members, wording))
-    return ValidityReport(True, True)
+        return ValidityReport(False, (members, wording))
+    return ValidityReport(True)
 
 
 def reference_check_tightness(sys, c):

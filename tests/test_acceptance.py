@@ -39,7 +39,7 @@ def test_criterion_4_clutter_shapes():
 
 
 def test_criterion_5_random_bounds_and_relations():
-    _run(5, "bounds and relations on 200 random graphs", 120, reports.report_bounds_random, samples=200)
+    _run(5, "bounds and relations on 200 random graphs", 120, reports.report_bounds_random)
 
 
 def test_criterion_6_sat_equivalence_exhaustive():

@@ -839,8 +839,56 @@ class TestPaperReport:
         assert run(capsys, "paper-report", "families", "--max-k", "30")[0] == 0
         assert calls == [{"max_n": 30}]
 
+    @pytest.mark.parametrize("max_k", ["11", "200"])
+    def test_qrose_max_k_above_ten_is_refused_before_any_section_runs(
+        self, capsys, monkeypatch, max_k
+    ):
+        # the qrose section's time grows about x3-4 per vertex
+        from odcodes import reports
+
+        def must_not_run(**kwargs):
+            raise AssertionError("a section ran")
+
+        for name in reports.REPORT_SECTIONS:
+            monkeypatch.setitem(reports.REPORT_SECTIONS, name, must_not_run)
+        code, error, message = refusal(capsys, "paper-report", "qrose", "--max-k", max_k)
+        assert (code, error) == (2, "usage")
+        assert message == f"--max-k for the qrose section is at most 10, got {max_k}"
+
+    def test_qrose_max_k_ten_is_accepted(self, capsys, monkeypatch):
+        from odcodes import reports
+
+        calls = []
+        row = reports.ReportRow("row", "1", "1", True)
+
+        def qrose(**kwargs):
+            calls.append(kwargs)
+            return reports.Report("qrose", (row,))
+
+        monkeypatch.setitem(reports.REPORT_SECTIONS, "qrose", qrose)
+        assert run(capsys, "paper-report", "qrose", "--max-k", "10")[0] == 0
+        assert calls == [{"max_n": 10}]
+
+    def test_sat_title_reads_its_own_default(self, capsys):
+        code, out, _ = run(capsys, "paper-report", "sat", "--json")
+        [section] = json.loads(out)["sections"]
+        assert code == 0 and section["title"] == "SAT equivalence (vars <= 3, clauses <= 6)"
+
+    def test_each_bound_names_a_section_keyword(self):
+        # every bounded section reads its bound through the keyword the
+        # option table feeds, and its own default lies within the bound
+        import inspect
+
+        from odcodes import cli, reports
+
+        for name, bound in reports.SECTION_BOUNDS.items():
+            assert name in reports.REPORT_SECTIONS
+            dest, keyword = cli.SECTION_OPTIONS[name]
+            parameter = inspect.signature(reports.REPORT_SECTIONS[name]).parameters[keyword]
+            assert dest == "max_k" and parameter.default <= bound
+
     def test_each_section_gets_only_the_options_given(self, capsys, monkeypatch):
-        # bounds without --seed falls back on its own default seed; all
+        # a section without its option falls back on its own default; all
         # reads both options
         from odcodes import reports
 
@@ -856,8 +904,10 @@ class TestPaperReport:
 
         for name in reports.REPORT_SECTIONS:
             monkeypatch.setitem(reports.REPORT_SECTIONS, name, recorder(name))
-        assert run(capsys, "paper-report", "bounds")[0] == 0
-        assert calls == {"bounds": {}}
+        for name in ("bounds", "sat", "qrose", "families"):
+            calls.clear()
+            assert run(capsys, "paper-report", name)[0] == 0
+            assert calls == {name: {}}
         calls.clear()
         assert run(capsys, "paper-report", "all", "--max-k", "2", "--seed", "5")[0] == 0
         assert {name: kw for name, kw in calls.items() if kw} == {

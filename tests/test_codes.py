@@ -35,7 +35,7 @@ from odcodes.families import (
     thin_spider,
 )
 from odcodes.graphs import CodeKind, Graph, bits, disjoint_union, graph_to_text, is_admissible
-from oracles import naive_gamma, naive_is_code
+from oracles import naive_gamma, naive_is_code, naive_unseparated
 
 from test_graphs import complete, gem, path, random_graph
 
@@ -126,6 +126,20 @@ class TestVerify:
 
         with _pytest.raises(ValueError, match="out of range"):
             verify(P4, {0, 9}, CodeKind.OD)
+
+    def test_unseparated_order_across_classes(self):
+        # verify lists the pairs class by class, each class in the order of
+        # its lowest vertex; many codes here leave two or more classes
+        rng = random.Random(907)
+        several = 0
+        for _ in range(400):
+            g = random_graph(rng.randint(2, 10), rng.choice([0.2, 0.4, 0.6]), rng)
+            kind = rng.choice(list(CodeKind))
+            code = [v for v in range(g.n) if rng.random() < 0.4]
+            expected = naive_unseparated(g, code, kind)
+            assert list(verify(g, code, kind).unseparated) == expected
+            several += len({t for _, _, t in expected}) >= 2
+        assert several >= 100
 
     def test_violation_cap(self):
         g = Graph.from_edges(15, [])

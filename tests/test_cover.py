@@ -582,6 +582,18 @@ class TestQRose:
             for q in range(2, n):
                 assert min_cover(qrose_clutter(n, q)).value == tau_q_rose(n, q)
 
+    def test_report_bound(self, monkeypatch):
+        from odcodes import reports
+
+        assert reports.QROSE_MAX_N == 10
+
+        def no_clutter(*args):
+            raise AssertionError("clutter built")
+
+        monkeypatch.setattr(reports, "qrose_clutter", no_clutter)
+        with pytest.raises(ValueError, match="max_n at most 10, got 11"):
+            reports.report_qrose(11)
+
     def test_tiny_rose_bruteforce(self):
         c = qrose_clutter(3, 2)
         assert naive_min_cover(3, [tuple(bits(m)) for m in c.edges])[0] == 2
