@@ -6,8 +6,8 @@ the clutter covering pipeline and re-verifies its witness; brute_force_gamma()
 scans subsets in size order and serves as the independent oracle.
 
 gamma(), gamma_all_optima() and the CLI's gamma share one solve route,
-_solve(): above the brute-force guard, a narrow graph goes to a frontier DP
-first, and any other graph to min_cover, with min_cover's result either way.
+_solve(): a narrow graph goes to a frontier DP first, and any other graph to
+min_cover, with min_cover's result either way.
 """
 
 from __future__ import annotations
@@ -110,16 +110,15 @@ def _solve(g: Graph, kind: CodeKind, cap: int | None = None) -> CoverResult:
     """min_cover's result on the kind's clutter, with the optima up to cap
     unless cap is None.
 
-    Above BRUTE_FORCE_LIMIT, a graph with a narrow BFS order is solved by the
-    frontier DP over it, which lists the optima up to cap in one pass back
-    along its links, and one walk pinned at its value follows: it finds the
-    witness, the first cover of that size the walk meets, and it lists the
-    walk's first cap optima too when the DP did not list them.  A graph that
-    is not narrow, or whose DP passes its state cap, goes to min_cover.
+    A graph with a narrow BFS order, of any size, is solved by the frontier
+    DP over it, which lists the optima up to cap in one pass back along its
+    links; one walk pinned at its value then finds the witness, the first
+    cover of that size it meets, and lists its first cap optima if the DP
+    did not.  Any other graph, or a DP past its state cap, goes to min_cover.
     """
     clutter = build_clutter(g, kind)  # raises on inadmissible graphs
     _check_cap(cap)
-    order = _narrow_order(g) if g.n > BRUTE_FORCE_LIMIT else None
+    order = _narrow_order(g)
     found = _frontier(*_dp_edges(g, kind, clutter), order, cap) if order else None
     if found is None:
         result = min_cover(clutter, cap=cap)

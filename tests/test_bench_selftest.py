@@ -30,12 +30,14 @@ def load_tracer(monkeypatch):
 
 def test_declared_spans_fire_and_read_their_results(monkeypatch):
     # bench/run.py fails a --trace 1 run whose declared spans never fire or
-    # whose info readers raise; hold a solve and an enumeration to both here
+    # whose info readers raise; hold a solve and an enumeration to both here.
+    # The graph has no narrow order, so both calls walk through min_cover
     tracer_module = load_tracer(monkeypatch)
 
     import odcodes
 
-    g = odcodes.families.cycle_graph(12)
+    g = odcodes.families.thick_spider(4)
+    assert odcodes.codes._narrow_order(g) is None
     with tracer_module.Tracer().installed() as tracer:
         value, _ = odcodes.gamma(g, odcodes.CodeKind.OD)
         odcodes.gamma_all_optima(g, odcodes.CodeKind.OD)

@@ -425,10 +425,18 @@ class TestGraphCommands:
         code, out, err = run(capsys, command, target, "--enumerate", "--cap", cap)
         assert code == 2 and out == "" and "cap must be at least 1" in err
 
-    def test_gamma_enumerate_verifies_every_optimum(self, capsys, p4_file, monkeypatch):
+    def test_gamma_enumerate_verifies_every_optimum(self, capsys, tmp_path, monkeypatch):
+        # the bad optimum is planted through min_cover, so the graph must be
+        # one with no narrow order, which the solve walks
         from odcodes import codes
         from odcodes.cover import CoverResult
+        from odcodes.families import thick_spider
+        from odcodes.graphs import graph_to_text
 
+        g = thick_spider(4)
+        assert codes._narrow_order(g) is None
+        path = tmp_path / "spider.txt"
+        path.write_text(graph_to_text(g))
         real = codes.min_cover
 
         def with_bad_optimum(c, **kw):
@@ -438,7 +446,7 @@ class TestGraphCommands:
 
         monkeypatch.setattr(codes, "min_cover", with_bad_optimum)
         with pytest.raises(AssertionError, match="fails OD verification"):
-            run(capsys, "gamma", p4_file, "--kind", "OD", "--enumerate")
+            run(capsys, "gamma", str(path), "--kind", "OD", "--enumerate")
 
     def test_gamma_enumerate_refuses_a_non_code_planted_among_the_optima(
         self, capsys, p4_file, monkeypatch

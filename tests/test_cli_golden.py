@@ -37,6 +37,10 @@ FILES = {
     "bad.lsat": "p lsat 1 1\n1 -1 0\n",
     "bare.json": '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}',
     "badclutter.json": '{"n": 3, "edges": [[0, 1.9]]}',
+    "loop.json": '{"n": 2, "edges": [[1, 1]]}',
+    "dup.json": '{"n": 2, "edges": [[0, 1], [1, 0]]}',
+    "far-edge.json": '{"n": 2, "edges": [[0, 5]]}',
+    "far-label.json": '{"n": 2, "edges": [[0, 1]], "labels": {"7": "x"}}',
 }
 
 CASES = {
@@ -58,6 +62,10 @@ CASES = {
     "gamma-inadmissible-text": ["gamma", "twins.txt"],
     "gamma-inadmissible-json": ["gamma", "twins.txt", "--json"],
     "gamma-format-json": ["gamma", "loop.txt", "--json"],
+    "gamma-json-loop": ["gamma", "loop.json", "--json"],
+    "gamma-json-duplicate-edge": ["gamma", "dup.json", "--json"],
+    "gamma-json-edge-past-n": ["gamma", "far-edge.json", "--json"],
+    "gamma-json-label-past-n": ["gamma", "far-label.json", "--json"],
     "gamma-missing-file": ["gamma", "missing.txt"],
     "gamma-bad-kind-json": ["gamma", "p4.txt", "--kind", "XX", "--json"],
     "verify-valid-text": ["verify", "p4.txt", "--code", "0,1,3"],

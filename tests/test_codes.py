@@ -32,6 +32,7 @@ from odcodes.families import (
     named_graph,
     path_graph,
     random_od_admissible,
+    thick_spider,
     thin_spider,
 )
 from odcodes.graphs import CodeKind, Graph, bits, disjoint_union, graph_to_text, is_admissible
@@ -50,6 +51,10 @@ class TestVerify:
 
     def test_p4_od_code(self):
         assert verify(P4, {0, 1, 3}, CodeKind.OD).valid
+
+    def test_report_is_truthy_exactly_when_valid(self):
+        assert bool(verify(P4, {0, 1, 3}, CodeKind.OD)) is True
+        assert bool(verify(P4, {0, 1}, CodeKind.OD)) is False
 
     def test_empty_code_everything_undominated(self):
         rep = verify(P4, set(), CodeKind.OD)
@@ -264,11 +269,10 @@ def searches(monkeypatch):
 
 @pytest.fixture
 def forced(monkeypatch):
-    """The narrow route on any graph: the guard is lowered, every BFS order
-    counts as narrow and the state cap is lifted, so the frontier DP gives
-    the value and the walk pinned at it the witness; min_cover is gone, so a
-    handback to it cannot pass."""
-    monkeypatch.setattr(codes, "BRUTE_FORCE_LIMIT", 0)
+    """The narrow route on any graph: every BFS order counts as narrow and
+    the state cap is lifted, so the frontier DP gives the value and the walk
+    pinned at it the witness; min_cover is gone, so a handback to it cannot
+    pass."""
     monkeypatch.setattr(codes, "NARROW_WIDTH", math.inf)
     monkeypatch.setattr(cover, "STATE_CAP", 1 << 20)
     monkeypatch.setattr(codes, "min_cover", None)
@@ -336,11 +340,11 @@ def narrow_corpus():
 
 
 class TestNarrowRoute:
-    """gamma takes the frontier DP on narrow graphs above the brute-force
-    guard: the value comes from the DP, and the witness, the first cover of
-    that size the pinned walk meets, stays min_cover's.  gamma_all_optima
-    lists the optima by the DP, or past cap by the pinned walk, the same ones
-    min_cover lists."""
+    """gamma takes the frontier DP on narrow graphs of any size: the value
+    comes from the DP, and the witness, the first cover of that size the
+    pinned walk meets, stays min_cover's.  gamma_all_optima lists the optima
+    by the DP, or past cap by the pinned walk, the same ones min_cover
+    lists."""
 
     def test_dp_matches_brute_force(self, monkeypatch):
         monkeypatch.setattr(codes, "NARROW_WIDTH", math.inf)
@@ -366,11 +370,7 @@ class TestNarrowRoute:
                 got, want = forced(g, kind), min_cover(build_clutter(g, kind))
                 assert (got.value, got.witness) == (want.value, want.witness), (g, kind)
 
-    def test_forced_listing_returns_min_covers_optima(self, monkeypatch):
-        monkeypatch.setattr(codes, "BRUTE_FORCE_LIMIT", 0)
-        monkeypatch.setattr(codes, "NARROW_WIDTH", math.inf)
-        monkeypatch.setattr(cover, "STATE_CAP", 1 << 20)
-        monkeypatch.setattr(codes, "min_cover", None)  # the walk must not run
+    def test_forced_listing_returns_min_covers_optima(self, forced):
         listed = 0
         for g in route_mix():
             for kind in CodeKind:
@@ -382,9 +382,9 @@ class TestNarrowRoute:
                 listed += len(got[1])
         assert listed > 1_000
 
-    def test_walk_lists_the_dp_optima_above_the_guard(self):
+    def test_walk_lists_the_dp_optima(self):
         # gamma_all_optima lists these by the DP, so here is where the walk's
-        # listing is checked above the guard
+        # listing is checked on narrow graphs
         for n in (24, 26):
             g = relabelled(cycle_graph(n), 1)
             order = codes._narrow_order(g)
@@ -408,7 +408,9 @@ class TestNarrowRoute:
         assert len(walks) == 0
 
     @pytest.mark.parametrize("cap", [1, 2, 5, 100])
-    def test_capped_listing_is_min_covers(self, cap, monkeypatch):
+    def test_capped_listing_is_min_covers(self, cap, forced):
+        # relabelled cycles 28 and 40 are narrow at any width, so forcing
+        # leaves their route as it is
         def check(g, kind):
             want = min_cover(build_clutter(g, kind), cap=cap)
             got = gamma_all_optima(g, kind, cap)
@@ -420,10 +422,6 @@ class TestNarrowRoute:
             g = relabelled(cycle_graph(n), 1)
             for kind in (CodeKind.OD, CodeKind.OTD, CodeKind.LD):
                 truncated += check(g, kind)
-        monkeypatch.setattr(codes, "BRUTE_FORCE_LIMIT", 0)
-        monkeypatch.setattr(codes, "NARROW_WIDTH", math.inf)
-        monkeypatch.setattr(cover, "STATE_CAP", 1 << 20)
-        monkeypatch.setattr(codes, "min_cover", None)  # only the pinned walk may run
         for g in route_mix():
             for kind in CodeKind:
                 if is_admissible(g, kind).ok:
@@ -470,6 +468,20 @@ class TestNarrowRoute:
         pool = json.loads(REFERENCES.read_text())["sparse-search"]["pool"]["sparse-r26a"]
         g = Graph.from_edges(pool["n"], [tuple(e) for e in pool["edges"]])
         assert codes._narrow_order(g) is None
+
+    def test_route_is_picked_by_shape_not_size(self, walks):
+        # cycle 12 is narrow, so both calls take the DP however small it is;
+        # thick spider k = 4 (n = 8) has a vertex of degree 6, so it walks
+        g = cycle_graph(12)
+        want = min_cover(build_clutter(g, CodeKind.OD), cap=DEFAULT_CAP)
+        assert gamma(g, CodeKind.OD) == (want.value, want.witness)
+        assert gamma_all_optima(g, CodeKind.OD) == (want.value, want.all_optima, False)
+        assert not walks
+        spider = thick_spider(4)
+        assert codes._narrow_order(spider) is None
+        want = min_cover(build_clutter(spider, CodeKind.OD))
+        assert gamma(spider, CodeKind.OD) == (want.value, want.witness)
+        assert len(walks) == 1
 
     def test_state_cap_hands_back_to_the_walk(self, monkeypatch, walks):
         g = relabelled(cycle_graph(36), 1)
@@ -526,8 +538,8 @@ GAMMA_FORMS = [(), ("--json",), ("--enumerate", "--cap", "2"), ("--enumerate", "
 
 class TestCliGamma:
     """odcodes gamma takes the library's route, and prints what min_cover's
-    result renders to: every form, on narrow graphs above the guard with no
-    min_cover call, and on a dense graph with one."""
+    result renders to: every form, on narrow graphs with no min_cover call,
+    and on a dense graph with one."""
 
     @staticmethod
     def outputs(g, kind, tmp_path, capsys):

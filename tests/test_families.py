@@ -187,6 +187,29 @@ class TestSpecsAndPredictions:
         with pytest.raises(ValueError, match=f"{spec.family!r} does not take {unused}$"):
             generate(spec)
 
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            (FamilySpec("clique", n=0), "clique needs n >= 1"),
+            (FamilySpec("path", n=0), "path needs n >= 1"),
+            (FamilySpec("thick-spider", k=2), "headless spider needs k >= 3"),
+            (FamilySpec("extended-thin-spider", k=2), "extended thin spider needs k >= 3"),
+            (FamilySpec("thin-sun", k=2), "thin sun needs k >= 3"),
+            (FamilySpec("thin-sun", k=5, chords=((1, 9),)), r"chord \(1, 9\) out of range"),
+        ],
+        ids=[
+            "clique-0",
+            "path-0",
+            "thick-spider-2",
+            "extended-thin-spider-2",
+            "thin-sun-2",
+            "thin-sun-chord-past-k",
+        ],
+    )
+    def test_parameter_out_of_range(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate(spec)
+
     def test_prediction_examples(self):
         preds = {p.kind: p.value for p in predicted_gamma(FamilySpec("half-graph", k=3))}
         assert preds == {CodeKind.OD: 5, CodeKind.OTD: 6}

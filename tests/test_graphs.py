@@ -283,6 +283,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 1)], {5: "x"})
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: Graph(-1, ()), "vertex count must be non-negative"),
+            (lambda: Graph(2, (0b10,)), "adjacency length does not match vertex count"),
+            (lambda: Graph(2, (0b110, 0b001)), "vertex 0 has a neighbor out of range"),
+            (lambda: Graph(2, (0b11, 0b01)), "self-loop at vertex 0"),
+            (lambda: Graph.from_edges(2, [(0, 2)]), r"edge \(0, 2\) out of range for n=2"),
+            (lambda: path(3).degree(3), "vertex 3 out of range for n=3"),
+        ],
+        ids=[
+            "negative-n",
+            "adjacency-length",
+            "neighbour-out-of-range",
+            "self-loop",
+            "edge-past-n",
+            "degree-out-of-range",
+        ],
+    )
+    def test_refusal_names_the_fault(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+    def test_equal_graphs_hash_equal(self):
+        a = Graph.from_edges(3, [(0, 1), (1, 2)], {0: "x"})
+        b = Graph.from_edges(3, [(2, 1), (1, 0)], {0: "x"})
+        assert a == b and hash(a) == hash(b)
+
 
 class TestIO:
     def test_text_roundtrip(self):

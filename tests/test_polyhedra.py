@@ -157,6 +157,7 @@ class TestSystems:
             ),  # the cycle is two triangles
             (clique(4), "thin-spider"),  # k = 2 has no thin spider
             (Graph.from_edges(8, thin_spider(4).edges()), "thin-spider"),
+            (generate(FamilySpec("path", n=4)), "clique"),
         ],
         ids=[
             "thin-spider-as-thick",
@@ -168,6 +169,7 @@ class TestSystems:
             "sunlet-6-two-triangles",
             "thin-spider-order-4",
             "thin-spider-unlabelled",
+            "p4-as-clique",
         ],
     )
     def test_hint_mismatch_rejected(self, g, hint):
