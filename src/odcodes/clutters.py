@@ -6,7 +6,10 @@ vertex (closed or open neighborhood) and one separation edge per vertex pair
 vertex set is a code exactly when it hits every edge, so the covering number
 of the hypergraph is the code number.  Reduction removes superset-redundant
 edges, yielding the clutter together with its forced vertices (singleton
-edges), multi-vertex edges, and the ground-irrelevant vertex set.
+edges), multi-vertex edges, and the ground-irrelevant vertex set.  It
+dedupes the masks in one dict, tests each distinct mask only under those of
+its vertices that are the lowest of some kept edge (the lows filter), and
+gathers sources for the kept masks alone.
 
 An edge is its bitmask over the vertices.  Both layers hold their edges as
 a tuple of masks parallel to a tuple of sources, and refuse to be built when
@@ -17,6 +20,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import compress
+from operator import not_
 
 from .graphs import CodeKind, Graph, _is_int, bits, code_masks, is_admissible, mask_of
 
@@ -37,18 +42,26 @@ def require_admissible(g: Graph, kind: CodeKind) -> None:
         raise InadmissibleGraphError(f"graph is not {kind.value}-admissible: {adm.reason}")
 
 
+# Each byte's bits in reverse order, by byte value.
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _clutter_order(width: int) -> Callable[[int], int]:
     """Sort key of clutter edges below 1 << width: by size, then by member tuple.
 
     Of two equal-size edges, A's member tuple comes first iff the lowest
-    vertex of A ^ B lies in A, that is iff A with its bits reversed over
-    width places is the larger int; so the key is the size, shifted past
-    width bits, minus that reversal.
+    vertex of A ^ B lies in A, that is iff A with its bits reversed is the
+    larger int; so the key is the size, shifted past the reversal, minus the
+    reversal.  The bits are reversed a byte at a time over ceil(width / 8)
+    bytes: the little-endian bytes, each byte's bits reversed by table, read
+    big-endian.
     """
-    spec = f"0{width}b"
+    size = -(-width // 8)
+    shift = 8 * size
 
     def key(mask: int) -> int:
-        return (mask.bit_count() << width) - int(format(mask, spec)[::-1], 2)
+        reversal = int.from_bytes(mask.to_bytes(size, "little").translate(_REVERSED_BYTES), "big")
+        return (mask.bit_count() << shift) - reversal
 
     return key
 
@@ -110,46 +123,58 @@ def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
     tag = "N[{}]" if kind.domination == "closed" else "N({})"
     masks = list(dom)
     sources = [tag.format(v) for v in range(g.n)]
+    tails = [f"{v})" for v in range(g.n)]
+    locating = any(own)
     for u in range(g.n):
-        su, ou, ahead = sep[u], own[u], range(u + 1, g.n)
-        masks += [su ^ sep[v] | ou | own[v] for v in ahead]
-        sources += [f"delta({u},{v})" for v in ahead]
+        su, ou = sep[u], own[u]
+        if locating:
+            masks += [su ^ x | ou | o for x, o in zip(sep[u + 1 :], own[u + 1 :])]
+        else:
+            masks += [su ^ x for x in sep[u + 1 :]]
+        sources += map(f"delta({u},".__add__, tails[u + 1 :])
     return Hypergraph(g.n, kind, tuple(masks), tuple(sources))
-
-
-def _holds_kept(mask: int, by_low: dict[int, list[int]]) -> bool:
-    """Whether mask holds an edge of by_low, which lists edges by lowest vertex."""
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        for k in by_low.get(low, ()):
-            if k & mask == k:
-                return True
-    return False
 
 
 def reduce_hypergraph(h: Hypergraph) -> Clutter:
     """Drop duplicate and superset-redundant edges; covering number is kept.
 
-    Duplicates merge into one edge carrying every source tag.  Edges go by
-    size, as a proper subset is smaller, each tested against the kept edges
-    filed under one of its own vertices as their lowest.  The result is an
-    antichain ordered by (size, member tuple).
+    One dict dedupes the masks, in order of first appearance.  The distinct
+    masks go by size, as a proper subset is smaller, each tested against the
+    kept edges filed under their lowest vertex; only the vertices of the mask
+    that are some kept edge's lowest (the bits of lows) are looked up, and
+    the first kept edge the mask holds drops it.  A second pass over the
+    hyperedges gathers the sources of the kept masks only, so a duplicate
+    carries every source tag, sorted.  The result is an antichain ordered by
+    (size, member tuple).
     """
-    merged: dict[int, list[str]] = {}
-    for mask, source in zip(h.edges, h.sources):
-        merged.setdefault(mask, []).append(source)
-    if 0 in merged:
-        raise ValueError(f"empty hyperedge from {merged[0]}")
+    edges = h.edges
+    distinct = dict.fromkeys(edges)
+    if 0 in distinct:
+        raise ValueError(f"empty hyperedge from {list(compress(h.sources, map(not_, edges)))}")
     kept: list[int] = []
     by_low: dict[int, list[int]] = {}
-    for mask in sorted(merged, key=int.bit_count):
-        if not _holds_kept(mask, by_low):
+    lows = 0
+    for mask in sorted(distinct, key=int.bit_count):
+        rest = mask & lows
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for k in by_low[low]:
+                if k & mask == k:
+                    break
+            else:
+                continue
+            break
+        else:
+            low = mask & -mask
             kept.append(mask)
-            by_low.setdefault(mask & -mask, []).append(mask)
+            lows |= low
+            by_low.setdefault(low, []).append(mask)
     kept.sort(key=_clutter_order(max(kept, default=0).bit_length()))
-    return Clutter(h.n, tuple(kept), tuple(tuple(sorted(merged[m])) for m in kept), h.kind)
+    merged: dict[int, list[str]] = {mask: [] for mask in kept}
+    for mask, source in compress(zip(edges, h.sources), map(merged.__contains__, edges)):
+        merged[mask].append(source)
+    return Clutter(h.n, tuple(kept), tuple(tuple(sorted(s)) for s in merged.values()), h.kind)
 
 
 def build_clutter(g: Graph, kind: CodeKind) -> Clutter:

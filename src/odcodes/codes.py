@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations, islice
 
 from .clutters import Clutter, build_clutter, require_admissible
-from .cover import CoverResult, _check_cap, _frontier, _search, min_cover
+from .cover import CoverResult, _check_cap, _frontier, _search, _vertex_sets, min_cover
 from .graphs import MAX_VIOLATIONS, CodeKind, Graph, bits, code_masks, induced_subgraph, mask_of
 
 BRUTE_FORCE_LIMIT = 20
@@ -126,7 +126,7 @@ def _solve(g: Graph, kind: CodeKind, cap: int | None = None) -> CoverResult:
         value, optima = found
         result = _search(clutter, cap if optima is None else None, limit=value)
         if optima is not None:
-            result = replace(result, all_optima=tuple(frozenset(bits(m)) for m in optima))
+            result = replace(result, all_optima=_vertex_sets(optima))
     check_cover_code(g, result.witness, kind)
     if cap is not None:
         check_cover_code(g, result.all_optima[0], kind)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, compress, count
 from operator import or_
 
 from .clutters import Clutter
@@ -51,6 +51,7 @@ from .graphs import bits, mask_of
 
 
 STATE_CAP = 4_096  # the most states _frontier keeps after a step
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # a binary digit's byte to its value
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,15 @@ def _hold(masks) -> list[int]:
     width = max(masks, default=0).bit_length()
     rows = "".join([format(m, "b").zfill(width) for m in reversed(masks)])
     return [int(rows[width - 1 - v :: width], 2) for v in range(width)]
+
+
+def _vertex_sets(masks) -> tuple[frozenset[int], ...]:
+    """The vertex set of each mask, in order: the mask's binary digits,
+    lowest first, as bytes 0 and 1, select the vertices from 0 up."""
+    return tuple(
+        frozenset(compress(count(), format(m, "b")[::-1].encode().translate(_DIGIT_FLAGS)))
+        for m in masks
+    )
 
 
 def greedy_cover(c: Clutter) -> frozenset[int]:
@@ -301,7 +311,7 @@ def _search(c: Clutter, cap: int | None = None, limit: int | None = None) -> Cov
         floor = limit = witness.bit_count()
         run()
     del walk  # it refers to itself; freed here, its tables need no gc pass
-    optima_out = None if cap is None else tuple(frozenset(bits(m)) for m in sorted(optima))
+    optima_out = None if cap is None else _vertex_sets(sorted(optima))
     return CoverResult(witness.bit_count(), frozenset(bits(witness)), nodes, optima_out, truncated)
 
 

@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from odcodes.clutters import (
     ClutterFormatError,
     Hypergraph,
     InadmissibleGraphError,
+    _clutter_order,
     build_clutter,
     build_hypergraph,
     clutter_from_json,
@@ -17,7 +19,7 @@ from odcodes.clutters import (
 )
 from odcodes.codes import DEFAULT_CAP
 from odcodes.cover import min_cover
-from odcodes.graphs import CodeKind, Graph, bits, is_admissible, mask_of
+from odcodes.graphs import CodeKind, Graph, bits, code_masks, is_admissible, mask_of
 from oracles import naive_gamma, reference_reduce_hypergraph
 
 from test_graphs import complete, path, random_graph
@@ -88,6 +90,18 @@ class TestBuildHypergraph:
         sources = [tag.format(v) for v in range(4)] + self.P4_PAIRS
         assert [tuple(bits(m)) for m in h.edges] == self.P4_EDGES[kind]
         assert h.sources == tuple(sources)
+
+    @pytest.mark.parametrize("n", [12, 101])
+    @pytest.mark.parametrize("kind", [CodeKind.OD, CodeKind.LD])
+    def test_pair_edges_in_order(self, kind, n):
+        # one- to three-digit labels: each pair's source and mask, u < v in order
+        g = random_graph(n, 0.3, random.Random(n))
+        assert is_admissible(g, kind).ok
+        h = build_hypergraph(g, kind)
+        _, sep, own = code_masks(g, kind)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        assert h.sources[n:] == tuple(f"delta({u},{v})" for u, v in pairs)
+        assert h.edges[n:] == tuple(sep[u] ^ sep[v] | own[u] | own[v] for u, v in pairs)
 
     def test_locating_edges_include_pair(self):
         h = build_hypergraph(P4, CodeKind.LD)
@@ -187,10 +201,31 @@ class TestReduce:
             assert merged[(2, 10)] == ("N[10]", "N[2]", "delta(2,10)")
 
     def test_empty_edge_rejected(self):
+        # every empty edge's source, in order, and none of the others
         h = build_hypergraph(P4, CodeKind.OD)
-        bad = Hypergraph(h.n, h.kind, h.edges + (0,), h.sources + ("manual",))
-        with pytest.raises(ValueError):
+        bad = Hypergraph(h.n, h.kind, (0,) + h.edges + (0,), ("a",) + h.sources + ("b",))
+        with pytest.raises(ValueError, match=re.escape("empty hyperedge from ['a', 'b']") + "$"):
             reduce_hypergraph(bad)
+
+    def test_sources_gathered_for_kept_edges_only(self):
+        # {0,1} comes first and last with its superset between them: it keeps
+        # both sources, sorted, and the dropped superset's source is gone
+        edges = (0b011, 0b111, 0b100, 0b011)
+        c = reduce_hypergraph(Hypergraph(3, None, edges, ("z", "dropped", "c", "a")))
+        assert c.edges == (0b100, 0b011)
+        assert c.sources == (("c",), ("a", "z"))
+
+    def test_clutter_order_is_size_then_members(self):
+        # widths off and on byte multiples; every edge of one or two vertices
+        # plus random ones, sparse and dense
+        rng = random.Random(35)
+        for width in range(71):
+            masks = {0, (1 << width) - 1}
+            masks |= {1 << u | 1 << v for u in range(width) for v in range(u, width)}
+            for _ in range(100):
+                masks |= {rng.getrandbits(width), rng.getrandbits(width) & rng.getrandbits(width)}
+            expected = sorted(masks, key=lambda m: (m.bit_count(), tuple(bits(m))))
+            assert sorted(masks, key=_clutter_order(width)) == expected, width
 
 
 # The largest member of each family the benchmark solves, n up to 80.

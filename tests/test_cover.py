@@ -13,6 +13,7 @@ from odcodes.cover import (
     _frontier,
     _hold,
     _search,
+    _vertex_sets,
     greedy_cover,
     min_cover,
     qrose_clutter,
@@ -90,6 +91,14 @@ class TestHold:
     def test_bare_json_corpus(self):
         for c in TestBareJsonClutters().corpus():
             assert _hold(c.edges) == self.by_incidence(c.edges)
+
+
+def test_vertex_sets_are_the_masks_bits():
+    # the listed optima's decode, held to bits() on masks wider than a
+    # machine word, in order, the empty mask included
+    rng = random.Random(35)
+    masks = [0, 1, 1 << 69 | 1] + [rng.getrandbits(rng.randint(1, 130)) for _ in range(200)]
+    assert _vertex_sets(masks) == tuple(frozenset(bits(m)) for m in masks)
 
 
 class TestMinCover:
